@@ -13,8 +13,8 @@ from .evaluation import (ComparisonReport, ExponentFit, MethodComparison,
                          fit_power_law, nrmse, scaling_exponents,
                          subset_coupling_scan)
 from .inference import (InferenceConfig, InferenceResult, infer, infer_exact,
-                        infer_from_window, infer_ip, infer_nmf, infer_sm,
-                        infer_tap, moment_residual)
+                        infer_ip, infer_nmf, infer_sm, infer_tap,
+                        moment_residual)
 from .model import (EnergySplit, IsingParams, SampleStats,
                     boltzmann_distribution, energy_split, enumerate_states,
                     exact_moments_small, hamiltonian, metropolis_sample,
@@ -25,11 +25,9 @@ from .network import (MstResult, ScanPoint, SectorMap, build_mst,
                       q_mst, sector_clusters, spectral_truncation)
 from .panels import (IngestReport, PricePanel, ReturnPanel, WindowSpec,
                      binarize, load_price_csv, load_sector_csv, log_returns,
-                     n_windows, shuffle_window, standardize,
-                     standardize_window, windows)
+                     shuffle_window, standardize_window, windows)
 from .stats import (MomentSummary, WindowStats, bootstrap_ci, dft_amplitudes,
-                    eigen_top, moment_summary, off_diagonal_summary,
-                    top_eigenpairs, window_stats)
+                    moment_summary, off_diagonal_summary, window_stats)
 from .synthetic import (BlockSpec, block_model, generate_synthetic,
                         random_model, sample_binary_panel)
 
@@ -42,16 +40,15 @@ __all__ = [
     "ReturnPanel", "SampleStats", "ScalingReport", "ScanPoint", "SectorMap",
     "SubsetScanResult", "WindowSpec", "WindowStats", "binarize", "block_model",
     "boltzmann_distribution", "bootstrap_ci", "build_mst", "compare_methods",
-    "coupling_cutoff_scan", "dft_amplitudes", "eigen_cutoff_scan", "eigen_top",
+    "coupling_cutoff_scan", "dft_amplitudes", "eigen_cutoff_scan",
     "energy_split", "enumerate_states", "exact_moments_small", "fit_power_law",
-    "generate_synthetic", "hamiltonian", "infer", "infer_exact",
-    "infer_from_window", "infer_ip", "infer_nmf", "infer_sm", "infer_tap",
-    "load_price_csv", "load_sector_csv", "log_returns", "metropolis_sample",
-    "moment_residual", "moment_summary", "mst_result", "n_windows", "nrmse",
-    "off_diagonal_summary", "params_from_json", "params_to_json", "q_mst",
+    "generate_synthetic", "hamiltonian", "infer", "infer_exact", "infer_ip",
+    "infer_nmf", "infer_sm", "infer_tap", "load_price_csv", "load_sector_csv",
+    "log_returns", "metropolis_sample", "moment_residual", "moment_summary",
+    "mst_result", "nrmse", "off_diagonal_summary", "params_from_json",
+    "params_to_json", "q_mst",
     "random_model", "sample_binary_panel", "sample_configurations",
     "scaling_exponents", "sector_clusters", "shuffle_window",
-    "spectral_truncation", "standardize", "standardize_window",
-    "subset_coupling_scan", "third_order_from_samples", "top_eigenpairs",
-    "window_stats", "windows",
+    "spectral_truncation", "standardize_window", "subset_coupling_scan",
+    "third_order_from_samples", "window_stats", "windows",
 ]

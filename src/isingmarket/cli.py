@@ -22,10 +22,10 @@ import numpy as np
 from . import __version__
 from .evaluation import compare_methods
 from .model import energy_split, params_from_json
-from .network import (coupling_cutoff_scan, edges_to_csv, edges_to_dot,
-                      eigen_cutoff_scan, mst_result)
+from .network import edges_to_csv, edges_to_dot, mst_result
 from .panels import binarize, load_price_csv, load_sector_csv, log_returns
-from .pipeline import (ConfigError, NonConvergenceError, config_from_mapping,
+from .pipeline import (ConfigError, NonConvergenceError, RunConfig,
+                       _cutoff_scans, _write_scan_csv, config_from_mapping,
                        parse_config_file, run, sample_to_files, write_csv,
                        write_json)
 from .stats import window_stats
@@ -180,19 +180,12 @@ def _cmd_cutoff(args) -> int:
     if not args.params:
         return _run_pipeline(args, "cutoff")
     params, _, labels = _load_params_and_labels(args)
-    j = params.J
     out = Path(args.out_dir or ".")
-    iu = np.triu_indices(j.shape[0], k=1)
-    n_pts = args.cutoff_points or 15
-    th = np.linspace(j[iu].min(), j[iu].max(), n_pts + 2)[1:-1]
-    pts = coupling_cutoff_scan(j, labels, list(th), args.direction)
-    write_csv(out / "coupling_scan.csv", "threshold,q_mst,disconnected",
-              [(p.threshold, p.q_mst, p.disconnected) for p in pts])
-    lam = np.linalg.eigvalsh(j)
-    th_e = np.linspace(lam.min(), lam.max(), n_pts + 2)[1:-1]
-    pts_e = eigen_cutoff_scan(j, labels, list(th_e), args.direction)
-    write_csv(out / "eigen_scan.csv", "threshold,q_mst,disconnected",
-              [(p.threshold, p.q_mst, p.disconnected) for p in pts_e])
+    pts, pts_e = _cutoff_scans(params.J, labels,
+                               args.cutoff_points or RunConfig.cutoff_points,
+                               args.direction)
+    _write_scan_csv(out / "coupling_scan.csv", pts)
+    _write_scan_csv(out / "eigen_scan.csv", pts_e)
     print(f"wrote scans over {len(pts)} coupling and {len(pts_e)} eigen thresholds")
     return 0
 
@@ -310,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", dest="scaling_sizes", required=True,
                    help="comma-separated subset sizes")
     p.add_argument("--repeats", type=int, dest="scaling_repeats")
-    p.set_defaults(fn=lambda a: _run_pipeline(_coerce_int_list(a), "scaling"))
+    p.set_defaults(fn=lambda a: _run_pipeline(a, "scaling"))
 
     p = sub.add_parser("subset-scan", help="fixed-subset couplings vs universe size")
     _add_common(p)
@@ -319,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated panel indices")
     p.add_argument("--totals", dest="subset_totals", required=True,
                    help="comma-separated universe sizes")
-    p.set_defaults(fn=lambda a: _run_pipeline(_coerce_int_list(a), "subset"))
+    p.set_defaults(fn=lambda a: _run_pipeline(a, "subset"))
 
     p = sub.add_parser("energy", help="external/internal energy decomposition")
     _add_common(p)
@@ -337,14 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_compare)
 
     return parser
-
-
-def _coerce_int_list(args):
-    for key in ("scaling_sizes", "subset_indices", "subset_totals"):
-        value = getattr(args, key, None)
-        if isinstance(value, str):
-            setattr(args, key, tuple(int(v) for v in value.split(",") if v.strip()))
-    return args
 
 
 def main(argv=None) -> int:

@@ -13,7 +13,7 @@ import numpy as np
 from .inference import InferenceConfig, infer
 from .model import IsingParams
 from .panels import ReturnPanel
-from .stats import window_stats
+from .stats import _STATISTICS, window_stats
 
 logger = logging.getLogger(__name__)
 
@@ -102,20 +102,6 @@ class ScalingReport:
     j: dict[str, ExponentFit] = field(default_factory=dict)
 
 
-def _moments_of(values: np.ndarray) -> dict[str, float]:
-    v = np.asarray(values, dtype=np.float64)
-    m = float(v.mean())
-    s = float(v.std())
-    if s == 0.0:
-        return {"mean": m, "std": s, "skew": float("nan"), "kurt": float("nan")}
-    return {
-        "mean": m,
-        "std": s,
-        "skew": float(((v - m) ** 3).mean() / s**3),
-        "kurt": float(((v - m) ** 4).mean() / s**4 - 3.0),
-    }
-
-
 def fit_power_law(sizes, values) -> float:
     """Least-squares slope of log|value| against log size.
 
@@ -192,11 +178,10 @@ def scaling_exponents(panel: ReturnPanel, end_date: str, window_size: int,
         for n_sub in sizes:
             members = np.sort(rng.choice(panel.n_series, size=n_sub, replace=False))
             params = run(window[members])
-            hm = _moments_of(params.h)
-            jm = _moments_of(_upper(params.J))
+            j_upper = _upper(params.J)
             for name in MOMENT_NAMES:
-                h_vals[name][r].append(hm[name])
-                j_vals[name][r].append(jm[name])
+                h_vals[name][r].append(_STATISTICS[name](params.h))
+                j_vals[name][r].append(_STATISTICS[name](j_upper))
 
     report = ScalingReport(tuple(sizes), repeats)
     for name in MOMENT_NAMES:

@@ -344,13 +344,6 @@ def infer(stats: WindowStats, cfg: InferenceConfig, tickers=None) -> InferenceRe
     return result
 
 
-def infer_from_window(window: np.ndarray, cfg: InferenceConfig,
-                      tickers=None) -> InferenceResult:
-    """Convenience: window statistics then inference in one call."""
-    from .stats import window_stats
-    return infer(window_stats(window), cfg, tickers)
-
-
 def moment_residual(params: IsingParams, stats: WindowStats,
                     cfg: InferenceConfig) -> float:
     """Max-abs gap between data moments and the model moments of `params`."""

@@ -49,107 +49,83 @@ def _check_square_symmetric(w: np.ndarray) -> np.ndarray:
     return w
 
 
-def _components(allowed: np.ndarray) -> list[np.ndarray]:
-    """Connected components of the graph whose edges are allowed[i, j]."""
-    n = allowed.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = []
-        while stack:
-            i = stack.pop()
-            comp.append(i)
-            nbrs = np.flatnonzero(allowed[i] & ~seen)
-            seen[nbrs] = True
-            stack.extend(nbrs.tolist())
-        comps.append(np.sort(np.asarray(comp)))
-    return comps
+class _UnionFind:
+    """Disjoint sets over nodes 0..n-1 with path halving."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, a: int, b: int) -> bool:
+        """Merge the sets of a and b; False when they were already one."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[ra] = rb
+        return True
 
 
-def _prim_component(w: np.ndarray, nodes: np.ndarray, allowed: np.ndarray):
-    """Prim's algorithm maximizing total weight over one connected component.
+def _sorted_edges(w: np.ndarray):
+    """Upper-triangle edges as (rows, cols, weights) in (-w, i, j) order.
 
-    Grows from the smallest node index; ties in weight are broken by the
-    lexicographically smallest (i, j) edge so results are deterministic.
+    The order is a strict total order on edges, so the maximum spanning
+    forest over any subset of them is unique.
     """
-    nodes = list(nodes)
-    root = nodes[0]
-    in_tree = {root}
-    # best attachment for each outside node: (weight, tree endpoint)
-    best: dict[int, tuple[float, int]] = {}
-    for j in nodes[1:]:
-        if allowed[root, j]:
-            best[j] = (w[root, j], root)
+    rows, cols = np.triu_indices(w.shape[0], k=1)
+    wts = w[rows, cols]
+    order = np.lexsort((cols, rows, -wts))
+    return rows[order], cols[order], wts[order]
+
+
+def _kruskal(n: int, rows, cols, wts):
+    """Maximum spanning forest of edges given in (-w, i, j) order.
+
+    Returns (edges, n_components) with the kept edges in that order.
+    """
+    if rows.size == 0:
+        raise ValueError("no edges survive the cutoff")
+    uf = _UnionFind(n)
     edges: list[tuple[int, int, float]] = []
-    while len(in_tree) < len(nodes):
-        pick = None
-        pick_key = None
-        for j, (wt, i) in best.items():
-            a, b = (i, j) if i < j else (j, i)
-            key = (-wt, a, b)
-            if pick_key is None or key < pick_key:
-                pick_key = key
-                pick = (j, wt, i)
-        if pick is None:
-            raise ValueError("component is not connected")  # callers pre-split
-        j, wt, i = pick
-        a, b = (i, j) if i < j else (j, i)
-        edges.append((a, b, float(wt)))
-        in_tree.add(j)
-        del best[j]
-        for k in nodes:
-            if k in in_tree or not allowed[j, k]:
-                continue
-            cand = (w[j, k], j)
-            if k not in best:
-                best[k] = cand
-                continue
-            cur_wt, cur_i = best[k]
-            if cand[0] > cur_wt:
-                best[k] = cand
-            elif cand[0] == cur_wt:
-                cur_edge = (min(cur_i, k), max(cur_i, k))
-                new_edge = (min(j, k), max(j, k))
-                if new_edge < cur_edge:
-                    best[k] = cand
-    return edges
+    for i, j, wt in zip(rows.tolist(), cols.tolist(), wts.tolist()):
+        if uf.union(i, j):
+            edges.append((i, j, wt))
+            if len(edges) == n - 1:
+                break
+    return edges, n - len(edges)
 
 
 def build_mst(w: np.ndarray) -> list[tuple[int, int, float]]:
     """Spanning tree of maximal total weight over a complete weight matrix.
 
-    Grown by repeatedly attaching the outside node with the strongest link
-    to the tree.  Returns N-1 edges as (i, j, weight) with i < j, in
-    insertion order; equal weights break toward the smallest index pair.
+    Kruskal's algorithm over the upper triangle.  Returns N-1 edges as
+    (i, j, weight) with i < j, sorted by descending weight, then by (i, j);
+    equal weights therefore break toward the smallest index pair.
     """
     w = _check_square_symmetric(w)
     n = w.shape[0]
     if n < 2:
         raise ValueError("need at least two nodes")
-    allowed = ~np.eye(n, dtype=bool)
-    return _prim_component(w, np.arange(n), allowed)
+    edges, _ = _kruskal(n, *_sorted_edges(w))
+    return edges
 
 
 def max_spanning_forest(w: np.ndarray, allowed: np.ndarray):
     """Maximum-weight spanning forest restricted to allowed edges.
 
-    Returns (edges, n_components).  With every off-diagonal edge allowed
-    this is build_mst.
+    `allowed` is read on its upper triangle.  Returns (edges, n_components)
+    with edges in build_mst's (-w, i, j) order.  With every off-diagonal
+    edge allowed this is build_mst.
     """
     w = _check_square_symmetric(w)
-    allowed = np.asarray(allowed, dtype=bool) & ~np.eye(w.shape[0], dtype=bool)
-    if not np.any(allowed):
-        raise ValueError("no edges survive the cutoff")
-    edges: list[tuple[int, int, float]] = []
-    comps = _components(allowed)
-    for comp in comps:
-        if len(comp) > 1:
-            edges.extend(_prim_component(w, comp, allowed))
-    return edges, len(comps)
+    rows, cols, wts = _sorted_edges(w)
+    keep = np.asarray(allowed, dtype=bool)[rows, cols]
+    return _kruskal(w.shape[0], rows[keep], cols[keep], wts[keep])
 
 
 def sector_clusters(edges, labels) -> dict[str, list[int]]:
@@ -160,23 +136,13 @@ def sector_clusters(edges, labels) -> dict[str, list[int]]:
     (possibly a singleton).  Returns sector -> sizes sorted descending.
     """
     n = len(labels)
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = _UnionFind(n)
     for i, j, _ in edges:
         if labels[i] == labels[j]:
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-
+            uf.union(i, j)
     sizes: dict[int, int] = {}
     for i in range(n):
-        r = find(i)
+        r = uf.find(i)
         sizes[r] = sizes.get(r, 0) + 1
     clusters: dict[str, list[int]] = {}
     for r, size in sizes.items():
@@ -209,28 +175,49 @@ class ScanPoint:
     disconnected: bool
 
 
+def _check_scan(thresholds, direction: str) -> list:
+    thresholds = list(thresholds)
+    if any(a > b for a, b in zip(thresholds, thresholds[1:])):
+        raise ValueError("thresholds must be sorted ascending")
+    if direction not in ("discard_above", "discard_below"):
+        raise ValueError(f"unknown direction {direction!r}")
+    return thresholds
+
+
+def _survivors(values: np.ndarray, threshold: float, direction: str) -> np.ndarray:
+    return values <= threshold if direction == "discard_above" else values >= threshold
+
+
 def coupling_cutoff_scan(j: np.ndarray, labels, thresholds, direction: str) -> list[ScanPoint]:
     """Q_mst after excluding couplings beyond each threshold.
 
     direction='discard_above' drops entries J_ij > threshold,
     'discard_below' drops J_ij < threshold.  If the surviving graph
     disconnects, a maximum spanning forest is scored instead and the point
-    is flagged.
+    is flagged.  The edges are sorted once for all thresholds.
     """
     j = _check_square_symmetric(j)
-    thresholds = list(thresholds)
-    if any(a > b for a, b in zip(thresholds, thresholds[1:])):
-        raise ValueError("thresholds must be sorted ascending")
-    if direction not in ("discard_above", "discard_below"):
-        raise ValueError(f"unknown direction {direction!r}")
-    offdiag = ~np.eye(j.shape[0], dtype=bool)
+    thresholds = _check_scan(thresholds, direction)
+    n = j.shape[0]
+    rows, cols, wts = _sorted_edges(j)
     out = []
     for th in thresholds:
-        keep = (j <= th) if direction == "discard_above" else (j >= th)
-        edges, n_comp = max_spanning_forest(j, keep & offdiag)
+        keep = _survivors(wts, th, direction)
+        edges, n_comp = _kruskal(n, rows[keep], cols[keep], wts[keep])
         clusters = sector_clusters(edges, labels)
         out.append(ScanPoint(float(th), q_mst(clusters, len(labels)), n_comp > 1))
     return out
+
+
+def _rebuild(lam: np.ndarray, vec: np.ndarray, threshold: float,
+             direction: str) -> np.ndarray:
+    keep = _survivors(lam, threshold, direction)
+    if not np.any(keep):
+        raise ValueError(f"no eigenvalues survive threshold {threshold}")
+    rebuilt = (vec[:, keep] * lam[keep]) @ vec[:, keep].T
+    rebuilt = (rebuilt + rebuilt.T) / 2.0
+    np.fill_diagonal(rebuilt, 0.0)
+    return rebuilt
 
 
 def spectral_truncation(j: np.ndarray, threshold: float, direction: str) -> np.ndarray:
@@ -241,16 +228,8 @@ def spectral_truncation(j: np.ndarray, threshold: float, direction: str) -> np.n
     diagonal is zeroed so the result is usable as a coupling matrix.
     """
     j = _check_square_symmetric(j)
-    if direction not in ("discard_above", "discard_below"):
-        raise ValueError(f"unknown direction {direction!r}")
-    lam, vec = np.linalg.eigh(j)
-    keep = (lam <= threshold) if direction == "discard_above" else (lam >= threshold)
-    if not np.any(keep):
-        raise ValueError(f"no eigenvalues survive threshold {threshold}")
-    rebuilt = (vec[:, keep] * lam[keep]) @ vec[:, keep].T
-    rebuilt = (rebuilt + rebuilt.T) / 2.0
-    np.fill_diagonal(rebuilt, 0.0)
-    return rebuilt
+    _check_scan([threshold], direction)
+    return _rebuild(*np.linalg.eigh(j), threshold, direction)
 
 
 def eigen_cutoff_scan(j: np.ndarray, labels, thresholds, direction: str) -> list[ScanPoint]:
@@ -258,14 +237,14 @@ def eigen_cutoff_scan(j: np.ndarray, labels, thresholds, direction: str) -> list
 
     For each threshold, eigenvalues beyond the cutoff are dropped and the
     matrix is reconstructed from the surviving modes with its diagonal
-    zeroed before tree construction.
+    zeroed before tree construction.  The matrix is diagonalized once.
     """
-    thresholds = list(thresholds)
-    if any(a > b for a, b in zip(thresholds, thresholds[1:])):
-        raise ValueError("thresholds must be sorted ascending")
+    j = _check_square_symmetric(j)
+    thresholds = _check_scan(thresholds, direction)
+    lam, vec = np.linalg.eigh(j)
     out = []
     for th in thresholds:
-        res = mst_result(spectral_truncation(j, th, direction), labels)
+        res = mst_result(_rebuild(lam, vec, th, direction), labels)
         out.append(ScanPoint(float(th), res.q_mst, False))
     return out
 

@@ -240,35 +240,6 @@ def standardize_window(window: np.ndarray, label: str = "window") -> np.ndarray:
     return (w - mean) / std
 
 
-def standardize(r: ReturnPanel, w: WindowSpec) -> ReturnPanel:
-    """Standardize a raw panel within non-overlapping windows of size T.
-
-    Each tile of T consecutive steps is shifted and scaled so every series
-    has mean 0 and population standard deviation 1 inside the tile.  The
-    window spec must be non-overlapping (stride == window_size, or a single
-    full-length window); trailing steps that do not fill a tile are dropped.
-    For per-window work on overlapping strides use `standardize_window`.
-    """
-    if r.kind != "raw":
-        raise ValueError("standardize expects raw returns")
-    t = w.window_size
-    if t > r.n_steps:
-        raise ValueError(f"window_size {t} exceeds series length {r.n_steps}")
-    if w.stride != t and t != r.n_steps:
-        raise ValueError(
-            "panel-level standardization needs non-overlapping windows "
-            "(stride == window_size); use standardize_window per window otherwise"
-        )
-    n_tiles = r.n_steps // t
-    out = np.empty((r.n_series, n_tiles * t), dtype=np.float64)
-    for k in range(n_tiles):
-        sl = slice(k * t, (k + 1) * t)
-        out[:, sl] = standardize_window(
-            r.values[:, sl], label=f"window {k} (ending {r.dates[sl.stop - 1]})"
-        )
-    return ReturnPanel(r.tickers, r.dates[: n_tiles * t], out, "standardized")
-
-
 def windows(r: ReturnPanel, w: WindowSpec):
     """Iterate trailing windows as (end_date, (N, T) read-only view).
 
@@ -280,12 +251,6 @@ def windows(r: ReturnPanel, w: WindowSpec):
         raise ValueError(f"window_size {t} exceeds series length {r.n_steps}")
     for end in range(t - 1, r.n_steps, w.stride):
         yield r.dates[end], r.values[:, end - t + 1 : end + 1]
-
-
-def n_windows(n_steps: int, w: WindowSpec) -> int:
-    if w.window_size > n_steps:
-        return 0
-    return (n_steps - w.window_size) // w.stride + 1
 
 
 def shuffle_window(window: np.ndarray, seed: int) -> np.ndarray:

@@ -13,7 +13,7 @@ import dataclasses
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,7 @@ from . import __version__
 from .evaluation import compare_methods, scaling_exponents, subset_coupling_scan
 from .inference import METHODS, InferenceConfig, infer
 from .model import energy_split, metropolis_sample, params_to_json
-from .network import (coupling_cutoff_scan, edges_to_dot,
+from .network import (coupling_cutoff_scan, edges_to_csv, edges_to_dot,
                       eigen_cutoff_scan, mst_result)
 from .panels import (WindowSpec, binarize, load_price_csv, load_sector_csv,
                      log_returns, standardize_window, windows)
@@ -174,19 +174,11 @@ def config_from_mapping(mapping: dict) -> RunConfig:
     if missing:
         raise ConfigError(f"missing required config keys: {sorted(missing)}")
     try:
-        cfg = RunConfig(**{k: _coerce(fields[k].type, v) for k, v in kwargs.items()})
+        cfg = RunConfig(**kwargs)
     except (TypeError, ValueError) as err:
         raise ConfigError(str(err)) from err
     cfg.validate()
     return cfg
-
-
-def _coerce(typ, value):
-    if typ == "int" and isinstance(value, str):
-        return int(value)
-    if typ == "float" and isinstance(value, str):
-        return float(value)
-    return value
 
 
 def _parse_bool(key, value):
@@ -250,14 +242,6 @@ def _window_seed(root_seed: int, index: int, salt: int = 0) -> np.random.SeedSeq
     return np.random.SeedSequence([root_seed, index, salt])
 
 
-def _prepare_window(cfg: RunConfig, raw_block: np.ndarray, date: str) -> np.ndarray:
-    if cfg.kind == "raw":
-        return raw_block
-    if cfg.kind == "standardized":
-        return standardize_window(raw_block, label=f"window ending {date}")
-    return np.where(raw_block >= 0.0, 1.0, -1.0)
-
-
 def run(cfg: RunConfig) -> dict:
     """Execute the configured stages; returns the manifest dictionary.
 
@@ -309,25 +293,23 @@ def _run_stages(cfg: RunConfig, out: Path, manifest: dict) -> None:
     if cfg.window_size > returns.n_steps:
         raise ConfigError(f"window_size {cfg.window_size} exceeds the "
                           f"{returns.n_steps}-step return history")
-    window_list = list(windows(returns, spec))
-    manifest["windows"] = len(window_list)
     binary = binarize(returns)
+    window_list = list(windows(binary if cfg.kind == "binary" else returns, spec))
+    manifest["windows"] = len(window_list)
 
     results: dict[int, dict] = {}
 
     def process_window(item):
-        idx, (date, raw_block) = item
+        idx, (date, block) = item
         entry: dict = {"date": date}
-        block = _prepare_window(cfg, raw_block, date)
+        if cfg.kind == "standardized":
+            block = standardize_window(block, label=f"window ending {date}")
         if "stats" in cfg.stages:
             entry["stats"] = window_stats(block, with_third_order=cfg.with_third_order,
                                           labels=panel.tickers)
-        if _needs_inference(cfg):
-            if cfg.kind == "binary" and "stats" in entry:
-                st = entry["stats"]
-            else:
-                bin_block = binary.values[:, _col_slice(idx, cfg)]
-                st = window_stats(bin_block, labels=panel.tickers)
+        if _needs_inference(cfg):  # validate() ensures kind == "binary" here
+            st = entry["stats"] if "stats" in entry else window_stats(
+                block, labels=panel.tickers)
             entry["bin_stats"] = st
             entry["params"] = {}
             entry["diag"] = {}
@@ -405,11 +387,6 @@ def _needs_inference(cfg: RunConfig) -> bool:
     return bool({"infer", "mst", "cutoff", "energy", "compare"} & set(cfg.stages))
 
 
-def _col_slice(idx: int, cfg: RunConfig) -> slice:
-    end = cfg.window_size - 1 + idx * cfg.stride
-    return slice(end - cfg.window_size + 1, end + 1)
-
-
 def _write_stats_outputs(cfg, out, tickers, ordered, returns, binary) -> None:
     rows = []
     eigen_rows = []
@@ -468,6 +445,22 @@ def _cutoff_thresholds(values: np.ndarray, n_points: int) -> list[float]:
     return list(np.linspace(lo, hi, n_points + 2)[1:-1])
 
 
+def _cutoff_scans(j: np.ndarray, labels, n_points: int, direction: str):
+    """Coupling and eigenvalue cutoff scans of `j` over interior grids of
+    `n_points` thresholds spanning its off-diagonal entries and its spectrum."""
+    iu = np.triu_indices(j.shape[0], k=1)
+    coupling = coupling_cutoff_scan(j, labels, _cutoff_thresholds(j[iu], n_points),
+                                    direction)
+    eigen = eigen_cutoff_scan(
+        j, labels, _cutoff_thresholds(np.linalg.eigvalsh(j), n_points), direction)
+    return coupling, eigen
+
+
+def _write_scan_csv(path: Path, points) -> None:
+    write_csv(path, "threshold,q_mst,disconnected",
+              [(p.threshold, p.q_mst, p.disconnected) for p in points])
+
+
 def _write_network_outputs(cfg, out, ordered, tickers, labels) -> None:
     q_rows = []
     for entry in ordered:
@@ -477,27 +470,17 @@ def _write_network_outputs(cfg, out, ordered, tickers, labels) -> None:
             if "mst" in cfg.stages:
                 tree = mst_result(j, labels)
                 base = out / "mst" / method
-                write_csv(base / f"{date}.csv",
-                          "i_ticker,j_ticker,weight,i_sector,j_sector",
-                          [(tickers[i], tickers[k], w, labels[i], labels[k])
-                           for i, k, w in tree.edges])
-                (base / f"{date}.dot").parent.mkdir(parents=True, exist_ok=True)
+                base.mkdir(parents=True, exist_ok=True)
+                (base / f"{date}.csv").write_text(
+                    edges_to_csv(tree.edges, tickers, labels))
                 (base / f"{date}.dot").write_text(
                     edges_to_dot(tree.edges, tickers, labels))
                 q_rows.append((date, method, tree.q_mst))
             if "cutoff" in cfg.stages:
-                iu = np.triu_indices(j.shape[0], k=1)
-                th = _cutoff_thresholds(j[iu], cfg.cutoff_points)
-                pts = coupling_cutoff_scan(j, labels, th, "discard_above")
-                write_csv(out / "cutoff" / method / f"coupling_{date}.csv",
-                          "threshold,q_mst,disconnected",
-                          [(p.threshold, p.q_mst, p.disconnected) for p in pts])
-                lam = np.linalg.eigvalsh(j)
-                th_e = _cutoff_thresholds(lam, cfg.cutoff_points)
-                pts_e = eigen_cutoff_scan(j, labels, th_e, "discard_above")
-                write_csv(out / "cutoff" / method / f"eigen_{date}.csv",
-                          "threshold,q_mst,disconnected",
-                          [(p.threshold, p.q_mst, p.disconnected) for p in pts_e])
+                pts, pts_e = _cutoff_scans(j, labels, cfg.cutoff_points,
+                                           "discard_above")
+                _write_scan_csv(out / "cutoff" / method / f"coupling_{date}.csv", pts)
+                _write_scan_csv(out / "cutoff" / method / f"eigen_{date}.csv", pts_e)
     if q_rows:
         write_csv(out / "mst" / "q_mst.csv", "date,method,q_mst", q_rows)
 

@@ -96,31 +96,6 @@ def window_stats(window: np.ndarray, with_third_order: bool = False,
     return WindowStats(m, cov, corr, vol, skew, kurt, lam, vec, t, third)
 
 
-def top_eigenpairs(m: np.ndarray, k: int):
-    """Top-k (eigenvalue, eigenvector) pairs of a symmetric matrix, descending."""
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("matrix must be square")
-    if not np.allclose(m, m.T, atol=1e-10):
-        raise ValueError("matrix must be symmetric")
-    if k > m.shape[0]:
-        raise ValueError(f"k={k} exceeds matrix size {m.shape[0]}")
-    lam, vec = _sorted_eigh(m)
-    return [(float(lam[i]), vec[:, i].copy()) for i in range(k)]
-
-
-def eigen_top(stats: WindowStats, k: int, which: str = "covariance"):
-    """Top-k eigenpairs of a window's covariance or correlation matrix."""
-    if k > len(stats.eigenvalues):
-        raise ValueError(f"k={k} exceeds N={len(stats.eigenvalues)}")
-    if which == "covariance":
-        return [(float(stats.eigenvalues[i]), stats.eigenvectors[:, i].copy())
-                for i in range(k)]
-    if which == "correlation":
-        return top_eigenpairs(stats.correlation, k)
-    raise ValueError(f"unknown matrix {which!r}")
-
-
 # ---------------------------------------------------------------------------
 # Collection summaries and bootstrap intervals
 # ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@ import pytest
 
 from conftest import stats_from_moments, stats_from_params
 from isingmarket.inference import (InferenceConfig, infer, infer_exact,
-                                   infer_from_window,
                                    infer_ip, infer_nmf, infer_sm, infer_tap,
                                    moment_residual)
 from isingmarket.model import IsingParams
@@ -285,13 +284,6 @@ class TestDispatchAndInvariants:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown method"):
             InferenceConfig(method="plm")
-
-    def test_infer_from_window_convenience(self):
-        truth = random_model(5, 0.2, 0.1, seed=13)
-        panel = sample_binary_panel(truth, 500, seed=14, n_chains=16)
-        direct = infer(window_stats(panel), InferenceConfig(method="sm"))
-        via_window = infer_from_window(panel, InferenceConfig(method="sm"))
-        np.testing.assert_array_equal(via_window.params.J, direct.params.J)
 
     def test_moment_residual_mc_path(self):
         truth = random_model(3, 0.2, 0.2, seed=15)

@@ -64,6 +64,15 @@ class TestBuildMst:
         with pytest.raises(ValueError, match="symmetric"):
             build_mst(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
+    def test_edges_in_kruskal_order(self):
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            # one decimal of rounding makes equal weights common
+            w = np.round(rng.normal(size=(9, 9)), 1)
+            w = (w + w.T) / 2
+            edges = build_mst(w)
+            assert edges == sorted(edges, key=lambda e: (-e[2], e[0], e[1]))
+
 
 class TestSectorClusters:
     def test_chain_aabb(self):
@@ -227,6 +236,34 @@ class TestForestAndOutputs:
         edges, n_comp = max_spanning_forest(w, allowed)
         assert n_comp == 2
         assert len(edges) == 3  # N - components
+
+    def test_forest_matches_bruteforce_on_split_masks(self):
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            n = int(rng.integers(3, 8))
+            w = rng.normal(size=(n, n))
+            w = (w + w.T) / 2
+            np.fill_diagonal(w, 0.0)
+            # edges only inside random groups, some of them dropped
+            group = rng.integers(0, 3, size=n)
+            allowed = np.equal.outer(group, group) & (rng.random((n, n)) < 0.7)
+            allowed = (allowed | allowed.T) & ~np.eye(n, dtype=bool)
+            if not allowed.any():
+                continue
+            edges, n_comp = max_spanning_forest(w, allowed)
+            # components from the transitive closure of the adjacency
+            reach = allowed | np.eye(n, dtype=bool)
+            for _ in range(n):
+                reach = (reach.astype(int) @ reach.astype(int)) > 0
+            comps = {tuple(np.flatnonzero(row)) for row in reach}
+            assert n_comp == len(comps)
+            assert len(edges) == n - n_comp
+            assert all(allowed[i, j] for i, j, _ in edges)
+            masked = np.where(allowed, w, -np.inf)
+            expected = sum(brute_force_max_tree_weight(masked[np.ix_(c, c)])
+                           for c in comps if len(c) > 1)
+            got = sum(wt for _, _, wt in edges)
+            assert got == pytest.approx(expected, abs=1e-10)
 
     def test_csv_and_dot_outputs(self):
         w = weights_from_edges(3, [(0, 1, 0.9), (0, 2, 0.5), (1, 2, 0.1)])

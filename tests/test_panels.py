@@ -3,8 +3,7 @@ import pytest
 
 from isingmarket.panels import (PricePanel, ReturnPanel, WindowSpec, binarize,
                                 load_price_csv, load_sector_csv, log_returns,
-                                n_windows, shuffle_window, standardize,
-                                standardize_window, windows)
+                                shuffle_window, standardize_window, windows)
 
 
 def make_prices(values):
@@ -39,9 +38,7 @@ class TestLogReturns:
         prices = np.exp(np.cumsum(rng.normal(0, 0.01, size=(2, 5828)), axis=1)) * 100
         r = log_returns(make_prices(prices))
         assert r.n_steps == 5827
-        spec = WindowSpec(window_size=250)
-        assert n_windows(r.n_steps, spec) == 5578
-        assert sum(1 for _ in windows(r, spec)) == 5578
+        assert sum(1 for _ in windows(r, WindowSpec(window_size=250))) == 5578
 
     def test_dates_shift_to_later_price(self):
         panel = make_prices([[1.0, 2.0, 3.0]])
@@ -77,30 +74,21 @@ class TestBinarize:
 
 class TestStandardize:
     def test_three_point_window(self):
-        r = make_returns([[1.0, 2.0, 3.0]])
-        out = standardize(r, WindowSpec(window_size=3, stride=3))
+        out = standardize_window(np.array([[1.0, 2.0, 3.0]]))
         sigma = np.std([1.0, 2.0, 3.0])  # population
-        np.testing.assert_allclose(out.values, [[-1 / sigma, 0.0, 1 / sigma]],
-                                   rtol=1e-12)
+        np.testing.assert_allclose(out, [[-1 / sigma, 0.0, 1 / sigma]], rtol=1e-12)
 
     def test_constant_window_rejected(self):
-        r = make_returns([[1.0, 1.0, 1.0]])
         with pytest.raises(ValueError, match="zero variance"):
-            standardize(r, WindowSpec(window_size=3, stride=3))
+            standardize_window(np.array([[1.0, 1.0, 1.0]]))
 
     def test_gaussian_windows_have_unit_moments(self):
         rng = np.random.default_rng(2)
         r = make_returns(rng.normal(2.0, 5.0, size=(3, 400)))
-        out = standardize(r, WindowSpec(window_size=100, stride=100))
-        for k in range(4):
-            block = out.values[:, k * 100 : (k + 1) * 100]
-            np.testing.assert_allclose(block.mean(axis=1), 0.0, atol=1e-10)
-            np.testing.assert_allclose(block.std(axis=1), 1.0, atol=1e-10)
-
-    def test_overlapping_stride_rejected(self):
-        r = make_returns(np.random.default_rng(3).normal(size=(2, 10)))
-        with pytest.raises(ValueError, match="non-overlapping"):
-            standardize(r, WindowSpec(window_size=5, stride=1))
+        for _, block in windows(r, WindowSpec(window_size=100, stride=100)):
+            out = standardize_window(block)
+            np.testing.assert_allclose(out.mean(axis=1), 0.0, atol=1e-10)
+            np.testing.assert_allclose(out.std(axis=1), 1.0, atol=1e-10)
 
     def test_window_helper_names_series(self):
         with pytest.raises(ValueError, match="series 1"):

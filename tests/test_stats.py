@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from isingmarket.panels import standardize_window
-from isingmarket.stats import (bootstrap_ci, dft_amplitudes, eigen_top,
+from isingmarket.stats import (_sorted_eigh, bootstrap_ci, dft_amplitudes,
                                moment_summary, off_diagonal_summary,
                                off_diagonal_values, third_order_tensor,
-                               top_eigenpairs, window_stats)
+                               window_stats)
 
 
 class TestWindowStats:
@@ -181,41 +181,49 @@ class TestDftAmplitudes:
                                        atol=1e-10)
 
 
+def assert_sign_convention(vecs):
+    # largest-magnitude entry of every eigenvector positive
+    for k in range(vecs.shape[1]):
+        assert vecs[np.argmax(np.abs(vecs[:, k])), k] > 0
+
+
 class TestEigenTop:
+    """Eigenpairs of the window covariance carried by WindowStats."""
+
     def test_identity_correlation(self):
-        pairs = top_eigenpairs(np.eye(4), 4)
-        assert [lam for lam, _ in pairs] == [1.0] * 4
+        # rows of a Sylvester-Hadamard matrix past the first are zero-mean and
+        # orthogonal, so their population covariance is the identity
+        h = np.array([[1.0]])
+        for _ in range(3):
+            h = np.block([[h, h], [h, -h]])
+        st = window_stats(h[1:5])
+        np.testing.assert_allclose(st.eigenvalues, 1.0, atol=1e-12)
 
     def test_rank_one_matrix(self):
         v = np.array([1.0, -1.0, 1.0, 1.0])  # |v|^2 = N
-        pairs = top_eigenpairs(np.outer(v, v), 4)
-        assert pairs[0][0] == pytest.approx(4.0)
-        np.testing.assert_allclose([lam for lam, _ in pairs[1:]], 0.0, atol=1e-12)
-        # sign convention: largest-magnitude entry positive
-        assert pairs[0][1][np.argmax(np.abs(pairs[0][1]))] > 0
+        z = np.tile([1.0, -1.0], 50)         # mean 0, population variance 1
+        st = window_stats(np.outer(v, z))
+        assert st.eigenvalues[0] == pytest.approx(4.0)
+        np.testing.assert_allclose(st.eigenvalues[1:], 0.0, atol=1e-12)
+        assert_sign_convention(st.eigenvectors)
 
     def test_equicorrelation_closed_form(self):
         # N=4, rho=0.5: top eigenvalue 1+3*rho, the rest 1-rho
         rho = 0.5
         m = np.full((4, 4), rho)
         np.fill_diagonal(m, 1.0)
-        lams = [lam for lam, _ in top_eigenpairs(m, 4)]
+        lams, _ = _sorted_eigh(m)
         np.testing.assert_allclose(lams, [2.5, 0.5, 0.5, 0.5], atol=1e-12)
-
-    def test_requires_symmetry(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            top_eigenpairs(np.array([[1.0, 2.0], [0.0, 1.0]]), 1)
 
     def test_from_window_stats(self):
         rng = np.random.default_rng(13)
         st = window_stats(rng.normal(size=(5, 100)))
-        lam_cov, vec_cov = eigen_top(st, 1)[0]
-        assert lam_cov == pytest.approx(st.eigenvalues[0])
-        lam_q, _ = eigen_top(st, 1, which="correlation")[0]
-        q_pairs = top_eigenpairs(st.correlation, 1)
-        assert lam_q == pytest.approx(q_pairs[0][0])
-        with pytest.raises(ValueError):
-            eigen_top(st, 6)
+        np.testing.assert_allclose(st.eigenvalues,
+                                   np.linalg.eigvalsh(st.covariance)[::-1],
+                                   atol=1e-12)
+        np.testing.assert_allclose(st.covariance @ st.eigenvectors,
+                                   st.eigenvectors * st.eigenvalues, atol=1e-12)
+        assert_sign_convention(st.eigenvectors)
 
 
 class TestMomentSummaryCI:
