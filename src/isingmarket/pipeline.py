@@ -1,6 +1,8 @@
 """
-End-to-end pipeline: ingest, transform, per-window statistics and inference,
-network/scaling/energy analyses, and a reproducibility manifest.
+End-to-end pipeline: ingest, transform, one unit of work per window
+(statistics, inference, network/energy/compare analyses, written as soon as
+they are computed), whole-panel scaling/subset scans, and a reproducibility
+manifest.
 
 All outputs are plain CSV/JSON/DOT.  A run is deterministic for a given
 config and seed: per-window seeds derive from SeedSequence([seed, window
@@ -13,6 +15,7 @@ import dataclasses
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,8 +29,8 @@ from .network import (coupling_cutoff_scan, edges_to_csv, edges_to_dot,
                       eigen_cutoff_scan, mst_result)
 from .panels import (WindowSpec, binarize, load_price_csv, load_sector_csv,
                      log_returns, standardize_window, windows)
-from .stats import (dft_amplitudes, matrix_to_json, off_diagonal_summary,
-                    stats_csv_rows, window_stats)
+from .stats import (dft_amplitudes, off_diagonal_summary, stats_csv_rows,
+                    window_stats)
 
 STAGES = ("stats", "infer", "mst", "cutoff", "scaling", "subset", "energy",
           "compare")
@@ -219,12 +222,21 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def write_csv(path: Path, header: str, rows) -> None:
+def _append_rows(fh, rows) -> None:
+    for row in rows:
+        fh.write(",".join(_fmt(x) for x in row) + "\n")
+
+
+def _open_csv(path: Path, header: str):
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+    fh = open(path, "w")
+    fh.write(header + "\n")
+    return fh
+
+
+def write_csv(path: Path, header: str, rows) -> None:
+    with _open_csv(path, header) as fh:
+        _append_rows(fh, rows)
 
 
 def write_json(path: Path, obj) -> None:
@@ -232,6 +244,19 @@ def write_json(path: Path, obj) -> None:
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=1, sort_keys=True)
         fh.write("\n")
+
+
+# Collated CSVs hold rows from every window, appended in window order.
+_COLLATED = {
+    "stats": ("stats/stats.csv", "date,series,stat,value,ci_lo,ci_hi"),
+    "eigen": ("stats/eigen.csv", "date,rank,eigenvalue"),
+    "diag": ("infer_diagnostics.csv",
+             "date,method,converged,iterations,residual,cond_cov,tap_fallbacks"),
+    "q_mst": ("mst/q_mst.csv", "date,method,q_mst"),
+    "energy": ("energy/energy.csv",
+               "date,method,e_ext,e_int,energy_ratio,bias_ratio,bias_ratio_sign"),
+    "compare": ("compare/compare.csv", "date,pair,target,nrmse,pearson"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -294,81 +319,47 @@ def _run_stages(cfg: RunConfig, out: Path, manifest: dict) -> None:
         raise ConfigError(f"window_size {cfg.window_size} exceeds the "
                           f"{returns.n_steps}-step return history")
     binary = binarize(returns)
-    window_list = list(windows(binary if cfg.kind == "binary" else returns, spec))
-    manifest["windows"] = len(window_list)
-
-    results: dict[int, dict] = {}
-
-    def process_window(item):
-        idx, (date, block) = item
-        entry: dict = {"date": date}
-        if cfg.kind == "standardized":
-            block = standardize_window(block, label=f"window ending {date}")
-        if "stats" in cfg.stages:
-            entry["stats"] = window_stats(block, with_third_order=cfg.with_third_order,
-                                          labels=panel.tickers)
-        if _needs_inference(cfg):  # validate() ensures kind == "binary" here
-            st = entry["stats"] if "stats" in entry else window_stats(
-                block, labels=panel.tickers)
-            entry["bin_stats"] = st
-            entry["params"] = {}
-            entry["diag"] = {}
-            for m_i, method in enumerate(cfg.methods):
-                seed = _window_seed(cfg.seed, idx, salt=100 + m_i)
-                res = infer(st, cfg.inference_config(method, seed),
-                            tickers=panel.tickers)
-                entry["params"][method] = res
-        return idx, entry
+    items = list(enumerate(windows(binary if cfg.kind == "binary" else returns, spec)))
+    manifest["windows"] = len(items)
 
     manifest["_current_stage"] = "windows"
     t0 = timer()
-    items = list(enumerate(window_list))
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            for idx, entry in pool.map(process_window, items):
-                results[idx] = entry
-    else:
-        for item in items:
-            idx, entry = process_window(item)
-            results[idx] = entry
-    manifest["stages"]["windows"] = {"seconds": timer() - t0}
-
-    ordered = [results[i] for i in sorted(results)]
-
     if "stats" in cfg.stages:
-        manifest["_current_stage"] = "stats"
-        t0 = timer()
-        _write_stats_outputs(cfg, out, panel.tickers, ordered, returns, binary)
-        manifest["stages"]["stats"] = {"seconds": timer() - t0}
-
+        # spectrum of the cross-sectional mean return, raw vs binary
+        write_csv(out / "stats" / "dft_mean_return.csv", "kind,bin,amplitude",
+                  [(kind, k, a) for kind, values in (("raw", returns.values),
+                                                     ("binary", binary.values))
+                   for k, a in enumerate(dft_amplitudes(values.mean(axis=0)))])
+    convergence: list[dict] = []
     if _needs_inference(cfg):
-        manifest["_current_stage"] = "infer"
-        t0 = timer()
-        diag_rows = _write_inference_outputs(cfg, out, ordered)
-        manifest["stages"]["infer"] = {"seconds": timer() - t0}
-        manifest["convergence"] = diag_rows
-        if cfg.strict and any(not row["converged"] for row in diag_rows):
-            raise NonConvergenceError(
-                f"{sum(not r['converged'] for r in diag_rows)} window/method "
-                "fits did not converge")
+        manifest["convergence"] = convergence
+    diag_fields = _COLLATED["diag"][1].split(",")
 
-    if "mst" in cfg.stages or "cutoff" in cfg.stages:
-        manifest["_current_stage"] = "mst"
-        t0 = timer()
-        _write_network_outputs(cfg, out, ordered, panel.tickers, labels)
-        manifest["stages"]["mst"] = {"seconds": timer() - t0}
+    def unit(item):
+        idx, (date, block) = item
+        return _window_unit(cfg, out, idx, date, block, panel.tickers, labels)
 
-    if "energy" in cfg.stages:
-        manifest["_current_stage"] = "energy"
-        t0 = timer()
-        _write_energy_outputs(cfg, out, ordered)
-        manifest["stages"]["energy"] = {"seconds": timer() - t0}
-
-    if "compare" in cfg.stages and cfg.compare_pairs:
-        manifest["_current_stage"] = "compare"
-        t0 = timer()
-        _write_compare_outputs(cfg, out, ordered)
-        manifest["stages"]["compare"] = {"seconds": timer() - t0}
+    with ExitStack() as stack:
+        if cfg.jobs > 1:
+            pool = stack.enter_context(ThreadPoolExecutor(max_workers=cfg.jobs))
+            results = pool.map(unit, items)
+        else:
+            results = map(unit, items)
+        files: dict = {}
+        for window_rows in results:
+            for key, rows in window_rows.items():
+                if key not in files:
+                    rel, header = _COLLATED[key]
+                    files[key] = stack.enter_context(_open_csv(out / rel, header))
+                if key == "diag":  # the manifest keeps None, the CSV writes ""
+                    convergence.extend(dict(zip(diag_fields, row)) for row in rows)
+                    rows = [["" if v is None else v for v in row] for row in rows]
+                _append_rows(files[key], rows)
+    manifest["stages"]["windows"] = {"seconds": timer() - t0}
+    if cfg.strict and any(not row["converged"] for row in convergence):
+        raise NonConvergenceError(
+            f"{sum(not r['converged'] for r in convergence)} window/method "
+            "fits did not converge")
 
     if "scaling" in cfg.stages:
         manifest["_current_stage"] = "scaling"
@@ -387,55 +378,68 @@ def _needs_inference(cfg: RunConfig) -> bool:
     return bool({"infer", "mst", "cutoff", "energy", "compare"} & set(cfg.stages))
 
 
-def _write_stats_outputs(cfg, out, tickers, ordered, returns, binary) -> None:
-    rows = []
-    eigen_rows = []
-    for w_i, entry in enumerate(ordered):
-        st = entry["stats"]
-        date = entry["date"]
-        boot_seed = _window_seed(cfg.seed, w_i, salt=7).generate_state(1)[0]
+def _window_unit(cfg: RunConfig, out: Path, idx: int, date: str, block,
+                 tickers, labels) -> dict[str, list]:
+    """Compute one window and write its own files: stats, each method's fit
+    and params, trees, scans, energy and comparisons.  Returns the window's
+    rows of the collated CSVs, keyed as in `_COLLATED`; nothing else of the
+    window outlives the call."""
+    rows: dict[str, list] = {}
+    if cfg.kind == "standardized":
+        block = standardize_window(block, label=f"window ending {date}")
+    st = None
+    if "stats" in cfg.stages:
+        st = window_stats(block, with_third_order=cfg.with_third_order,
+                          labels=tickers)
+        boot_seed = _window_seed(cfg.seed, idx, salt=7).generate_state(1)[0]
         summary = off_diagonal_summary(st.covariance, n_boot=cfg.n_boot,
                                        level=cfg.boot_level, seed=int(boot_seed))
-        rows.extend(stats_csv_rows(date, tickers, st, summary))
-        for k in range(min(cfg.eigen_top_k, len(st.eigenvalues))):
-            eigen_rows.append((date, k + 1, st.eigenvalues[k]))
+        rows["stats"] = stats_csv_rows(date, tickers, st, summary)
+        rows["eigen"] = [(date, k + 1, st.eigenvalues[k])
+                         for k in range(min(cfg.eigen_top_k, len(st.eigenvalues)))]
         if cfg.emit_matrices:
-            write_json(out / "stats" / "matrices" / f"{date}_cov.json",
-                       json.loads(matrix_to_json(st.covariance, tickers)))
-            write_json(out / "stats" / "matrices" / f"{date}_corr.json",
-                       json.loads(matrix_to_json(st.correlation, tickers)))
-    write_csv(out / "stats" / "stats.csv",
-              "date,series,stat,value,ci_lo,ci_hi", rows)
-    write_csv(out / "stats" / "eigen.csv", "date,rank,eigenvalue", eigen_rows)
-    # spectrum of the cross-sectional mean return, raw vs binary
-    dft_rows = []
-    for kind, panel_values in (("raw", returns.values), ("binary", binary.values)):
-        amps = dft_amplitudes(panel_values.mean(axis=0))
-        dft_rows.extend((kind, k, a) for k, a in enumerate(amps))
-    write_csv(out / "stats" / "dft_mean_return.csv", "kind,bin,amplitude", dft_rows)
-
-
-def _write_inference_outputs(cfg, out, ordered):
-    diag_rows = []
-    for entry in ordered:
-        for method, res in entry["params"].items():
-            path = out / "params" / method / f"{entry['date']}.json"
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(params_to_json(res.params) + "\n")
-            diag_rows.append({
-                "date": entry["date"], "method": method,
-                "converged": bool(res.converged),
-                "iterations": res.iterations,
-                "residual": res.residual,
-                "cond_cov": res.diagnostics.get("cond_cov"),
-                "tap_fallbacks": res.diagnostics.get("tap_fallbacks"),
-            })
-    write_csv(out / "infer_diagnostics.csv",
-              "date,method,converged,iterations,residual,cond_cov,tap_fallbacks",
-              [tuple("" if row[k] is None else row[k] for k in
-                     ("date", "method", "converged", "iterations", "residual",
-                      "cond_cov", "tap_fallbacks")) for row in diag_rows])
-    return diag_rows
+            for name, m in (("cov", st.covariance), ("corr", st.correlation)):
+                write_json(out / "stats" / "matrices" / f"{date}_{name}.json",
+                           {"tickers": list(tickers), "matrix": m.tolist()})
+    if not _needs_inference(cfg):  # validate() ensures kind == "binary" past here
+        return rows
+    if st is None:
+        st = window_stats(block, labels=tickers)
+    fits = {}
+    for m_i, method in enumerate(cfg.methods):
+        seed = _window_seed(cfg.seed, idx, salt=100 + m_i)
+        res = infer(st, cfg.inference_config(method, seed), tickers=tickers)
+        fits[method] = params = res.params
+        path = out / "params" / method / f"{date}.json"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(params_to_json(params) + "\n")
+        rows.setdefault("diag", []).append(
+            (date, method, bool(res.converged), res.iterations, res.residual,
+             res.diagnostics.get("cond_cov"), res.diagnostics.get("tap_fallbacks")))
+        if "mst" in cfg.stages:
+            tree = mst_result(params.J, labels)
+            base = out / "mst" / method
+            base.mkdir(parents=True, exist_ok=True)
+            (base / f"{date}.csv").write_text(edges_to_csv(tree.edges, tickers, labels))
+            (base / f"{date}.dot").write_text(edges_to_dot(tree.edges, tickers, labels))
+            rows.setdefault("q_mst", []).append((date, method, tree.q_mst))
+        if "cutoff" in cfg.stages:
+            pts, pts_e = _cutoff_scans(params.J, labels, cfg.cutoff_points,
+                                       "discard_above")
+            _write_scan_csv(out / "cutoff" / method / f"coupling_{date}.csv", pts)
+            _write_scan_csv(out / "cutoff" / method / f"eigen_{date}.csv", pts_e)
+        if "energy" in cfg.stages:
+            split = energy_split(params, st.means)
+            rows.setdefault("energy", []).append(
+                (date, method, split.e_ext, split.e_int, split.energy_ratio,
+                 split.bias_ratio, split.bias_ratio_sign))
+    if "compare" in cfg.stages and cfg.compare_pairs:
+        rows["compare"] = []
+        for a, b in cfg.compare_pairs:
+            cmp = compare_methods(fits[a], fits[b])
+            rows["compare"].append((date, f"{a}:{b}", "h", cmp.h.nrmse, cmp.h.pearson))
+            rows["compare"].append((date, f"{a}:{b}", "J", cmp.j.nrmse, cmp.j.pearson))
+    return rows
 
 
 def _cutoff_thresholds(values: np.ndarray, n_points: int) -> list[float]:
@@ -459,56 +463,6 @@ def _cutoff_scans(j: np.ndarray, labels, n_points: int, direction: str):
 def _write_scan_csv(path: Path, points) -> None:
     write_csv(path, "threshold,q_mst,disconnected",
               [(p.threshold, p.q_mst, p.disconnected) for p in points])
-
-
-def _write_network_outputs(cfg, out, ordered, tickers, labels) -> None:
-    q_rows = []
-    for entry in ordered:
-        date = entry["date"]
-        for method, res in entry["params"].items():
-            j = res.params.J
-            if "mst" in cfg.stages:
-                tree = mst_result(j, labels)
-                base = out / "mst" / method
-                base.mkdir(parents=True, exist_ok=True)
-                (base / f"{date}.csv").write_text(
-                    edges_to_csv(tree.edges, tickers, labels))
-                (base / f"{date}.dot").write_text(
-                    edges_to_dot(tree.edges, tickers, labels))
-                q_rows.append((date, method, tree.q_mst))
-            if "cutoff" in cfg.stages:
-                pts, pts_e = _cutoff_scans(j, labels, cfg.cutoff_points,
-                                           "discard_above")
-                _write_scan_csv(out / "cutoff" / method / f"coupling_{date}.csv", pts)
-                _write_scan_csv(out / "cutoff" / method / f"eigen_{date}.csv", pts_e)
-    if q_rows:
-        write_csv(out / "mst" / "q_mst.csv", "date,method,q_mst", q_rows)
-
-
-def _write_energy_outputs(cfg, out, ordered) -> None:
-    rows = []
-    for entry in ordered:
-        means = entry["bin_stats"].means
-        for method, res in entry["params"].items():
-            split = energy_split(res.params, means)
-            rows.append((entry["date"], method, split.e_ext, split.e_int,
-                         split.energy_ratio, split.bias_ratio,
-                         split.bias_ratio_sign))
-    write_csv(out / "energy" / "energy.csv",
-              "date,method,e_ext,e_int,energy_ratio,bias_ratio,bias_ratio_sign",
-              rows)
-
-
-def _write_compare_outputs(cfg, out, ordered) -> None:
-    rows = []
-    for entry in ordered:
-        for a, b in cfg.compare_pairs:
-            cmp = compare_methods(entry["params"][a].params,
-                                  entry["params"][b].params)
-            rows.append((entry["date"], f"{a}:{b}", "h", cmp.h.nrmse, cmp.h.pearson))
-            rows.append((entry["date"], f"{a}:{b}", "J", cmp.j.nrmse, cmp.j.pearson))
-    write_csv(out / "compare" / "compare.csv",
-              "date,pair,target,nrmse,pearson", rows)
 
 
 def _write_scaling_outputs(cfg, out, binary) -> None:

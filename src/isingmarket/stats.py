@@ -5,7 +5,6 @@ third-order covariances and bootstrap confidence intervals.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 
@@ -235,12 +234,6 @@ def dft_amplitudes(series) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Serialization helpers
 # ---------------------------------------------------------------------------
-
-def matrix_to_json(m: np.ndarray, tickers) -> str:
-    """Row-major JSON with ticker labels."""
-    return json.dumps({"tickers": list(tickers),
-                       "matrix": np.asarray(m, dtype=float).tolist()})
-
 
 def stats_csv_rows(date: str, tickers, stats: WindowStats,
                    summary: MomentSummary | None = None):

@@ -90,6 +90,7 @@ class TestStatsCommand:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["windows"] == 3
         assert manifest["failure"] is None
+        assert set(manifest["stages"]) == {"ingest", "windows"}
 
     def test_standardized_kind_normalizes_each_window(self, market, tmp_path):
         rc = main(["stats", "--prices", str(market / "prices.csv"),
@@ -295,15 +296,26 @@ class TestRunPipeline:
         assert len(energy) - 1 == 2 * 2  # 2 windows x 2 methods
 
     def test_jobs_flag_matches_serial(self, market, tmp_path):
+        cfgfile = tmp_path / "pipeline.cfg"
+        cfgfile.write_text("stages=stats,infer,mst,cutoff,energy,compare\n"
+                           "compare_pairs=nmf:sm\n"
+                           "n_boot=100\n")
         base = ["run", "--prices", str(market / "prices.csv"),
-                "-T", "200", "--stride", "100", "--seed", "23"]
-        rc = main(base + ["--out-dir", str(tmp_path / "serial")])
-        assert rc == 0
-        rc = main(base + ["--out-dir", str(tmp_path / "par"), "--jobs", "3"])
-        assert rc == 0
-        a = (tmp_path / "serial" / "infer_diagnostics.csv").read_bytes()
-        b = (tmp_path / "par" / "infer_diagnostics.csv").read_bytes()
-        assert a == b
+                "--sectors", str(market / "sectors.csv"), "--config", str(cfgfile),
+                "-T", "200", "--stride", "50", "--method", "nmf,sm", "--seed", "23"]
+        serial, par = tmp_path / "serial", tmp_path / "par"
+        assert main(base + ["--out-dir", str(serial)]) == 0
+        assert main(base + ["--out-dir", str(par), "--jobs", "3"]) == 0
+        files = sorted(p.relative_to(serial) for p in serial.rglob("*")
+                       if p.is_file() and p.name != "manifest.json")
+        assert files == sorted(p.relative_to(par) for p in par.rglob("*")
+                               if p.is_file() and p.name != "manifest.json")
+        assert len(files) > 20
+        for rel in files:
+            assert (serial / rel).read_bytes() == (par / rel).read_bytes(), rel
+        # collated rows stay in window order under threads
+        dates = [line.split(",")[0] for line in read_lines(par / "mst" / "q_mst.csv")[1:]]
+        assert dates == sorted(dates) and len(dates) == 5 * 2
 
     def test_failure_leaves_partial_marker(self, market, tmp_path):
         # sectors file missing a ticker: the mst stage fails after ingest
@@ -318,12 +330,25 @@ class TestRunPipeline:
         assert manifest["failure"] is not None
 
     def test_strict_nonconvergence_exit_code(self, market, tmp_path):
-        rc = main(["infer", "--prices", str(market / "prices.csv"),
-                   "--out-dir", str(tmp_path), "-T", "300",
+        cfgfile = tmp_path / "pipeline.cfg"
+        cfgfile.write_text("stages=infer,mst\n")
+        out = tmp_path / "out"
+        rc = main(["run", "--prices", str(market / "prices.csv"),
+                   "--sectors", str(market / "sectors.csv"), "--config", str(cfgfile),
+                   "--out-dir", str(out), "-T", "300", "--stride", "50",
                    "--method", "exact", "--max-iters", "2", "--tol", "1e-12",
                    "--strict", "--seed", "1"])
         assert rc == 4
-        assert (tmp_path / ".partial").exists()
+        assert (out / ".partial").exists()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "NonConvergenceError" in manifest["failure"]["error"]
+        # the error is raised after the last window, so every fit is listed
+        fits = {(c["date"], c["method"]) for c in manifest["convergence"]}
+        assert len(fits) == manifest["windows"] == 3
+        diag = read_lines(out / "infer_diagnostics.csv")[1:]
+        assert {tuple(line.split(",")[:2]) for line in diag} == fits
+        q = read_lines(out / "mst" / "q_mst.csv")[1:]
+        assert {tuple(line.split(",")[:2]) for line in q} == fits
 
 
 class TestConfigParsing:
