@@ -229,7 +229,9 @@ def metropolis_sample(params: IsingParams, n_sweeps: int, n_burnin: int = 1000,
     se_pairs = None
     if n_chains > 1:
         cf = configs.astype(np.float64)
-        chain_pairs = np.einsum("cti,ctj->cij", cf, cf) / configs.shape[1]
+        # +-1 entries: every partial sum is an exact integer, so the batched
+        # matmul is bit-identical to the einsum "cti,ctj->cij"
+        chain_pairs = (cf.transpose(0, 2, 1) @ cf) / configs.shape[1]
         se_pairs = chain_pairs.std(axis=0, ddof=1) / math.sqrt(n_chains)
 
     third = third_order_from_samples(flat) if with_third_order else None
@@ -315,12 +317,36 @@ def energy_split(params: IsingParams, means) -> EnergySplit:
 # Serialization
 # ---------------------------------------------------------------------------
 
+def _couplings_json(j: np.ndarray) -> str:
+    """`json.dumps(j.tolist())` for a J built by IsingParams.
+
+    IsingParams stores J = (j + j.T) / 2 with a +0.0 diagonal; IEEE
+    addition is commutative, so J[a, b] and J[b, a] have identical bits.
+    Each upper-triangle value is therefore formatted once, with the
+    float.__repr__ that json.dumps uses for finite floats, and its text
+    reused for the mirrored cell.
+    """
+    n = j.shape[0]
+    rows: list = [[] for _ in range(n)]
+    lines = []
+    for a in range(n):
+        # row a already holds its lower part, appended by rows 0..a-1
+        upper = list(map(float.__repr__, j[a, a + 1:].tolist()))
+        row = rows[a]
+        row.append("0.0")
+        row += upper
+        for below, text in zip(rows[a + 1:], upper):
+            below.append(text)
+        lines.append(", ".join(row))
+        rows[a] = None  # frees each string once both of its rows are joined
+    return "[[" + "], [".join(lines) + "]]" if n else "[]"
+
+
 def params_to_json(params: IsingParams) -> str:
-    return json.dumps({
-        "tickers": list(params.tickers) if params.tickers else None,
-        "h": params.h.tolist(),
-        "J": params.J.tolist(),
-    })
+    """Byte-equal to json.dumps of {"tickers", "h", "J": J.tolist()}."""
+    tickers = list(params.tickers) if params.tickers else None
+    return (f'{{"tickers": {json.dumps(tickers)}, "h": {json.dumps(params.h.tolist())}, '
+            f'"J": {_couplings_json(params.J)}}}')
 
 
 def params_from_json(text: str) -> IsingParams:

@@ -241,11 +241,16 @@ def eigen_cutoff_scan(j: np.ndarray, labels, thresholds, direction: str) -> list
     """
     j = _check_square_symmetric(j)
     thresholds = _check_scan(thresholds, direction)
+    n = j.shape[0]
+    if n < 2:
+        raise ValueError("need at least two nodes")
     lam, vec = np.linalg.eigh(j)
     out = []
     for th in thresholds:
-        res = mst_result(_rebuild(lam, vec, th, direction), labels)
-        out.append(ScanPoint(float(th), res.q_mst, False))
+        # _rebuild returns an exactly symmetric matrix: no re-check needed
+        edges, _ = _kruskal(n, *_sorted_edges(_rebuild(lam, vec, th, direction)))
+        clusters = sector_clusters(edges, labels)
+        out.append(ScanPoint(float(th), q_mst(clusters, len(labels)), False))
     return out
 
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,6 +120,15 @@ class IngestReport:
     dropped: dict[str, str] = field(default_factory=dict)
 
 
+def _price(cell: str) -> float:
+    """One price cell as a float; blank or non-numeric cells read as NaN."""
+    cell = cell.strip()
+    try:
+        return float(cell) if cell else math.nan
+    except ValueError:
+        return math.nan
+
+
 def load_price_csv(path) -> tuple[PricePanel, IngestReport]:
     """Load a `date,TICKER1,TICKER2,...` CSV of closing prices.
 
@@ -135,8 +145,9 @@ def load_price_csv(path) -> tuple[PricePanel, IngestReport]:
         if not header or header[0].strip().lower() != "date" or len(header) < 2:
             raise ValueError(f"{path}: expected header 'date,TICKER1,...'")
         tickers = [t.strip() for t in header[1:]]
+        n = len(tickers)
         dates: list[str] = []
-        rows: list[list[str]] = []
+        rows: list[np.ndarray] = []
         for row in reader:
             if not row or not any(cell.strip() for cell in row):
                 continue
@@ -144,31 +155,24 @@ def load_price_csv(path) -> tuple[PricePanel, IngestReport]:
                 raise ValueError(f"{path}: row {len(dates) + 2} has {len(row)} cells, "
                                  f"expected {len(header)}")
             dates.append(row[0].strip())
-            rows.append(row[1:])
+            rows.append(np.fromiter(map(_price, row[1:]), np.float64, n))
 
     if len(dates) < 2:
         raise ValueError(f"{path}: need at least two price rows")
 
     report = IngestReport(n_rows=len(dates))
-    n = len(tickers)
-    values = np.empty((n, len(dates)), dtype=np.float64)
+    values = np.stack(rows, axis=1)  # (N, L)
+    del rows
+    missing = ~np.isfinite(values)
+    invalid = missing | (values <= 0.0)
+    first = invalid.argmax(axis=1)
     bad: dict[str, str] = {}
     for j, ticker in enumerate(tickers):
-        if ticker in bad:
+        i = first[j]
+        if ticker in bad or not invalid[j, i]:
             continue
-        for i, row in enumerate(rows):
-            cell = row[j].strip()
-            try:
-                v = float(cell) if cell else float("nan")
-            except ValueError:
-                v = float("nan")
-            if not np.isfinite(v):
-                bad[ticker] = f"missing or non-numeric price on {dates[i]}"
-                break
-            if v <= 0.0:
-                bad[ticker] = f"non-positive price on {dates[i]}"
-                break
-            values[j, i] = v
+        kind = "missing or non-numeric" if missing[j, i] else "non-positive"
+        bad[ticker] = f"{kind} price on {dates[i]}"
 
     keep = [j for j, t in enumerate(tickers) if t not in bad]
     if not keep:

@@ -108,6 +108,8 @@ class RunConfig:
         for a, b in self.compare_pairs:
             if a not in self.methods or b not in self.methods:
                 raise ConfigError(f"compare pair {a}:{b} not covered by methods")
+        if self.n_boot != 0 and self.n_boot < 100:
+            raise ConfigError("n_boot must be 0 (no bootstrap) or at least 100")
         if "scaling" in self.stages and len(set(self.scaling_sizes)) < 3:
             raise ConfigError("scaling stage needs at least three subset sizes")
         if "subset" in self.stages and (not self.subset_indices or

@@ -380,6 +380,14 @@ class TestConfigParsing:
             config_from_mapping({"prices": str(market / "prices.csv"),
                                  "out_dir": "z", "compare_pairs": "nmf-exact"})
 
+    def test_too_few_bootstrap_resamples_is_config_error(self, market, tmp_path):
+        cfgfile = tmp_path / "boot.cfg"
+        cfgfile.write_text("stages=stats\nn_boot=50\n")
+        rc = main(["run", "--prices", str(market / "prices.csv"), "--config",
+                   str(cfgfile), "--out-dir", str(tmp_path / "out"), "-T", "300"])
+        assert rc == 2
+        assert not (tmp_path / "out" / "stats").exists()
+
     def test_direct_runconfig_validation(self, market):
         cfg = RunConfig(prices=str(market / "prices.csv"), out_dir="o",
                         stages=("mst",), kind="binary")

@@ -1,9 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from isingmarket.model import (IsingParams, boltzmann_distribution,
+from isingmarket.model import (IsingParams, _simulate, boltzmann_distribution,
                                encode_states, energy_split, enumerate_states,
                                exact_moments_small, hamiltonian,
                                metropolis_sample, params_from_json,
@@ -38,6 +39,44 @@ class TestIsingParams:
         again = params_from_json(params_to_json(params))
         np.testing.assert_array_equal(again.h, params.h)
         np.testing.assert_array_equal(again.J, params.J)
+        assert again.tickers == params.tickers
+
+
+def reference_json(params):
+    return json.dumps({"tickers": list(params.tickers) if params.tickers else None,
+                       "h": params.h.tolist(), "J": params.J.tolist()})
+
+
+class TestParamsJson:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 200])
+    def test_matches_json_dumps(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.normal(scale=0.1, size=(n, n))
+        j = a + a.T
+        np.fill_diagonal(j, 0.0)
+        tickers = tuple(f"S{i:03d}" for i in range(n)) or None
+        params = IsingParams(rng.normal(size=n), j, tickers=tickers)
+        assert params_to_json(params) == reference_json(params)
+
+    def test_edge_values_and_tickers(self):
+        # -0.0, the smallest subnormal and both repr exponent switch points
+        j = coupling_matrix(4, [(0, 1, -0.0), (0, 2, 5e-324), (1, 3, 1e-05),
+                                (2, 3, 1e+16), (0, 3, -1e-05)])
+        h = np.array([-0.0, 5e-324, 1e16, -2.5])
+        for tickers in (None, ('A"B', "C\\D", "Ünï", "日本")):
+            params = IsingParams(h, j, tickers=tickers)
+            assert params_to_json(params) == reference_json(params)
+
+    def test_round_trip_bit_exact_at_n200(self):
+        rng = np.random.default_rng(200)
+        a = rng.normal(scale=0.05, size=(200, 200))
+        j = a + a.T
+        np.fill_diagonal(j, 0.0)
+        params = IsingParams(rng.normal(size=200), j,
+                             tickers=tuple(f"S{i:03d}" for i in range(200)))
+        again = params_from_json(params_to_json(params))
+        assert again.h.tobytes() == params.h.tobytes()
+        assert again.J.tobytes() == params.J.tobytes()
         assert again.tickers == params.tickers
 
 
@@ -136,6 +175,15 @@ class TestMetropolis:
         stats = metropolis_sample(params, n_sweeps=400, n_burnin=100,
                                   n_chains=100, seed=1)
         assert abs(stats.pair_moments[0, 1] - exact) < 3 * stats.se_pairs[0, 1]
+
+    def test_se_pairs_match_einsum_reference(self):
+        params = random_model(6, 0.4, 0.3, seed=3)
+        stats = metropolis_sample(params, n_sweeps=40, n_burnin=10,
+                                  n_chains=30, seed=9)
+        cf = _simulate(params, 30, 40, 10, np.random.default_rng(9)).astype(np.float64)
+        chain_pairs = np.einsum("cti,ctj->cij", cf, cf) / 40
+        reference = chain_pairs.std(axis=0, ddof=1) / math.sqrt(30)
+        assert stats.se_pairs.tobytes() == reference.tobytes()
 
     def test_state_distribution_against_exhaustive(self):
         params = random_model(4, 0.6, 0.4, seed=7)

@@ -183,6 +183,25 @@ class TestEigenCutoff:
         pts = eigen_cutoff_scan(j, labels, [lam.max() + 1.0], "discard_above")
         assert pts[0].q_mst == base
 
+    def test_scan_matches_trees_of_rebuilt_matrices(self):
+        rng = np.random.default_rng(6)
+        j = rng.normal(size=(9, 9)) * 0.1
+        j = (j + j.T) / 2
+        np.fill_diagonal(j, 0.0)
+        labels = ["A", "A", "A", "B", "B", "B", "C", "C", "C"]
+        thresholds = np.sort(np.linalg.eigvalsh(j))[2:] + 1e-9
+        for direction in ("discard_above", "discard_below"):
+            ths = thresholds if direction == "discard_above" else thresholds - 2e-9
+            pts = eigen_cutoff_scan(j, labels, ths, direction)
+            want = [mst_result(spectral_truncation(j, th, direction), labels).q_mst
+                    for th in ths]
+            assert [p.q_mst for p in pts] == want
+            assert not any(p.disconnected for p in pts)
+
+    def test_single_node_rejected(self):
+        with pytest.raises(ValueError, match="at least two nodes"):
+            eigen_cutoff_scan(np.zeros((1, 1)), ["A"], [1.0], "discard_above")
+
     def test_keep_all_reconstruction_exact(self):
         rng = np.random.default_rng(5)
         j = rng.normal(size=(5, 5))

@@ -197,6 +197,38 @@ class TestCsvIngest:
         assert "non-positive" in report.dropped["BBB"]
         assert report.n_rows == 3
 
+    def test_cell_rules(self, tmp_path):
+        path = tmp_path / "prices.csv"
+        cells = {"BLK": "", "ABC": "abc", "INF": "inf", "NIN": "-inf", "NAN": "nan",
+                 "ZER": "0", "NZR": "-0", "PAD": " 12.5 "}
+        path.write_text(
+            "date," + ",".join(cells) + ",OK\n"
+            "2001-01-01," + ",".join("3.0" for _ in cells) + ",1.5\n"
+            "2001-01-02," + ",".join(cells.values()) + ",0.1\n"
+            "2001-01-03," + ",".join("3.0" for _ in cells) + ",2e3\n")
+        panel, report = load_price_csv(path)
+        assert panel.tickers == ("PAD", "OK")
+        assert report.dropped == {
+            **{t: "missing or non-numeric price on 2001-01-02"
+               for t in ("BLK", "ABC", "INF", "NIN", "NAN")},
+            "ZER": "non-positive price on 2001-01-02",
+            "NZR": "non-positive price on 2001-01-02",
+        }
+        expected = [[float(c) for c in ("3.0", " 12.5 ", "3.0")],
+                    [float(c) for c in ("1.5", "0.1", "2e3")]]
+        assert panel.prices.tobytes() == np.array(expected).tobytes()
+
+    def test_first_bad_cell_names_the_reason(self, tmp_path):
+        path = tmp_path / "prices.csv"
+        path.write_text(
+            "date,EARLY,LATE,OK\n"
+            "2001-01-01,1.0,1.0,1.0\n"
+            "2001-01-02,-2.0,,1.0\n"
+            "2001-01-03,,0,1.0\n")
+        _, report = load_price_csv(path)
+        assert report.dropped == {"EARLY": "non-positive price on 2001-01-02",
+                                  "LATE": "missing or non-numeric price on 2001-01-02"}
+
     def test_all_bad_is_an_error(self, tmp_path):
         path = tmp_path / "prices.csv"
         path.write_text("date,AAA\n2001-01-01,0\n2001-01-02,1\n")
