@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 configuration error, 3 numeric failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -60,27 +61,14 @@ def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _pipeline_mapping(args, stages: str | None) -> dict:
-    mapping: dict = {}
-    if args.config:
-        mapping.update(parse_config_file(args.config))
-    for key in ("prices", "sectors", "kind", "window_size", "stride", "methods",
-                "eta_h", "eta_j", "max_iters", "tol", "ridge", "mc_sweeps",
-                "mc_chains", "mc_burnin", "seed", "jobs", "strict"):
-        value = getattr(args, key, None)
-        if value is not None:
-            mapping[key] = value
-    if getattr(args, "diag_trick", None) is not None:
-        mapping["diag_trick"] = args.diag_trick == "on"
-    if args.out_dir is not None:
-        mapping["out_dir"] = args.out_dir
+    """Config file entries, overridden by every flag whose dest names a
+    RunConfig field, overridden by the subcommand's stages."""
+    mapping = parse_config_file(args.config) if args.config else {}
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    mapping.update((k, v) for k, v in vars(args).items()
+                   if k in fields and v is not None)
     if stages is not None:
         mapping["stages"] = stages
-    for key in ("scaling_sizes", "scaling_repeats", "subset_indices",
-                "subset_totals", "compare_pairs", "n_boot", "emit_matrices",
-                "with_third_order", "eigen_top_k", "cutoff_points"):
-        value = getattr(args, key, None)
-        if value is not None:
-            mapping[key] = value
     return mapping
 
 
@@ -181,9 +169,10 @@ def _cmd_cutoff(args) -> int:
         return _run_pipeline(args, "cutoff")
     params, _, labels = _load_params_and_labels(args)
     out = Path(args.out_dir or ".")
-    pts, pts_e = _cutoff_scans(params.J, labels,
-                               args.cutoff_points or RunConfig.cutoff_points,
-                               args.direction)
+    points = RunConfig.cutoff_points if args.cutoff_points is None else args.cutoff_points
+    if points < 1:
+        raise ConfigError("cutoff_points must be at least 1")
+    pts, pts_e = _cutoff_scans(params.J, labels, points, args.direction)
     _write_scan_csv(out / "coupling_scan.csv", pts)
     _write_scan_csv(out / "eigen_scan.csv", pts_e)
     print(f"wrote scans over {len(pts)} coupling and {len(pts_e)} eigen thresholds")

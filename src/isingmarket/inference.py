@@ -58,14 +58,18 @@ class InferenceConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
-        if self.eta_h <= 0 or self.eta_j <= 0:
+        if not (self.eta_h > 0 and self.eta_j > 0):
             raise ValueError("learning rates must be positive")
         if not 0 < self.eta_decay <= 1:
             raise ValueError("eta_decay must be in (0, 1]")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError("tolerance must be positive")
-        if self.ridge < 0:
+        if not self.ridge >= 0:
             raise ValueError("ridge must be nonnegative")
+        for name, low in (("max_iters", 1), ("mc_sweeps", 1), ("mc_chains", 1),
+                          ("mc_burnin", 0), ("exact_max_n", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be at least {low}")
 
     @property
     def use_diagonal_trick(self) -> bool:
@@ -264,6 +268,18 @@ def _model_moments(params: IsingParams, cfg: InferenceConfig, seed) -> SampleSta
                              n_chains=cfg.mc_chains, seed=seed)
 
 
+def _moment_gap(stats: WindowStats, moments: SampleStats):
+    """Data minus model means, data minus model pair moments (diagonal zeroed)
+    and the largest absolute entry of either."""
+    m = stats.means
+    pair_data = stats.covariance + np.outer(m, m)
+    pair_data = (pair_data + pair_data.T) / 2.0
+    np.fill_diagonal(pair_data, 1.0)
+    gap_m = m - moments.means
+    gap_p = (pair_data - moments.pair_moments) * ~np.eye(m.size, dtype=bool)
+    return gap_m, gap_p, float(max(np.abs(gap_m).max(), np.abs(gap_p).max()))
+
+
 def infer_exact(stats: WindowStats, cfg: InferenceConfig, tickers=None) -> InferenceResult:
     """Iterative learning: nudge (h, J) along the gap between data moments and
     model moments until the largest gap falls below cfg.tol.
@@ -275,19 +291,13 @@ def infer_exact(stats: WindowStats, cfg: InferenceConfig, tickers=None) -> Infer
     residual sits 10x above its running minimum for 50 consecutive
     iterations is aborted as diverged.
     """
-    m_data = stats.means
-    _check_means(m_data, tickers)
-    pair_data = stats.covariance + np.outer(m_data, m_data)
-    pair_data = (pair_data + pair_data.T) / 2.0
-    np.fill_diagonal(pair_data, 1.0)
-
+    _check_means(stats.means, tickers)
     init = infer_nmf(stats, replace(cfg, diagonal_trick=True), tickers)
     h = init.params.h.copy()
     j = init.params.J.copy()
 
     ss = _as_seed_sequence(cfg.seed)
     eta_h, eta_j = cfg.eta_h, cfg.eta_j
-    off = ~np.eye(m_data.size, dtype=bool)
     best = np.inf
     residual = np.inf
     bad_streak = 0
@@ -298,9 +308,7 @@ def infer_exact(stats: WindowStats, cfg: InferenceConfig, tickers=None) -> Infer
     for iterations in range(1, cfg.max_iters + 1):
         params = IsingParams(h, j, tickers=tickers)
         moments = _model_moments(params, cfg, seed=ss.spawn(1)[0])
-        gap_m = m_data - moments.means
-        gap_p = (pair_data - moments.pair_moments) * off
-        residual = float(max(np.abs(gap_m).max(), np.abs(gap_p).max()))
+        gap_m, gap_p, residual = _moment_gap(stats, moments)
         if cfg.track_history:
             history.append(residual)
         best = min(best, residual)
@@ -348,8 +356,4 @@ def moment_residual(params: IsingParams, stats: WindowStats,
                     cfg: InferenceConfig) -> float:
     """Max-abs gap between data moments and the model moments of `params`."""
     moments = _model_moments(params, cfg, seed=_as_seed_sequence(cfg.seed))
-    pair_data = stats.covariance + np.outer(stats.means, stats.means)
-    off = ~np.eye(params.n, dtype=bool)
-    gap_m = np.abs(stats.means - moments.means).max()
-    gap_p = np.abs((pair_data - moments.pair_moments) * off).max()
-    return float(max(gap_m, gap_p))
+    return _moment_gap(stats, moments)[2]

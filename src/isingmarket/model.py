@@ -163,6 +163,8 @@ def _simulate(params: IsingParams, n_chains: int, n_sweeps: int, n_burnin: int,
     equilibrium; strongly coupled systems whose modes single-flip dynamics
     cannot cross in any reasonable budget are then weighted correctly.
     """
+    if n_burnin < 0 or n_chains < 1:
+        raise ValueError("need n_burnin >= 0 and at least one chain")
     n = params.n
     h, j = params.h, params.J
     if init == "exact":

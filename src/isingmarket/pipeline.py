@@ -23,17 +23,19 @@ import numpy as np
 
 from . import __version__
 from .evaluation import compare_methods, scaling_exponents, subset_coupling_scan
-from .inference import METHODS, InferenceConfig, infer
+from .inference import InferenceConfig, infer
 from .model import energy_split, metropolis_sample, params_to_json
 from .network import (coupling_cutoff_scan, edges_to_csv, edges_to_dot,
                       eigen_cutoff_scan, mst_result)
-from .panels import (WindowSpec, binarize, load_price_csv, load_sector_csv,
-                     log_returns, standardize_window, windows)
+from .panels import (RETURN_KINDS, WindowSpec, binarize, load_price_csv,
+                     load_sector_csv, log_returns, standardize_window, windows)
 from .stats import (dft_amplitudes, off_diagonal_summary, stats_csv_rows,
                     window_stats)
 
 STAGES = ("stats", "infer", "mst", "cutoff", "scaling", "subset", "energy",
           "compare")
+# stages that fit every window; scaling and subset fit the whole panel instead
+_WINDOW_FIT_STAGES = {"infer", "mst", "cutoff", "energy", "compare"}
 
 
 class ConfigError(Exception):
@@ -49,7 +51,7 @@ class RunConfig:
     prices: str
     out_dir: str
     sectors: str | None = None
-    kind: str = "binary"                  # raw | standardized | binary
+    kind: str = "binary"                  # one of panels.RETURN_KINDS
     window_size: int = 250
     stride: int = 1
     stages: tuple[str, ...] = ("stats", "infer")
@@ -58,18 +60,19 @@ class RunConfig:
     seed: int = 0
     jobs: int = 1
     strict: bool = False
-    # inference knobs (forwarded into InferenceConfig)
-    diag_trick: bool | None = None
-    eta_h: float = 0.1
-    eta_j: float = 0.1
-    eta_decay: float = 0.99
-    max_iters: int = 1000
-    tol: float = 5e-3
-    ridge: float = 0.0
-    mc_sweeps: int = 100
-    mc_chains: int = 500
-    mc_burnin: int = 100
-    exact_max_n: int = 16
+    # inference knobs: InferenceConfig's fields of the same name
+    # (diag_trick is its diagonal_trick), defaults included
+    diag_trick: bool | None = InferenceConfig.diagonal_trick
+    eta_h: float = InferenceConfig.eta_h
+    eta_j: float = InferenceConfig.eta_j
+    eta_decay: float = InferenceConfig.eta_decay
+    max_iters: int = InferenceConfig.max_iters
+    tol: float = InferenceConfig.tol
+    ridge: float = InferenceConfig.ridge
+    mc_sweeps: int = InferenceConfig.mc_sweeps
+    mc_chains: int = InferenceConfig.mc_chains
+    mc_burnin: int = InferenceConfig.mc_burnin
+    exact_max_n: int = InferenceConfig.exact_max_n
     # analysis knobs
     eigen_top_k: int = 4
     n_boot: int = 0
@@ -83,25 +86,28 @@ class RunConfig:
     subset_totals: tuple[int, ...] = ()
 
     def validate(self):
-        if self.window_size < 1 or self.stride < 1:
-            raise ConfigError("window_size and stride must be positive")
-        if self.kind not in ("raw", "standardized", "binary"):
+        for key in ("window_size", "stride", "jobs", "eigen_top_k",
+                    "cutoff_points", "scaling_repeats"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be at least 1")
+        if self.kind not in RETURN_KINDS:
             raise ConfigError(f"unknown transform kind {self.kind!r}")
         unknown = set(self.stages) - set(STAGES)
         if unknown:
             raise ConfigError(f"unknown stages {sorted(unknown)}; choose from {STAGES}")
-        bad = set(self.methods) - set(METHODS)
-        if bad:
-            raise ConfigError(f"unknown methods {sorted(bad)}")
-        if not Path(self.prices).exists():
-            raise ConfigError(f"prices file {self.prices} does not exist")
-        if self.sectors is not None and not Path(self.sectors).exists():
-            raise ConfigError(f"sectors file {self.sectors} does not exist")
-        needs_params = {"infer", "mst", "cutoff", "scaling", "subset", "energy",
-                        "compare"}
-        if needs_params & set(self.stages) and self.kind != "binary":
+        for method in self.methods:
+            try:
+                self.inference_config(method, None)
+            except ValueError as err:
+                raise ConfigError(str(err)) from err
+        if not Path(self.prices).is_file():
+            raise ConfigError(f"prices file {self.prices!r} is not a file")
+        if self.sectors is not None and not Path(self.sectors).is_file():
+            raise ConfigError(f"sectors file {self.sectors!r} is not a file")
+        fit_stages = (_WINDOW_FIT_STAGES | {"scaling", "subset"}) & set(self.stages)
+        if fit_stages and self.kind != "binary":
             raise ConfigError("inference-based stages require kind=binary")
-        if needs_params & set(self.stages) and not self.methods:
+        if fit_stages and not self.methods:
             raise ConfigError("no inference methods selected")
         if {"mst", "cutoff"} & set(self.stages) and self.sectors is None:
             raise ConfigError("mst/cutoff stages need a sectors file")
@@ -110,6 +116,8 @@ class RunConfig:
                 raise ConfigError(f"compare pair {a}:{b} not covered by methods")
         if self.n_boot != 0 and self.n_boot < 100:
             raise ConfigError("n_boot must be 0 (no bootstrap) or at least 100")
+        if not 0 < self.boot_level < 1:
+            raise ConfigError("boot_level must lie in (0, 1)")
         if "scaling" in self.stages and len(set(self.scaling_sizes)) < 3:
             raise ConfigError("scaling stage needs at least three subset sizes")
         if "subset" in self.stages and (not self.subset_indices or
@@ -117,12 +125,11 @@ class RunConfig:
             raise ConfigError("subset stage needs subset_indices and subset_totals")
 
     def inference_config(self, method: str, seed) -> InferenceConfig:
-        return InferenceConfig(
-            method=method, diagonal_trick=self.diag_trick, eta_h=self.eta_h,
-            eta_j=self.eta_j, eta_decay=self.eta_decay, max_iters=self.max_iters,
-            tol=self.tol, ridge=self.ridge, mc_sweeps=self.mc_sweeps,
-            mc_chains=self.mc_chains, mc_burnin=self.mc_burnin, seed=seed,
-            exact_max_n=self.exact_max_n)
+        """InferenceConfig for `method`: every field the two classes share."""
+        shared = {f.name: getattr(self, f.name)
+                  for f in dataclasses.fields(InferenceConfig) if hasattr(self, f.name)}
+        shared.update(method=method, seed=seed, diagonal_trick=self.diag_trick)
+        return InferenceConfig(**shared)
 
 
 def parse_config_file(path) -> dict:
@@ -139,79 +146,62 @@ def parse_config_file(path) -> dict:
     return out
 
 
-_LIST_KEYS = {"stages", "methods"}
-_INT_LIST_KEYS = {"scaling_sizes", "subset_indices", "subset_totals"}
-_BOOL_KEYS = {"strict", "with_third_order", "emit_matrices"}
+def _split(text: str) -> tuple[str, ...]:
+    return tuple(v.strip() for v in text.split(",") if v.strip())
 
 
-def config_from_mapping(mapping: dict) -> RunConfig:
-    """Build a RunConfig from a string mapping (config file and/or CLI)."""
-    fields = {f.name: f for f in dataclasses.fields(RunConfig)}
-    kwargs = {}
-    for key, value in mapping.items():
-        if value is None:
-            continue
-        if key not in fields:
-            raise ConfigError(f"unknown config key {key!r}")
-        if key == "compare_pairs":
-            kwargs[key] = _parse_pairs(value)
-        elif key in _LIST_KEYS:
-            if isinstance(value, (tuple, list)):
-                kwargs[key] = tuple(value)
-            else:
-                kwargs[key] = tuple(v.strip() for v in str(value).split(",")
-                                    if v.strip())
-        elif key in _INT_LIST_KEYS:
-            if isinstance(value, (tuple, list)):
-                kwargs[key] = tuple(int(v) for v in value)
-            else:
-                kwargs[key] = tuple(int(v) for v in str(value).split(",")
-                                    if v.strip())
-        elif key in _BOOL_KEYS or key == "diag_trick":
-            kwargs[key] = _parse_bool(key, value)
-        else:
-            typ = fields[key].type
-            if isinstance(value, str) and typ in ("int", "float"):
-                kwargs[key] = int(value) if typ == "int" else float(value)
-            else:
-                kwargs[key] = value
-    missing = {"prices", "out_dir"} - set(kwargs)
-    if missing:
-        raise ConfigError(f"missing required config keys: {sorted(missing)}")
-    try:
-        cfg = RunConfig(**kwargs)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(str(err)) from err
-    cfg.validate()
-    return cfg
-
-
-def _parse_bool(key, value):
-    if isinstance(value, bool):
-        return value
-    v = str(value).strip().lower()
+def _parse_bool(text: str) -> bool:
+    v = text.strip().lower()
     if v in ("1", "true", "on", "yes"):
         return True
     if v in ("0", "false", "off", "no"):
         return False
-    raise ConfigError(f"{key}: expected a boolean, got {value!r}")
+    raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _parse_pairs(value):
-    if not value:
-        return ()
-    if isinstance(value, tuple):
-        return value
-    pairs = []
-    for chunk in str(value).split(","):
-        chunk = chunk.strip()
-        if not chunk:
+def _parse_pair(chunk: str) -> tuple[str, str]:
+    if ":" not in chunk:
+        raise ValueError(f"compare pair {chunk!r} must look like nmf:exact")
+    a, b = chunk.split(":", 1)
+    return a.strip(), b.strip()
+
+
+# text parser for each RunConfig field annotation
+_PARSERS = {
+    "str": str,
+    "str | None": str,
+    "int": int,
+    "float": float,
+    "bool": _parse_bool,
+    "bool | None": _parse_bool,
+    "tuple[str, ...]": _split,
+    "tuple[int, ...]": lambda text: tuple(int(v) for v in _split(text)),
+    "tuple[tuple[str, str], ...]": lambda text: tuple(map(_parse_pair, _split(text))),
+}
+
+
+def config_from_mapping(mapping: dict) -> RunConfig:
+    """Build a RunConfig from a mapping (config file and/or CLI).  Text values
+    are parsed by their field's declared type; typed values pass through."""
+    types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+    kwargs = {}
+    for key, value in mapping.items():
+        if value is None:
             continue
-        if ":" not in chunk:
-            raise ConfigError(f"compare pair {chunk!r} must look like nmf:exact")
-        a, b = chunk.split(":", 1)
-        pairs.append((a.strip(), b.strip()))
-    return tuple(pairs)
+        if key not in types:
+            raise ConfigError(f"unknown config key {key!r}")
+        if isinstance(value, str):
+            try:
+                value = _PARSERS[types[key]](value)
+            except ValueError as err:
+                raise ConfigError(f"{key}: {err}") from err
+        kwargs[key] = value
+    missing = {"prices", "out_dir"} - set(kwargs)
+    if missing:
+        raise ConfigError(f"missing required config keys: {sorted(missing)}")
+    cfg = RunConfig(**kwargs)
+    cfg.validate()
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +367,7 @@ def _run_stages(cfg: RunConfig, out: Path, manifest: dict) -> None:
 
 
 def _needs_inference(cfg: RunConfig) -> bool:
-    return bool({"infer", "mst", "cutoff", "energy", "compare"} & set(cfg.stages))
+    return bool(_WINDOW_FIT_STAGES & set(cfg.stages))
 
 
 def _window_unit(cfg: RunConfig, out: Path, idx: int, date: str, block,

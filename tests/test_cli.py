@@ -1,10 +1,11 @@
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from isingmarket.cli import main
+from isingmarket.cli import build_parser, main
 from isingmarket.pipeline import (ConfigError, RunConfig, config_from_mapping,
                                   parse_config_file, run)
 
@@ -393,3 +394,148 @@ class TestConfigParsing:
                         stages=("mst",), kind="binary")
         with pytest.raises(ConfigError, match="sectors"):
             cfg.validate()
+
+    BAD_VALUES = [
+        ("infer", ["--eta-h", "-1"], ""),
+        ("infer", ["--eta-j", "nan"], ""),
+        ("infer", ["--tol", "0"], ""),
+        ("infer", ["--ridge", "-1"], ""),
+        ("infer", [], "eta_decay=2"),
+        ("infer", ["--max-iters", "0"], ""),
+        ("infer", ["--mc-sweeps", "0"], ""),
+        ("infer", ["--mc-chains", "0"], ""),
+        ("infer", ["--mc-burnin", "-1"], ""),
+        ("infer", [], "exact_max_n=-1"),
+        ("infer", ["--jobs", "0"], ""),
+        ("infer", [], "seed=abc"),
+        ("stats", [], "n_boot=100\nboot_level=1.5"),
+        ("stats", [], "boot_level=0"),
+        ("stats", ["--eigen-top", "0"], ""),
+        ("cutoff", ["--cutoff-points", "0"], ""),
+        ("scaling", ["--sizes", "4,6,12", "--repeats", "0"], ""),
+        ("mst", ["--sectors", ""], ""),
+    ]
+
+    @pytest.mark.parametrize(
+        "command,flags,config_text", BAD_VALUES,
+        ids=[" ".join(flags) or text.replace("\n", ";") for _, flags, text in BAD_VALUES])
+    def test_bad_value_exits_before_ingest(self, market, tmp_path, command,
+                                           flags, config_text):
+        out = tmp_path / "out"
+        argv = [command, "--prices", str(market / "prices.csv"),
+                "--sectors", str(market / "sectors.csv"), "--out-dir", str(out),
+                "-T", "300", "--stride", "100", *flags]
+        if config_text:
+            (tmp_path / "bad.cfg").write_text(config_text + "\n")
+            argv += ["--config", str(tmp_path / "bad.cfg")]
+        assert main(argv) == 2
+        assert not (out / "ingest_report.json").exists()
+        assert not (out / ".partial").exists()
+
+    def test_cutoff_params_rejects_zero_points(self, market, tmp_path):
+        rc = main(["cutoff", "--params", str(market / "truth.json"),
+                   "--sectors", str(market / "sectors.csv"),
+                   "--out-dir", str(tmp_path), "--cutoff-points", "0"])
+        assert rc == 2
+        assert not (tmp_path / "coupling_scan.csv").exists()
+
+    def test_every_field_round_trips_from_config_text(self, market, tmp_path):
+        prices, sectors = str(market / "prices.csv"), str(market / "sectors.csv")
+        samples = {  # field: (config-file text, parsed value); none a default
+            "prices": (prices, prices),
+            "out_dir": ("o", "o"),
+            "sectors": (sectors, sectors),
+            "kind": ("standardized", "standardized"),
+            "window_size": ("300", 300),
+            "stride": ("7", 7),
+            "stages": (" stats, ", ("stats",)),
+            "methods": ("nmf, tap,", ("nmf", "tap")),
+            "compare_pairs": ("nmf:tap, tap : nmf", (("nmf", "tap"), ("tap", "nmf"))),
+            "seed": ("5", 5),
+            "jobs": ("2", 2),
+            "strict": ("yes", True),
+            "diag_trick": ("off", False),
+            "eta_h": ("0.25", 0.25),
+            "eta_j": ("2e-2", 0.02),
+            "eta_decay": ("0.5", 0.5),
+            "max_iters": ("9", 9),
+            "tol": ("1e-4", 1e-4),
+            "ridge": ("0.125", 0.125),
+            "mc_sweeps": ("11", 11),
+            "mc_chains": ("12", 12),
+            "mc_burnin": ("0", 0),
+            "exact_max_n": ("3", 3),
+            "eigen_top_k": ("2", 2),
+            "n_boot": ("150", 150),
+            "boot_level": ("0.9", 0.9),
+            "with_third_order": ("true", True),
+            "emit_matrices": ("1", True),
+            "cutoff_points": ("4", 4),
+            "scaling_sizes": ("4,6, 12", (4, 6, 12)),
+            "scaling_repeats": ("3", 3),
+            "subset_indices": ("0,1,2", (0, 1, 2)),
+            "subset_totals": ("4,8", (4, 8)),
+        }
+        fields = dataclasses.fields(RunConfig)
+        assert set(samples) == {f.name for f in fields}
+        cfgfile = tmp_path / "all.cfg"
+        cfgfile.write_text("".join(f"{k}={text}\n" for k, (text, _) in samples.items()))
+        cfg = config_from_mapping(parse_config_file(cfgfile))
+        for f in fields:
+            text, value = samples[f.name]
+            assert getattr(cfg, f.name) == value, f.name
+            assert value != f.default, f"{f.name}: pick a non-default sample"
+
+    def test_every_field_flag_reaches_the_manifest(self, market, tmp_path):
+        values = {  # dest: (argv, value in manifest["config"])
+            "prices": (["--prices", str(market / "prices.csv")],
+                       str(market / "prices.csv")),
+            "sectors": (["--sectors", str(market / "sectors.csv")],
+                        str(market / "sectors.csv")),
+            "kind": (["--kind", "binary"], "binary"),
+            "window_size": (["-T", "300"], 300),
+            "stride": (["--stride", "100"], 100),
+            "methods": (["--method", "nmf,tap"], ["nmf", "tap"]),
+            "seed": (["--seed", "5"], 5),
+            "jobs": (["--jobs", "2"], 2),
+            "strict": (["--strict"], True),
+            "diag_trick": (["--diag-trick", "off"], False),
+            "eta_h": (["--eta-h", "0.25"], 0.25),
+            "eta_j": (["--eta-j", "0.5"], 0.5),
+            "max_iters": (["--max-iters", "9"], 9),
+            "tol": (["--tol", "1e-4"], 1e-4),
+            "ridge": (["--ridge", "0.125"], 0.125),
+            "mc_sweeps": (["--mc-sweeps", "11"], 11),
+            "mc_chains": (["--mc-chains", "12"], 12),
+            "mc_burnin": (["--mc-burnin", "13"], 13),
+            "eigen_top_k": (["--eigen-top", "2"], 2),
+            "n_boot": (["--n-boot", "100"], 100),
+            "with_third_order": (["--third-order"], True),
+            "emit_matrices": (["--emit-matrices"], True),
+            "cutoff_points": (["--cutoff-points", "3"], 3),
+            "compare_pairs": (["--pairs", "nmf:tap"], [["nmf", "tap"]]),
+            "scaling_sizes": (["--sizes", "4,6,12"], [4, 6, 12]),
+            "scaling_repeats": (["--repeats", "2"], 2),
+            "subset_indices": (["--subset", "0,1"], [0, 1]),
+            "subset_totals": (["--totals", "4,8"], [4, 8]),
+        }
+        fields = {f.name for f in dataclasses.fields(RunConfig)}
+        subcommands = build_parser()._subparsers._group_actions[0].choices
+        covered = set()
+        for name, sub in subcommands.items():
+            dests = [a.dest for a in sub._actions if a.dest in fields]
+            if "methods" not in dests:  # not a pipeline subcommand
+                continue
+            out = tmp_path / name
+            argv = [name, "--out-dir", str(out)]
+            for dest in dests:
+                if dest != "out_dir":
+                    argv += values[dest][0]
+            assert main(argv) == 0, name
+            config = json.loads((out / "manifest.json").read_text())["config"]
+            assert config["out_dir"] == str(out)
+            for dest in dests:
+                if dest != "out_dir":
+                    assert config[dest] == values[dest][1], (name, dest)
+            covered.update(dests)
+        assert covered == set(values) | {"out_dir"}

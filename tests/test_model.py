@@ -241,6 +241,13 @@ class TestMetropolis:
         tv = 0.5 * np.abs(emp - boltzmann_distribution(params)).sum()
         assert tv < 0.05
 
+    @pytest.mark.parametrize("n_burnin,n_chains", [(-1, 4), (0, 0)])
+    def test_negative_burnin_and_zero_chains_rejected(self, n_burnin, n_chains):
+        # a negative burn-in would leave the first record uninitialised
+        with pytest.raises(ValueError, match="n_burnin >= 0 and at least one chain"):
+            metropolis_sample(random_model(6, 0.1, 0.1, seed=0), n_sweeps=5,
+                              n_burnin=n_burnin, n_chains=n_chains, seed=0)
+
 
 class TestThirdOrder:
     def test_independent_symmetric_spins_vanish(self):
