@@ -129,6 +129,10 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    for flag, value, low in (("--sweeps", args.sweeps, 1), ("--burnin", args.burnin, 0),
+                             ("--chains", args.chains, 1)):
+        if value < low:
+            raise ConfigError(f"{flag} must be at least {low}")
     params = params_from_json(Path(args.params).read_text())
     sample_to_files(params, args.out_dir or ".", n_sweeps=args.sweeps,
                     n_burnin=args.burnin, n_chains=args.chains,

@@ -49,7 +49,7 @@ class InferenceConfig:
     ridge: float = 0.0       # added to the covariance diagonal before inversion
     mc_sweeps: int = 100
     mc_chains: int = 500
-    mc_burnin: int = 100
+    mc_burnin: int = 100     # sweeps before a fit's first sampled step only
     seed: int | None = None
     exact_max_n: int = 16    # use exhaustive model moments up to this N
     report_residual: bool = False
@@ -261,11 +261,19 @@ def _as_seed_sequence(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
-def _model_moments(params: IsingParams, cfg: InferenceConfig, seed) -> SampleStats:
+def _model_moments(params: IsingParams, cfg: InferenceConfig, seed,
+                   chains: np.ndarray | None = None) -> SampleStats:
+    """Exact moments up to cfg.exact_max_n, sampled ones above.  Sampling
+    starts from random states with cfg.mc_burnin sweeps of burn-in, or,
+    given `chains` (an earlier sample's final_states), continues those
+    chains with no burn-in."""
     if params.n <= cfg.exact_max_n:
         return exact_moments_small(params, max_n=cfg.exact_max_n)
-    return metropolis_sample(params, n_sweeps=cfg.mc_sweeps, n_burnin=cfg.mc_burnin,
-                             n_chains=cfg.mc_chains, seed=seed)
+    fresh = chains is None
+    return metropolis_sample(params, n_sweeps=cfg.mc_sweeps,
+                             n_burnin=cfg.mc_burnin if fresh else 0,
+                             n_chains=cfg.mc_chains, seed=seed,
+                             init="random" if fresh else chains)
 
 
 def _moment_gap(stats: WindowStats, moments: SampleStats):
@@ -285,7 +293,13 @@ def infer_exact(stats: WindowStats, cfg: InferenceConfig, tickers=None) -> Infer
     model moments until the largest gap falls below cfg.tol.
 
     Model moments come from exhaustive enumeration for N <= cfg.exact_max_n
-    and from Metropolis sampling otherwise.  Initialized from the
+    and from Metropolis sampling otherwise.  The sampled chains persist
+    across iterations (persistent contrastive divergence): the first step
+    starts them from random states and burns in for cfg.mc_burnin sweeps,
+    every later step continues the previous step's final states with no
+    burn-in.  Each step draws its own child seed, so a fit is deterministic
+    for cfg.seed.  Sampled fits record the last step's largest per-spin
+    R-hat as diagnostics["mc_r_hat_max"].  Initialized from the
     mean-field solution (fields via the diagonal trick).  Learning rates
     decay geometrically by cfg.eta_decay per iteration.  A run whose
     residual sits 10x above its running minimum for 50 consecutive
@@ -304,10 +318,12 @@ def infer_exact(stats: WindowStats, cfg: InferenceConfig, tickers=None) -> Infer
     diverged = False
     history: list[float] = []
     iterations = 0
+    chains = None  # the sampled chains, carried from step to step
 
     for iterations in range(1, cfg.max_iters + 1):
         params = IsingParams(h, j, tickers=tickers)
-        moments = _model_moments(params, cfg, seed=ss.spawn(1)[0])
+        moments = _model_moments(params, cfg, seed=ss.spawn(1)[0], chains=chains)
+        chains = moments.final_states
         gap_m, gap_p, residual = _moment_gap(stats, moments)
         if cfg.track_history:
             history.append(residual)
@@ -331,6 +347,8 @@ def infer_exact(stats: WindowStats, cfg: InferenceConfig, tickers=None) -> Infer
     diagnostics = {"min_residual": best, "diverged": diverged,
                    "final_eta_h": eta_h, "final_eta_j": eta_j,
                    "init": "nmf", "cond_cov": init.diagnostics.get("cond_cov")}
+    if moments.r_hat is not None:
+        diagnostics["mc_r_hat_max"] = float(moments.r_hat.max())
     if cfg.track_history:
         diagnostics["residual_history"] = history
     if diverged:

@@ -74,7 +74,10 @@ class SampleStats:
     pair_moments holds raw second moments <s_i s_j> with unit diagonal.
     Standard errors, when present, come from the spread of independent
     chain means.  state_counts (for small N) indexes configurations by
-    sum_i (s_i > 0) << i.
+    sum_i (s_i > 0) << i.  r_hat is the Gelman-Rubin potential scale
+    reduction per spin across chains (near 1 when the chains mixed);
+    final_states are the chains' states after the last sweep, ready to be
+    continued by passing them back as `init`.
     """
 
     means: np.ndarray           # (N,)
@@ -85,6 +88,8 @@ class SampleStats:
     state_counts: np.ndarray | None = None
     se_means: np.ndarray | None = None
     se_pairs: np.ndarray | None = None
+    r_hat: np.ndarray | None = None         # (N,)
+    final_states: np.ndarray | None = None  # (n_chains, N) int8
 
     def __post_init__(self):
         if np.any(np.abs(self.means) > 1.0 + 1e-12):
@@ -151,23 +156,32 @@ def exact_moments_small(params: IsingParams, max_n: int = 16) -> SampleStats:
 
 
 def _simulate(params: IsingParams, n_chains: int, n_sweeps: int, n_burnin: int,
-              rng: np.random.Generator, init: str = "random") -> np.ndarray:
+              rng: np.random.Generator, init="random") -> np.ndarray:
     """Single-spin-flip Metropolis chains, vectorized across chains.
 
     One sweep is N attempted flips at uniformly random sites (drawn per
     chain).  Returns recorded states of shape (n_chains, n_sweeps, N),
     one record per chain per post-burn-in sweep.
 
-    init='exact' draws the starting states from the exhaustively
-    enumerated distribution (N <= 16 only), so the ensemble starts in
-    equilibrium; strongly coupled systems whose modes single-flip dynamics
-    cannot cross in any reasonable budget are then weighted correctly.
+    init='random' draws independent fair-coin starting states.
+    init='exact' draws them from the exhaustively enumerated distribution
+    (N <= 16 only), so the ensemble starts in equilibrium; strongly coupled
+    systems whose modes single-flip dynamics cannot cross in any reasonable
+    budget are then weighted correctly.  An (n_chains, N) array of +-1
+    entries continues chains from those states (e.g. the final_states of
+    an earlier sample), drawing nothing for the start.
     """
     if n_burnin < 0 or n_chains < 1:
         raise ValueError("need n_burnin >= 0 and at least one chain")
     n = params.n
     h, j = params.h, params.J
-    if init == "exact":
+    if not isinstance(init, str):
+        s = np.array(init, dtype=np.float64)  # a copy: the caller's states stay
+        if s.shape != (n_chains, n):
+            raise ValueError(f"init states have shape {s.shape}, expected ({n_chains}, {n})")
+        if not np.all(np.abs(s) == 1.0):
+            raise ValueError("init state entries must be -1 or +1")
+    elif init == "exact":
         states = enumerate_states(n)
         picks = rng.choice(2**n, size=n_chains, p=boltzmann_distribution(params))
         s = states[picks].copy()
@@ -205,13 +219,14 @@ def sample_configurations(params: IsingParams, n_samples: int, n_chains: int = 1
 
 def metropolis_sample(params: IsingParams, n_sweeps: int, n_burnin: int = 1000,
                       n_chains: int = 10, seed=None, with_third_order: bool = False,
-                      track_states: bool = False, init: str = "random") -> SampleStats:
+                      track_states: bool = False, init="random") -> SampleStats:
     """Estimate model moments by Metropolis sampling.
 
     Runs n_chains independent chains for n_burnin + n_sweeps sweeps and
     records one sample per chain per post-burn-in sweep (n_chains*n_sweeps
-    samples total).  Deterministic for a given seed.  See `_simulate` for
-    the init='exact' warm start.
+    samples total).  Deterministic for a given seed and init.  See
+    `_simulate` for the init choices; the returned final_states can be
+    passed back as init to continue the same chains.
     """
     if n_sweeps < 1:
         raise ValueError("need at least one sweep")
@@ -227,14 +242,15 @@ def metropolis_sample(params: IsingParams, n_sweeps: int, n_burnin: int = 1000,
 
     # standard errors from the spread of independent chain means
     chain_means = configs.mean(axis=1)  # (chains, N)
-    se_means = chain_means.std(axis=0, ddof=1) / math.sqrt(n_chains) if n_chains > 1 else None
-    se_pairs = None
+    se_means = se_pairs = r_hat = None
     if n_chains > 1:
+        se_means = chain_means.std(axis=0, ddof=1) / math.sqrt(n_chains)
         cf = configs.astype(np.float64)
         # +-1 entries: every partial sum is an exact integer, so the batched
         # matmul is bit-identical to the einsum "cti,ctj->cij"
         chain_pairs = (cf.transpose(0, 2, 1) @ cf) / configs.shape[1]
         se_pairs = chain_pairs.std(axis=0, ddof=1) / math.sqrt(n_chains)
+        r_hat = _gelman_rubin(chain_means, n_sweeps)
 
     third = third_order_from_samples(flat) if with_third_order else None
     counts = None
@@ -244,8 +260,29 @@ def metropolis_sample(params: IsingParams, n_sweeps: int, n_burnin: int = 1000,
         counts = np.bincount(encode_states(flat), minlength=2**n)
 
     settings = {"kind": "metropolis", "n_sweeps": n_sweeps, "n_burnin": n_burnin,
-                "n_chains": n_chains, "seed": seed, "init": init}
-    return SampleStats(means, pair, count, settings, third, counts, se_means, se_pairs)
+                "n_chains": n_chains, "seed": seed,
+                "init": init if isinstance(init, str) else "states"}
+    return SampleStats(means, pair, count, settings, third, counts, se_means, se_pairs,
+                       r_hat, configs[:, -1, :].copy())
+
+
+def _gelman_rubin(chain_means: np.ndarray, n_sweeps: int) -> np.ndarray | None:
+    """Potential scale reduction per spin from (chains, N) chain means.
+
+    R = sqrt(((n-1)/n W + B/n) / W) with W the mean within-chain variance
+    (ddof 1) and B/n the variance of the chain means (ddof 1).  A +-1
+    series of length n with mean m has within-chain variance
+    n (1 - m^2) / (n - 1), so the chain means are all it needs.  A spin
+    that never moved in any chain (W = 0) gets inf when its chains
+    disagree and NaN when they agree.  None for a single sweep.
+    """
+    if n_sweeps < 2:
+        return None
+    spread = (1.0 - chain_means**2).mean(axis=0)  # (n-1)/n * W
+    w = spread * n_sweeps / (n_sweeps - 1)
+    b_over_n = chain_means.var(axis=0, ddof=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.sqrt((spread + b_over_n) / w)
 
 
 def third_order_from_samples(samples: np.ndarray,

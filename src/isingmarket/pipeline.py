@@ -95,6 +95,9 @@ class RunConfig:
         unknown = set(self.stages) - set(STAGES)
         if unknown:
             raise ConfigError(f"unknown stages {sorted(unknown)}; choose from {STAGES}")
+        repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
+        if repeated:
+            raise ConfigError(f"methods repeated: {repeated}")
         for method in self.methods:
             try:
                 self.inference_config(method, None)
@@ -512,9 +515,10 @@ def sample_to_files(params, out_dir, n_sweeps, n_burnin, n_chains, seed,
                               with_third_order=with_third_order,
                               track_states=track_states)
     tickers = params.tickers or [f"S{i:03d}" for i in range(params.n)]
-    write_csv(out / "sample_means.csv", "ticker,mean,se",
+    write_csv(out / "sample_means.csv", "ticker,mean,se,r_hat",
               [(t, stats.means[i],
-                stats.se_means[i] if stats.se_means is not None else "")
+                stats.se_means[i] if stats.se_means is not None else "",
+                stats.r_hat[i] if stats.r_hat is not None else "")
                for i, t in enumerate(tickers)])
     write_csv(out / "sample_pair_moments.csv", "ticker," + ",".join(tickers),
               [(t, *stats.pair_moments[i]) for i, t in enumerate(tickers)])

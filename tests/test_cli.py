@@ -222,11 +222,21 @@ class TestAnalysisCommands:
         assert rc == 0
         means = read_lines(tmp_path / "sample_means.csv")
         assert len(means) - 1 == 12
+        assert means[0] == "ticker,mean,se,r_hat"
+        assert all(0.9 < float(line.split(",")[3]) < 1.5 for line in means[1:])
         pairs = read_lines(tmp_path / "sample_pair_moments.csv")
         assert len(pairs) - 1 == 12
         assert pairs[1].split(",")[1] == "1.0"  # unit diagonal
         counts = read_lines(tmp_path / "sample_state_counts.csv")
         assert len(counts) - 1 == 2**12
+
+    @pytest.mark.parametrize("flags", [["--sweeps", "0"], ["--burnin", "-1"],
+                                       ["--chains", "0"]], ids=" ".join)
+    def test_sample_bad_settings_are_config_errors(self, market, tmp_path, flags):
+        rc = main(["sample", "--params", str(market / "truth.json"),
+                   "--out-dir", str(tmp_path / "out"), *flags])
+        assert rc == 2
+        assert not (tmp_path / "out").exists()
 
     def test_energy_one_shot(self, market, tmp_path, capsys):
         rc = main(["energy", "--params", str(market / "truth.json"),
@@ -408,6 +418,7 @@ class TestConfigParsing:
         ("infer", [], "exact_max_n=-1"),
         ("infer", ["--jobs", "0"], ""),
         ("infer", [], "seed=abc"),
+        ("infer", ["--method", "nmf,tap,nmf"], ""),
         ("stats", [], "n_boot=100\nboot_level=1.5"),
         ("stats", [], "boot_level=0"),
         ("stats", ["--eigen-top", "0"], ""),

@@ -1,11 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import stats_from_moments, stats_from_params
+from isingmarket import inference
 from isingmarket.inference import (InferenceConfig, infer, infer_exact,
                                    infer_ip, infer_nmf, infer_sm, infer_tap,
                                    moment_residual)
-from isingmarket.model import IsingParams
+from isingmarket.model import IsingParams, metropolis_sample
 from isingmarket.stats import window_stats
 from isingmarket.synthetic import random_model, sample_binary_panel
 
@@ -257,9 +260,44 @@ class TestExactLearning:
                               tol=1e-6, seed=21)
         a = infer_exact(st, cfg)
         b = infer_exact(st, cfg)
-        np.testing.assert_array_equal(a.params.h, b.params.h)
-        np.testing.assert_array_equal(a.params.J, b.params.J)
+        assert a.params.h.tobytes() == b.params.h.tobytes()
+        assert a.params.J.tobytes() == b.params.J.tobytes()
+        other = infer_exact(st, replace(cfg, seed=22))
+        assert other.params.J.tobytes() != a.params.J.tobytes()
 
+
+
+MC_CFG = InferenceConfig(method="exact", exact_max_n=0, mc_chains=40, mc_sweeps=10,
+                         mc_burnin=25, max_iters=6, tol=1e-9, seed=3)
+
+
+class TestPersistentChains:
+    def test_burn_in_once_then_continue(self, monkeypatch):
+        calls = []
+
+        def spy(params, **kwargs):
+            stats = metropolis_sample(params, **kwargs)
+            calls.append((kwargs, stats))
+            return stats
+
+        monkeypatch.setattr(inference, "metropolis_sample", spy)
+        st = stats_from_params(random_model(4, 0.2, 0.2, seed=5))
+        res = infer_exact(st, MC_CFG)
+        assert res.iterations == len(calls) == MC_CFG.max_iters
+        first, _ = calls[0]
+        assert first["n_burnin"] == MC_CFG.mc_burnin
+        assert isinstance(first["init"], str) and first["init"] == "random"
+        for (kwargs, _), (_, previous) in zip(calls[1:], calls):
+            assert kwargs["n_burnin"] == 0
+            assert kwargs["init"] is previous.final_states
+        seeds = [kwargs["seed"] for kwargs, _ in calls]
+        assert len({s.spawn_key for s in seeds}) == len(seeds)
+        assert res.diagnostics["mc_r_hat_max"] == calls[-1][1].r_hat.max()
+
+    def test_enumerated_fit_has_no_r_hat(self):
+        st = stats_from_params(random_model(4, 0.2, 0.2, seed=6))
+        res = infer_exact(st, replace(MC_CFG, exact_max_n=16))
+        assert "mc_r_hat_max" not in res.diagnostics
 
 class TestDispatchAndInvariants:
     @pytest.mark.parametrize("method", ["nmf", "tap", "ip", "sm"])

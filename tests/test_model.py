@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -248,6 +249,119 @@ class TestMetropolis:
             metropolis_sample(random_model(6, 0.1, 0.1, seed=0), n_sweeps=5,
                               n_burnin=n_burnin, n_chains=n_chains, seed=0)
 
+
+
+def _digest(*arrays) -> str:
+    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+
+class TestPersistentChains:
+    # recorded with the sampler before array starts existed; any change to
+    # how the "random" or "exact" start consumes the generator moves them
+    PINNED = {
+        "random": ("d1e5cace12e1c7a51937759adebab3ebc37271950b81b69f879fafa8497bad14",
+                   "055b5a50cb2c4c5fd106a361b270f7129ed1e1a3ec170af7e97146c444050a30"),
+        "exact": ("6b6bbb197b3ccc61e4d9b2df83fb1d37ff0aee797486710af18cd8fa298f5bf3",
+                  "625a175d959e20a537c81e3888f89949c1e2fc35ffdef4de225554513f7fee75"),
+    }
+
+    @pytest.mark.parametrize("init", ["random", "exact"])
+    def test_named_starts_pinned(self, init):
+        params = random_model(6, 0.3, 0.3, seed=5)
+        states = _simulate(params, 20, 15, 5, np.random.default_rng(2024), init=init)
+        stats = metropolis_sample(params, 15, 5, 20, seed=2024, init=init)
+        assert (_digest(states),
+                _digest(stats.means, stats.pair_moments, stats.se_means,
+                        stats.se_pairs)) == self.PINNED[init]
+
+    @pytest.mark.parametrize("init,match", [
+        (np.ones((4, 5)), "shape"),
+        (np.ones(6), "shape"),
+        (np.ones((5, 6)), "shape"),
+        (np.where(np.eye(4, 6) > 0, 0, 1), "-1 or \\+1"),
+        (np.full((4, 6), 0.5), "-1 or \\+1"),
+    ])
+    def test_bad_start_states_rejected(self, init, match):
+        with pytest.raises(ValueError, match=match):
+            metropolis_sample(random_model(6, 0.1, 0.1, seed=0), n_sweeps=5,
+                              n_burnin=0, n_chains=4, seed=0, init=init)
+
+    def test_final_states_are_the_last_record(self):
+        params = random_model(5, 0.2, 0.3, seed=4)
+        stats = metropolis_sample(params, 12, 3, 7, seed=8)
+        states = _simulate(params, 7, 12, 3, np.random.default_rng(8))
+        assert stats.final_states.dtype == np.int8
+        np.testing.assert_array_equal(stats.final_states, states[:, -1, :])
+
+    def test_given_states_are_the_start(self):
+        # the first recorded sweep is one sweep away from the given states:
+        # a chain whose every flip is refused stays where it started
+        params = IsingParams(np.full(3, 40.0), np.zeros((3, 3)))
+        start = np.array([[1, 1, 1], [1, -1, 1]], dtype=np.int8)
+        states = _simulate(params, 2, 1, 0, np.random.default_rng(0), init=start)
+        np.testing.assert_array_equal(states[0, 0], [1, 1, 1])
+        np.testing.assert_array_equal(start, [[1, 1, 1], [1, -1, 1]])  # not mutated
+
+    def test_continuing_equilibrium_chains_matches_oracle(self):
+        params = random_model(4, 0.5, 0.4, seed=31)
+        exact = exact_moments_small(params)
+        warm = metropolis_sample(params, n_sweeps=5, n_burnin=0, n_chains=2000,
+                                 seed=3, init="exact")
+        cont = metropolis_sample(params, n_sweeps=50, n_burnin=0, n_chains=2000,
+                                 seed=4, init=warm.final_states)
+        assert cont.settings["init"] == "states"
+        assert np.all(np.abs(cont.means - exact.means) < 3 * cont.se_means)
+        iu = np.triu_indices(4, k=1)
+        gap = np.abs(cont.pair_moments - exact.pair_moments)[iu]
+        assert np.all(gap < 3 * cont.se_pairs[iu])
+
+
+def ferromagnet(n, coupling):
+    j = np.full((n, n), coupling)
+    np.fill_diagonal(j, 0.0)
+    return IsingParams(np.zeros(n), j)
+
+
+class TestRHat:
+    def test_mixed_chains_near_one(self):
+        stats = metropolis_sample(random_model(6, 0.1, 0.1, seed=0), n_sweeps=100,
+                                  n_burnin=100, n_chains=500, seed=0)
+        assert stats.r_hat.shape == (6,)
+        assert stats.r_hat.max() < 1.05
+
+    def test_unmixed_ferromagnet_flagged(self):
+        # half the chains start all up, half all down; 20 sweeps at J=0.15
+        # are too few to cross between the two magnetized modes
+        start = np.ones((500, 8), dtype=np.int8)
+        start[250:] = -1
+        stats = metropolis_sample(ferromagnet(8, 0.15), n_sweeps=20, n_burnin=0,
+                                  n_chains=500, seed=1, init=start)
+        assert stats.r_hat.max() > 1.5
+
+    def test_matches_textbook_formula(self):
+        params = random_model(5, 0.3, 0.3, seed=6)
+        stats = metropolis_sample(params, n_sweeps=30, n_burnin=5, n_chains=12, seed=2)
+        x = _simulate(params, 12, 30, 5, np.random.default_rng(2)).astype(np.float64)
+        w = x.var(axis=1, ddof=1).mean(axis=0)
+        b_over_n = x.mean(axis=1).var(axis=0, ddof=1)
+        np.testing.assert_allclose(stats.r_hat,
+                                   np.sqrt((29 / 30 * w + b_over_n) / w), rtol=1e-12)
+
+    def test_frozen_spins(self):
+        # at J=0.5 no spin flips: chains that disagree give inf, agree give NaN
+        split = np.ones((6, 4), dtype=np.int8)
+        split[3:] = -1
+        frozen = ferromagnet(4, 0.5)
+        disagree = metropolis_sample(frozen, 10, 0, 6, seed=0, init=split)
+        agree = metropolis_sample(frozen, 10, 0, 6, seed=0, init=np.ones((6, 4)))
+        assert np.all(np.isinf(disagree.r_hat))
+        assert np.all(np.isnan(agree.r_hat))
+
+    @pytest.mark.parametrize("n_chains,n_sweeps", [(1, 20), (5, 1)])
+    def test_undefined_without_two_chains_and_two_sweeps(self, n_chains, n_sweeps):
+        stats = metropolis_sample(random_model(3, 0.1, 0.1, seed=0), n_sweeps,
+                                  5, n_chains, seed=0)
+        assert stats.r_hat is None
 
 class TestThirdOrder:
     def test_independent_symmetric_spins_vanish(self):
