@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import logging
 import sys
 from pathlib import Path
 
@@ -38,6 +39,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, help="global random seed")
     p.add_argument("--jobs", type=int, help="parallel window workers")
     p.add_argument("--out-dir", help="output directory")
+    p.add_argument("--log-level", choices=["debug", "info", "warning", "error"],
+                   default="warning", help="library log messages on stderr")
 
 
 def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
@@ -328,6 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    logging.basicConfig(stream=sys.stderr, level=args.log_level.upper(),
+                        format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.fn(args)
     except ConfigError as err:

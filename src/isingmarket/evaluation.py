@@ -13,11 +13,9 @@ import numpy as np
 from .inference import InferenceConfig, infer
 from .model import IsingParams
 from .panels import ReturnPanel
-from .stats import _STATISTICS, window_stats
+from .stats import MOMENT_NAMES, moment_summary, window_stats
 
 logger = logging.getLogger(__name__)
-
-MOMENT_NAMES = ("mean", "std", "skew", "kurt")
 
 
 def nrmse(x, y) -> float:
@@ -178,10 +176,11 @@ def scaling_exponents(panel: ReturnPanel, end_date: str, window_size: int,
         for n_sub in sizes:
             members = np.sort(rng.choice(panel.n_series, size=n_sub, replace=False))
             params = run(window[members])
-            j_upper = _upper(params.J)
+            h_moments = moment_summary(params.h)
+            j_moments = moment_summary(_upper(params.J))
             for name in MOMENT_NAMES:
-                h_vals[name][r].append(_STATISTICS[name](params.h))
-                j_vals[name][r].append(_STATISTICS[name](j_upper))
+                h_vals[name][r].append(getattr(h_moments, name))
+                j_vals[name][r].append(getattr(j_moments, name))
 
     report = ScalingReport(tuple(sizes), repeats)
     for name in MOMENT_NAMES:

@@ -99,28 +99,46 @@ def window_stats(window: np.ndarray, with_third_order: bool = False,
 # Collection summaries and bootstrap intervals
 # ---------------------------------------------------------------------------
 
-_STATISTICS = {
-    "mean": lambda v: float(np.mean(v)),
-    "std": lambda v: float(np.std(v)),
-    "skew": lambda v: _skew(v),
-    "kurt": lambda v: _kurt(v),
-}
+MOMENT_NAMES = ("mean", "std", "skew", "kurt")
+
+# Values drawn and gathered per bootstrap block (9 resamples of 1770
+# values).  On 2 cores, blocks of 8192-17700 values ran alike; blocks of
+# 32768 took about 1.6x as long and raised peak memory.
+_BLOCK_VALUES = 16384
 
 
-def _skew(v) -> float:
-    v = np.asarray(v, dtype=np.float64)
-    s = v.std()
-    if s == 0.0:
-        return float("nan")
-    return float(((v - v.mean()) ** 3).mean() / s**3)
+def _moments(x: np.ndarray, statistic: str) -> np.ndarray:
+    """One population moment of each row of a 2-d array.
+
+    mean and std equal `np.mean` / `np.std` of the row bit for bit; skew/kurt
+    are NaN on rows with zero spread.  Powers are formed by products:
+    numpy's general `**` path is over ten times slower.
+    """
+    mean = x.mean(axis=1)
+    if statistic == "mean":
+        return mean
+    dev = x - mean[:, None]
+    d2 = dev * dev
+    std = np.sqrt(d2.mean(axis=1))
+    if statistic == "std":
+        return std
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if statistic == "skew":
+            d2 *= dev
+            m = d2.mean(axis=1) / std**3
+        else:
+            d2 *= d2
+            m = d2.mean(axis=1) / std**4 - 3.0
+    return np.where(std == 0.0, np.nan, m)
 
 
-def _kurt(v) -> float:
-    v = np.asarray(v, dtype=np.float64)
-    s = v.std()
-    if s == 0.0:
-        return float("nan")
-    return float(((v - v.mean()) ** 4).mean() / s**4 - 3.0)
+def _finite_values(values) -> np.ndarray:
+    v = np.asarray(values, dtype=np.float64).ravel()
+    if v.size == 0:
+        raise ValueError("empty value collection")
+    if not np.isfinite(v).all():
+        raise ValueError("value collection holds non-finite values")
+    return v
 
 
 @dataclass(frozen=True)
@@ -143,22 +161,18 @@ class MomentSummary:
 
 def moment_summary(values, n_boot: int = 0, level: float = 0.95,
                    seed: int | None = None) -> MomentSummary:
-    """Summarize a 1-d value collection; bootstrap CIs when n_boot > 0."""
-    v = np.asarray(values, dtype=np.float64).ravel()
-    if v.size == 0:
-        raise ValueError("empty value collection")
-    degenerate = v.std() == 0.0
+    """Summarize a collection of finite values; bootstrap CIs when n_boot > 0."""
+    v = _finite_values(values)
+    point = {name: float(_moments(v[None, :], name)[0]) for name in MOMENT_NAMES}
+    degenerate = point["std"] == 0.0
     ci = None
     if n_boot:
-        stats = ["mean", "std"] if degenerate else ["mean", "std", "skew", "kurt"]
+        stats = MOMENT_NAMES[:2] if degenerate else MOMENT_NAMES
         rng_seed = np.random.SeedSequence(seed).spawn(len(stats))
         ci = {name: bootstrap_ci(v, name, n_boot, level, seed=s)
               for name, s in zip(stats, rng_seed)}
-    return MomentSummary(
-        mean=float(v.mean()), std=float(v.std()), skew=_skew(v), kurt=_kurt(v),
-        n_values=v.size, degenerate=degenerate, ci=ci,
-        ci_level=level if n_boot else None,
-    )
+    return MomentSummary(**point, n_values=v.size, degenerate=degenerate, ci=ci,
+                         ci_level=level if n_boot else None)
 
 
 def off_diagonal_values(m: np.ndarray) -> np.ndarray:
@@ -184,35 +198,33 @@ def bootstrap_ci(values, statistic: str, n_resamples: int, level: float = 0.95,
                  seed=None) -> tuple[float, float]:
     """Percentile bootstrap interval for a statistic of a value collection.
 
-    Resamples with replacement; resamples on which the statistic is
-    undefined (zero spread for skew/kurt) are redrawn and the redraw count
-    logged.
+    Resamples with replacement, drawn and evaluated in blocks of rows.
+    Resamples with zero spread have no skew/kurt; they are redrawn from the
+    same generator and the redraw count logged, so the kept resamples are
+    those of a one-at-a-time draw.
     """
-    v = np.asarray(values, dtype=np.float64).ravel()
-    if v.size == 0:
-        raise ValueError("empty value collection")
+    v = _finite_values(values)
     if n_resamples < 100:
         raise ValueError("use at least 100 bootstrap resamples")
-    if statistic not in _STATISTICS:
+    if statistic not in MOMENT_NAMES:
         raise ValueError(f"unknown statistic {statistic!r}")
-    fn = _STATISTICS[statistic]
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must lie in (0, 1), got {level}")
     rng = np.random.default_rng(seed)
+    block = max(1, _BLOCK_VALUES // v.size)
     out = np.empty(n_resamples)
+    filled = 0
     redraws = 0
-    max_redraws = 10 * n_resamples
-    i = 0
-    while i < n_resamples:
-        sample = v[rng.integers(0, v.size, v.size)]
-        stat = fn(sample)
-        if np.isnan(stat):
-            redraws += 1
-            if redraws > max_redraws:
-                raise ValueError(
-                    f"statistic {statistic!r} undefined on nearly all resamples"
-                )
-            continue
-        out[i] = stat
-        i += 1
+    while filled < n_resamples:
+        rows = min(block, n_resamples - filled)
+        stat = _moments(v[rng.integers(0, v.size, (rows, v.size))], statistic)
+        stat = stat[~np.isnan(stat)]
+        redraws += rows - stat.size
+        if redraws > 10 * n_resamples:
+            raise ValueError(
+                f"statistic {statistic!r} undefined on nearly all resamples")
+        out[filled:filled + stat.size] = stat
+        filled += stat.size
     if redraws:
         logger.info("bootstrap_ci: redrew %d degenerate resamples", redraws)
     lo, hi = np.percentile(out, [100 * (1 - level) / 2, 100 * (1 + level) / 2])

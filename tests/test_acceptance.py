@@ -53,6 +53,7 @@ def random_bounded_model(seed_seq, n=4):
     return IsingParams(h, j + j.T)
 
 
+@pytest.mark.slow
 def test_criterion_01_sampler_matches_exhaustive_oracle():
     """50 random N=4 models: sampled moments within 3 MC standard errors of
     the exhaustive oracle, 16-state total variation < 0.01, under 2 min."""
@@ -82,6 +83,7 @@ def test_criterion_01_sampler_matches_exhaustive_oracle():
         assert time.perf_counter() - t0 < 120.0
 
 
+@pytest.mark.slow
 def test_criterion_02_exact_learning_fixed_point():
     """Planted N=8 model: exact-moment loop recovers parameters to 1e-3
     max-abs; 50000-sample Monte Carlo loop reaches Pearson(J) > 0.98 in

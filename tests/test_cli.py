@@ -1,10 +1,14 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import isingmarket
 from isingmarket.cli import build_parser, main
 from isingmarket.pipeline import (ConfigError, RunConfig, config_from_mapping,
                                   parse_config_file, run)
@@ -43,6 +47,38 @@ class TestSynthAndIngest:
         lines = read_lines(tmp_path / "returns_binary.csv")
         assert len(lines) == 401  # header + 400 return rows
         assert "kept 12 tickers" in capsys.readouterr().out
+
+
+class TestLogLevel:
+    PRICES = ("date,AAA,BBB\n2001-01-01,100.0,50.0\n2001-01-02,110.0,50.0\n"
+              "2001-01-03,99.0,54.0\n")
+    LINE = "INFO isingmarket.panels: binarize: 1 exact-zero returns mapped to +1"
+
+    def ingest(self, tmp_path, *flags):
+        """Run `ingest` in a fresh interpreter, whose logging is unconfigured."""
+        prices = tmp_path / "flat.csv"
+        prices.write_text(self.PRICES)
+        env = dict(os.environ, PYTHONPATH=str(Path(isingmarket.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "isingmarket", "ingest", "--prices", str(prices),
+             "--emit-returns", "binary", "--out-dir", str(tmp_path), *flags],
+            capture_output=True, text=True, env=env, check=True)
+        return proc.stderr
+
+    def test_info_line_reaches_stderr(self, tmp_path):
+        assert self.LINE in self.ingest(tmp_path, "--log-level", "info")
+
+    def test_quiet_by_default(self, tmp_path):
+        assert "binarize" not in self.ingest(tmp_path)
+        assert "binarize" not in self.ingest(tmp_path, "--log-level", "warning")
+
+    def test_not_a_config_key(self, market, tmp_path):
+        rc = main(["stats", "--prices", str(market / "prices.csv"), "-T", "200",
+                   "--stride", "200", "--out-dir", str(tmp_path),
+                   "--log-level", "debug"])
+        assert rc == 0
+        config = json.loads((tmp_path / "manifest.json").read_text())["config"]
+        assert "log_level" not in config
 
 
 class TestStatsCommand:

@@ -1,6 +1,10 @@
+import logging
+import re
+
 import numpy as np
 import pytest
 
+from isingmarket import stats as stats_module
 from isingmarket.panels import standardize_window
 from isingmarket.stats import (_sorted_eigh, bootstrap_ci, dft_amplitudes,
                                moment_summary, off_diagonal_summary,
@@ -119,7 +123,113 @@ class TestOffDiagonalSummary:
         np.testing.assert_array_equal(np.sort(off_diagonal_values(m)), [1.0, 2.0])
 
 
+def per_resample_bootstrap(values, statistic, n_resamples, level, seed):
+    """Reference bootstrap: one resample at a time, powers through `**`.
+
+    Returns the interval and the number of zero-spread resamples redrawn.
+    """
+    v = np.asarray(values, dtype=np.float64)
+
+    def moment(s, power):
+        sd = s.std()
+        if sd == 0.0:
+            return float("nan")
+        return float(((s - s.mean()) ** power).mean() / sd**power)
+
+    fn = {"mean": lambda s: float(s.mean()), "std": lambda s: float(s.std()),
+          "skew": lambda s: moment(s, 3), "kurt": lambda s: moment(s, 4) - 3.0}
+    rng = np.random.default_rng(seed)
+    out = []
+    redraws = 0
+    while len(out) < n_resamples:
+        stat = fn[statistic](v[rng.integers(0, v.size, v.size)])
+        if np.isnan(stat):
+            redraws += 1
+        else:
+            out.append(stat)
+    lo, hi = np.percentile(out, [100 * (1 - level) / 2, 100 * (1 + level) / 2])
+    return (float(lo), float(hi)), redraws
+
+
+def logged_redraws(caplog) -> int:
+    counts = [int(re.search(r"redrew (\d+)", r.getMessage()).group(1))
+              for r in caplog.records if "redrew" in r.getMessage()]
+    assert len(counts) <= 1
+    return counts[0] if counts else 0
+
+
+def assert_matches_reference(values, statistic, n_resamples, level, seed, caplog):
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="isingmarket.stats"):
+        got = bootstrap_ci(values, statistic, n_resamples, level, seed=seed)
+    want, redraws = per_resample_bootstrap(values, statistic, n_resamples, level, seed)
+    if statistic in ("mean", "std"):
+        assert got == want
+    else:
+        # skew/kurt are scale-free; atol covers bounds that are zero up to
+        # rounding (e.g. the skew of a symmetric two-point resample)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
+    assert logged_redraws(caplog) == redraws
+    return redraws
+
+
+def reference_collections(count=200, seed=15):
+    """Normal, heavy-tailed, rounded (tied) and two-valued collections of
+    2-3000 values, log-uniform in size; the two-valued ones hold one or two
+    1s among 0s, so many resamples have zero spread."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n = int(np.exp(rng.uniform(np.log(2), np.log(3001))))
+        kind = k % 4
+        if kind == 0:
+            v = rng.normal(size=n)
+        elif kind == 1:
+            v = rng.standard_t(2, size=n) * 10.0 ** int(rng.integers(-3, 4))
+        elif kind == 2:
+            v = np.round(rng.normal(size=n), 1)
+        else:
+            v = np.zeros(n)
+            v[rng.choice(n, size=min(2, n - 1), replace=False)] = 1.0
+        yield k, v
+
+
 class TestBootstrap:
+    def test_matches_per_resample_reference(self, caplog):
+        total_redraws = 0
+        for k, v in reference_collections():
+            for i, name in enumerate(("mean", "std", "skew", "kurt")):
+                total_redraws += assert_matches_reference(
+                    v, name, 100 + k % 7, 0.9, 1000 * k + i, caplog)
+        assert total_redraws > 1000
+
+    def test_redraws_across_block_boundaries(self, caplog, monkeypatch):
+        # 3000 values, one of them 1: about 37% of resamples are all zeros
+        v = np.zeros(3000)
+        v[17] = 1.0
+        rows = stats_module._BLOCK_VALUES // v.size
+        assert 1 < rows < 103 and 103 % rows
+        assert assert_matches_reference(v, "skew", 103, 0.95, 3, caplog) > 3 * rows
+        # blocks of 3 rows over 4 values, 101 resamples
+        monkeypatch.setattr(stats_module, "_BLOCK_VALUES", 12)
+        w = np.array([2.5, 2.5, 2.5, -1.0])
+        for seed in range(5):
+            for name in ("std", "kurt"):
+                assert_matches_reference(w, name, 101, 0.8, seed, caplog)
+
+    def test_non_finite_values_rejected(self):
+        for bad in ([1.0, np.nan, 2.0], [1.0, np.inf, 2.0], [-np.inf, 0.0]):
+            with pytest.raises(ValueError, match="non-finite"):
+                bootstrap_ci(bad, "mean", 100, seed=0)
+            with pytest.raises(ValueError, match="non-finite"):
+                moment_summary(bad)
+
+    @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.1, float("nan")])
+    def test_level_outside_unit_interval_rejected(self, level):
+        with pytest.raises(ValueError, match="level"):
+            bootstrap_ci([1.0, 2.0, 4.0], "mean", 100, level=level, seed=0)
+        with pytest.raises(ValueError, match="level"):
+            moment_summary([1.0, 2.0, 4.0], n_boot=100, level=level, seed=0)
+
     def test_constant_collection_zero_width(self):
         lo, hi = bootstrap_ci(np.full(50, 3.25), "mean", 200, seed=0)
         assert lo == hi == 3.25
