@@ -37,7 +37,9 @@ from .synthetic import BlockSpec, generate_synthetic, truth_from_json
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key=value config file; flags override it")
     p.add_argument("--seed", type=int, help="global random seed")
-    p.add_argument("--jobs", type=int, help="parallel window workers")
+    p.add_argument("--jobs", type=int,
+                   help="window worker threads; they share the GIL, so `infer` at "
+                        "N=200 gains little: formatting params JSON holds the GIL")
     p.add_argument("--out-dir", help="output directory")
     p.add_argument("--log-level", choices=["debug", "info", "warning", "error"],
                    default="warning", help="library log messages on stderr")

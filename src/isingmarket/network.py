@@ -79,7 +79,8 @@ def _sorted_edges(w: np.ndarray):
     """
     rows, cols = np.triu_indices(w.shape[0], k=1)
     wts = w[rows, cols]
-    order = np.lexsort((cols, rows, -wts))
+    # triu_indices lists pairs in (i, j) order, which a stable sort keeps
+    order = np.argsort(-wts, kind="stable")
     return rows[order], cols[order], wts[order]
 
 

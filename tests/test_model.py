@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from isingmarket.model import (IsingParams, _simulate, boltzmann_distribution,
+from isingmarket.model import (IsingParams, _gelman_rubin, _simulate,
+                               boltzmann_distribution,
                                encode_states, energy_split, enumerate_states,
                                exact_moments_small, hamiltonian,
                                metropolis_sample, params_from_json,
@@ -314,6 +315,98 @@ class TestPersistentChains:
         iu = np.triu_indices(4, k=1)
         gap = np.abs(cont.pair_moments - exact.pair_moments)[iu]
         assert np.all(gap < 3 * cont.se_pairs[iu])
+
+
+def reference_simulate(params, n_chains, n_sweeps, n_burnin, rng, init):
+    """The Metropolis step written out: local field, energy change, accept.
+
+    It makes the same two generator calls per step as `_simulate`, so its
+    recorded states must equal the sampler's bit for bit.
+    """
+    n = params.n
+    h, j = params.h, params.J
+    if not isinstance(init, str):
+        s = np.array(init, dtype=np.float64)
+    elif init == "exact":
+        picks = rng.choice(2**n, size=n_chains, p=boltzmann_distribution(params))
+        s = enumerate_states(n)[picks]
+    else:
+        s = rng.choice(np.array([-1.0, 1.0]), size=(n_chains, n))
+    out = np.empty((n_chains, n_sweeps, n), dtype=np.int8)
+    rows = np.arange(n_chains)
+    for sweep in range(n_burnin + n_sweeps):
+        for _ in range(n):
+            sites = rng.integers(0, n, size=n_chains)
+            local = h[sites] + 2.0 * np.einsum("cn,cn->c", j[sites], s)
+            cur = s[rows, sites]
+            de = 2.0 * cur * local
+            accept = rng.random(n_chains) < np.exp(np.minimum(-de, 0.0))
+            s[rows[accept], sites[accept]] = -cur[accept]
+        if sweep >= n_burnin:
+            out[:, sweep - n_burnin, :] = s
+    return out
+
+
+def start_states(n_chains, n, seed):
+    """Named and array starts; array starts in several layouts and dtypes."""
+    spins = np.where(np.random.default_rng(seed).random((n_chains, n)) < 0.5, -1, 1)
+    strided = np.zeros((2 * n_chains, 3 * n))
+    strided[::2, 1::3] = spins
+    starts = {"random": "random", "int8": spins.astype(np.int8),
+              "fortran": np.asfortranarray(spins, dtype=np.float64),
+              "strided": strided[::2, 1::3]}
+    if n <= 7:
+        starts["exact"] = "exact"
+    return starts
+
+
+def moments_of(states):
+    """metropolis_sample's fields, computed from recorded states."""
+    n_chains, n_sweeps, n = states.shape
+    flat = states.reshape(-1, n).astype(np.float64)
+    pair = flat.T @ flat / flat.shape[0]
+    pair = (pair + pair.T) / 2.0
+    np.fill_diagonal(pair, 1.0)
+    want = {"means": flat.mean(axis=0), "pair_moments": pair,
+            "final_states": states[:, -1, :].copy(),
+            "se_means": None, "se_pairs": None, "r_hat": None}
+    if n_chains > 1:
+        chain_means = states.mean(axis=1)
+        cf = states.astype(np.float64)
+        chain_pairs = np.einsum("cti,ctj->cij", cf, cf) / n_sweeps
+        want["se_means"] = chain_means.std(axis=0, ddof=1) / math.sqrt(n_chains)
+        want["se_pairs"] = chain_pairs.std(axis=0, ddof=1) / math.sqrt(n_chains)
+        want["r_hat"] = _gelman_rubin(chain_means, n_sweeps)
+    return want
+
+
+class TestStepOracle:
+    SWEEPS = 2
+
+    @pytest.mark.parametrize("n_burnin", [0, 5])
+    @pytest.mark.parametrize("n_chains", [1, 3, 500])
+    @pytest.mark.parametrize("n", [1, 2, 7, 24, 60])
+    def test_states_and_moments_match_reference(self, n, n_chains, n_burnin):
+        params = random_model(n, 0.4, 0.3, seed=n)
+        seed = 100 * n + n_chains + n_burnin
+        for name, init in start_states(n_chains, n, seed).items():
+            given = None if isinstance(init, str) else init.copy()
+            ref = reference_simulate(params, n_chains, self.SWEEPS, n_burnin,
+                                     np.random.default_rng(seed), init)
+            states = _simulate(params, n_chains, self.SWEEPS, n_burnin,
+                               np.random.default_rng(seed), init=init)
+            assert states.tobytes() == ref.tobytes(), name
+            got = metropolis_sample(params, self.SWEEPS, n_burnin, n_chains,
+                                    seed=seed, init=init)
+            if given is not None:
+                assert init.tobytes() == given.tobytes(), name
+            want = moments_of(ref)
+            for key, value in want.items():
+                have = getattr(got, key)
+                assert (have is None) == (value is None), (name, key)
+                if value is not None:
+                    assert have.dtype == value.dtype, (name, key)
+                    assert have.tobytes() == value.tobytes(), (name, key)
 
 
 def ferromagnet(n, coupling):

@@ -22,6 +22,22 @@ class TestWindowStats:
         assert st.skewness[0] == 0.0
         assert st.kurtosis[0] == -2.0
 
+    @pytest.mark.parametrize("t", [2, 7, 250, 1001])
+    def test_binary_series_closed_forms(self, t):
+        # a +-1 series with mean m has skew -2m/sqrt(1-m^2) and excess
+        # kurtosis (1+3m^2)/(1-m^2) - 3; one row per count of +1 days.
+        # Kurtosis is compared before the -3, whose cancellation near
+        # m^2 = 1/3 leaves no relative precision to test.
+        ups = np.arange(1, t)
+        x = np.where(np.arange(t) < ups[:, None], 1.0, -1.0)
+        np.random.default_rng(t).permuted(x, axis=1, out=x)
+        st = window_stats(x)
+        m = (2.0 * ups - t) / t
+        np.testing.assert_allclose(st.skewness, -2.0 * m / np.sqrt(1.0 - m * m),
+                                   rtol=1e-12, atol=0)
+        np.testing.assert_allclose(st.kurtosis + 3.0, (1.0 + 3.0 * m * m) / (1.0 - m * m),
+                                   rtol=1e-12, atol=0)
+
     def test_identical_pair_fully_correlated(self):
         rng = np.random.default_rng(0)
         row = rng.normal(size=200)
