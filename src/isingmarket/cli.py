@@ -194,7 +194,10 @@ def _cmd_energy(args) -> int:
     params = params_from_json(Path(args.params).read_text())
     panel, _ = load_price_csv(args.prices)
     binary = binarize(log_returns(panel))
-    t = args.window_size or binary.n_steps
+    t = binary.n_steps if args.window_size is None else args.window_size
+    if not 1 <= t <= binary.n_steps:
+        raise ConfigError(f"-T/--window-size must lie in [1, {binary.n_steps}], "
+                          f"the return history; got {t}")
     means = window_stats(binary.values[:, -t:]).means
     split = energy_split(params, means)
     out = Path(args.out_dir or ".")
@@ -265,8 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--n-boot", type=int, dest="n_boot")
             p.add_argument("--emit-matrices", action="store_true",
                            default=None, dest="emit_matrices")
-            p.add_argument("--third-order", action="store_true",
-                           default=None, dest="with_third_order")
             p.add_argument("--eigen-top", type=int, dest="eigen_top_k")
         p.set_defaults(fn=lambda a, s=stages: _run_pipeline(a, s))
 

@@ -6,7 +6,7 @@ fixed-subset coupling scaling.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -155,7 +155,8 @@ def scaling_exponents(panel: ReturnPanel, end_date: str, window_size: int,
     log|moment| is regressed on log size across sizes.  Repeats whose
     moment vanishes or changes sign are excluded and counted.  `method` is
     an inference method name, or a callable mapping an (n, T) window to
-    IsingParams for custom parameter sources.
+    IsingParams for custom parameter sources.  Each repeat's members and
+    fit seeds derive from its own child of SeedSequence(seed).
     """
     sizes = sorted(int(n) for n in sizes)
     if len(set(sizes)) < 3:
@@ -166,16 +167,16 @@ def scaling_exponents(panel: ReturnPanel, end_date: str, window_size: int,
         raise ValueError("need at least one repeat")
     window = _window_matrix(panel, end_date, window_size)
 
-    run = method if callable(method) else _make_inference_fn(method, cfg)
+    run = _fit_fn(method, cfg)
     root = np.random.SeedSequence(seed)
     # h_vals[moment][repeat] is the per-size moment track, likewise j_vals
     h_vals = {name: [[] for _ in range(repeats)] for name in MOMENT_NAMES}
     j_vals = {name: [[] for _ in range(repeats)] for name in MOMENT_NAMES}
     for r, child in enumerate(root.spawn(repeats)):
         rng = np.random.default_rng(child)
-        for n_sub in sizes:
+        for n_sub, fit_seed in zip(sizes, child.spawn(len(sizes))):
             members = np.sort(rng.choice(panel.n_series, size=n_sub, replace=False))
-            params = run(window[members])
+            params = run(window[members], fit_seed)
             h_moments = moment_summary(params.h)
             j_moments = moment_summary(_upper(params.J))
             for name in MOMENT_NAMES:
@@ -189,15 +190,14 @@ def scaling_exponents(panel: ReturnPanel, end_date: str, window_size: int,
     return report
 
 
-def _make_inference_fn(method: str, cfg: InferenceConfig | None):
-    from dataclasses import replace
-    base = cfg if cfg is not None else InferenceConfig()
-    base = replace(base, method=method)
-
-    def run(window: np.ndarray) -> IsingParams:
-        return infer(window_stats(window), base).params
-
-    return run
+def _fit_fn(method, cfg: InferenceConfig | None):
+    """(window, seed) -> IsingParams: a callable `method` ignores the seed;
+    a method name fits with `cfg` under that seed."""
+    if callable(method):
+        return lambda window, seed: method(window)
+    base = replace(cfg if cfg is not None else InferenceConfig(), method=method)
+    return lambda window, seed: infer(window_stats(window),
+                                      replace(base, seed=seed)).params
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +240,8 @@ def subset_coupling_scan(panel: ReturnPanel, end_date: str, window_size: int,
     tickers up to N', parameters are inferred on the enlarged window, and
     the subset-by-subset coupling block is extracted.  With
     totals == [len(subset)] no padding happens and the block equals direct
-    inference on the subset alone.
+    inference on the subset alone.  Each total's extra members and fit seed
+    derive from its own child of SeedSequence(seed).
     """
     subset = tuple(int(i) for i in subset)
     if len(set(subset)) != len(subset):
@@ -253,7 +254,7 @@ def subset_coupling_scan(panel: ReturnPanel, end_date: str, window_size: int,
     if totals and totals[-1] > panel.n_series:
         raise ValueError(f"total {totals[-1]} exceeds panel N={panel.n_series}")
     window = _window_matrix(panel, end_date, window_size)
-    run = method if callable(method) else _make_inference_fn(method, cfg)
+    run = _fit_fn(method, cfg)
 
     others = np.array([i for i in range(panel.n_series) if i not in subset])
     root = np.random.SeedSequence(seed)
@@ -264,7 +265,7 @@ def subset_coupling_scan(panel: ReturnPanel, end_date: str, window_size: int,
         extras = np.sort(rng.choice(others, size=n_extra, replace=False)) if n_extra \
             else np.array([], dtype=int)
         members = np.concatenate([np.asarray(subset, dtype=int), extras])
-        params = run(window[members])
+        params = run(window[members], child.spawn(1)[0])
         pos = {m: k for k, m in enumerate(members)}
         idx = np.array([pos[i] for i in subset])
         block = params.J[np.ix_(idx, idx)]

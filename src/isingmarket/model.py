@@ -34,7 +34,6 @@ class IsingParams:
 
     h: np.ndarray
     J: np.ndarray
-    beta: float = 1.0
     tickers: tuple[str, ...] | None = None
 
     def __post_init__(self):
@@ -48,8 +47,6 @@ class IsingParams:
             raise ValueError("J must be symmetric")
         if not np.allclose(np.diag(j), 0.0, atol=1e-12):
             raise ValueError("J must have zero diagonal")
-        if self.beta != 1.0:
-            raise ValueError("beta is fixed at 1")
         j = (j + j.T) / 2.0
         np.fill_diagonal(j, 0.0)
         h = h.copy()

@@ -29,8 +29,8 @@ from .network import (coupling_cutoff_scan, edges_to_csv, edges_to_dot,
                       eigen_cutoff_scan, mst_result)
 from .panels import (RETURN_KINDS, WindowSpec, binarize, load_price_csv,
                      load_sector_csv, log_returns, standardize_window, windows)
-from .stats import (dft_amplitudes, off_diagonal_summary, stats_csv_rows,
-                    window_stats)
+from .stats import (dft_amplitudes, eigen_csv_rows, off_diagonal_summary,
+                    stats_csv_rows, window_stats)
 
 STAGES = ("stats", "infer", "mst", "cutoff", "scaling", "subset", "energy",
           "compare")
@@ -77,7 +77,6 @@ class RunConfig:
     eigen_top_k: int = 4
     n_boot: int = 0
     boot_level: float = 0.95
-    with_third_order: bool = False
     emit_matrices: bool = False
     cutoff_points: int = 15
     scaling_sizes: tuple[int, ...] = ()
@@ -384,16 +383,18 @@ def _window_unit(cfg: RunConfig, out: Path, idx: int, date: str, block,
         block = standardize_window(block, label=f"window ending {date}")
     st = None
     if "stats" in cfg.stages:
-        st = window_stats(block, with_third_order=cfg.with_third_order,
-                          labels=tickers)
+        st = window_stats(block, labels=tickers)
         boot_seed = _window_seed(cfg.seed, idx, salt=7).generate_state(1)[0]
         summary = off_diagonal_summary(st.covariance, n_boot=cfg.n_boot,
                                        level=cfg.boot_level, seed=int(boot_seed))
-        rows["stats"] = stats_csv_rows(date, tickers, st, summary)
-        rows["eigen"] = [(date, k + 1, st.eigenvalues[k])
-                         for k in range(min(cfg.eigen_top_k, len(st.eigenvalues)))]
+        rows["stats"] = stats_csv_rows(date, tickers, block, summary)
+        rows["eigen"] = eigen_csv_rows(date, st.covariance, cfg.eigen_top_k)
         if cfg.emit_matrices:
-            for name, m in (("cov", st.covariance), ("corr", st.correlation)):
+            vol = np.sqrt(np.diag(st.covariance))
+            corr = st.covariance / np.outer(vol, vol)
+            np.fill_diagonal(corr, 1.0)
+            corr = np.clip(corr, -1.0, 1.0)
+            for name, m in (("cov", st.covariance), ("corr", corr)):
                 write_json(out / "stats" / "matrices" / f"{date}_{name}.json",
                            {"tickers": list(tickers), "matrix": m.tolist()})
     if not _needs_inference(cfg):  # validate() ensures kind == "binary" past here

@@ -1,6 +1,7 @@
 """
-Per-window sample statistics: moments, covariance/correlation, spectra,
-third-order covariances and bootstrap confidence intervals.
+Per-window sample statistics: the means and covariance that inference
+reads, the stats stage's per-series moment and spectrum rows, third-order
+central moments and bootstrap confidence intervals.
 """
 
 from __future__ import annotations
@@ -17,36 +18,10 @@ THIRD_ORDER_MAX_N = 128  # O(N^3 T) cost guard
 
 @dataclass(frozen=True)
 class WindowStats:
-    """First, second and (optionally) third order statistics of one window.
-
-    All moments use population (1/T) normalization.  Kurtosis is excess
-    kurtosis, zero for a Gaussian.  Eigenvalues/eigenvectors are those of
-    the covariance matrix, sorted descending, each eigenvector scaled to
-    unit norm with its largest-magnitude entry positive.
-    """
+    """Means and covariance of one window, population (1/T) normalized."""
 
     means: np.ndarray          # (N,)
     covariance: np.ndarray     # (N, N)
-    correlation: np.ndarray    # (N, N)
-    volatilities: np.ndarray   # (N,)
-    skewness: np.ndarray       # (N,)
-    kurtosis: np.ndarray       # (N,)
-    eigenvalues: np.ndarray    # (N,) descending
-    eigenvectors: np.ndarray   # (N, N) columns
-    n_obs: int
-    third_order: np.ndarray | None = None  # (N, N, N) central moments
-
-
-def _sorted_eigh(m: np.ndarray):
-    lam, vec = np.linalg.eigh(m)
-    order = np.argsort(lam)[::-1]
-    lam = lam[order]
-    vec = vec[:, order]
-    # sign convention: largest-magnitude entry of each eigenvector positive
-    for k in range(vec.shape[1]):
-        if vec[np.argmax(np.abs(vec[:, k])), k] < 0:
-            vec[:, k] = -vec[:, k]
-    return lam, vec
 
 
 def third_order_tensor(window: np.ndarray, max_n: int = THIRD_ORDER_MAX_N) -> np.ndarray:
@@ -59,8 +34,7 @@ def third_order_tensor(window: np.ndarray, max_n: int = THIRD_ORDER_MAX_N) -> np
     return np.einsum("it,jt,kt->ijk", xc, xc, xc) / t
 
 
-def window_stats(window: np.ndarray, with_third_order: bool = False,
-                 labels=None) -> WindowStats:
+def window_stats(window: np.ndarray, labels=None) -> WindowStats:
     """Compute WindowStats for an (N, T) window.
 
     Warns when T < N (covariance not positive definite for inversion
@@ -79,22 +53,11 @@ def window_stats(window: np.ndarray, with_third_order: bool = False,
     xc = x - m[:, None]
     cov = (xc @ xc.T) / t
     cov = (cov + cov.T) / 2.0
-    var = np.diag(cov).copy()
-    dead = np.flatnonzero(var <= 0.0)
+    dead = np.flatnonzero(np.diag(cov) <= 0.0)
     if dead.size:
         name = labels[dead[0]] if labels is not None else f"series {dead[0]}"
         raise ValueError(f"{name} has zero variance in this window")
-    vol = np.sqrt(var)
-    corr = cov / np.outer(vol, vol)
-    np.fill_diagonal(corr, 1.0)
-    corr = np.clip(corr, -1.0, 1.0)
-    # powers by products, as in `_moments`: numpy's general `**` is slow
-    d2 = xc * xc
-    skew = (d2 * xc).mean(axis=1) / vol**3
-    kurt = (d2 * d2).mean(axis=1) / vol**4 - 3.0
-    lam, vec = _sorted_eigh(cov)
-    third = third_order_tensor(x) if with_third_order else None
-    return WindowStats(m, cov, corr, vol, skew, kurt, lam, vec, t, third)
+    return WindowStats(m, cov)
 
 
 # ---------------------------------------------------------------------------
@@ -249,19 +212,26 @@ def dft_amplitudes(series) -> np.ndarray:
 # Serialization helpers
 # ---------------------------------------------------------------------------
 
-def stats_csv_rows(date: str, tickers, stats: WindowStats,
+def stats_csv_rows(date: str, tickers, window: np.ndarray,
                    summary: MomentSummary | None = None):
-    """Flatten WindowStats into `date,series,stat,value,ci_lo,ci_hi` rows."""
-    rows = []
-    for i, t in enumerate(tickers):
-        rows.append((date, t, "mean", stats.means[i], "", ""))
-        rows.append((date, t, "vol", stats.volatilities[i], "", ""))
-        rows.append((date, t, "skew", stats.skewness[i], "", ""))
-        rows.append((date, t, "kurt", stats.kurtosis[i], "", ""))
+    """`date,series,stat,value,ci_lo,ci_hi` rows: each series' mean, vol,
+    skew and excess kurtosis over the (N, T) window, then the summary."""
+    x = np.asarray(window, dtype=np.float64)
+    columns = [_moments(x, name) for name in MOMENT_NAMES]
+    rows = [(date, t, stat, column[i], "", "")
+            for i, t in enumerate(tickers)
+            for stat, column in zip(("mean", "vol", "skew", "kurt"), columns)]
     if summary is not None:
-        for name in ("mean", "std", "skew", "kurt"):
+        for name in MOMENT_NAMES:
             lo, hi = ("", "")
             if summary.ci and name in summary.ci:
                 lo, hi = summary.ci[name]
             rows.append((date, "__offdiag__", name, getattr(summary, name), lo, hi))
     return rows
+
+
+def eigen_csv_rows(date: str, covariance: np.ndarray, top_k: int):
+    """`date,rank,eigenvalue` rows of the `top_k` largest covariance eigenvalues."""
+    # eigh, not eigvalsh: their values can differ in the last bits
+    lam = np.linalg.eigh(covariance)[0][::-1]
+    return [(date, k + 1, lam[k]) for k in range(min(top_k, lam.size))]

@@ -10,31 +10,18 @@ from isingmarket.model import IsingParams, exact_moments_small
 from isingmarket.stats import WindowStats
 
 
-def stats_from_params(params: IsingParams, n_obs: int = 10_000) -> WindowStats:
-    """WindowStats whose means/covariance are the exact model moments.
-
-    Skewness/kurtosis are filled with the closed-form values for a +-1
-    variable; inference routines only consume means and covariance.
-    """
+def stats_from_params(params: IsingParams) -> WindowStats:
+    """WindowStats whose means/covariance are the exact model moments."""
     mom = exact_moments_small(params, max_n=16)
     m = mom.means
     cov = mom.pair_moments - np.outer(m, m)
     cov = (cov + cov.T) / 2.0
     np.fill_diagonal(cov, 1.0 - m**2)
-    return stats_from_moments(m, cov, n_obs)
+    return stats_from_moments(m, cov)
 
 
-def stats_from_moments(m: np.ndarray, cov: np.ndarray, n_obs: int = 10_000) -> WindowStats:
-    vol = np.sqrt(np.diag(cov))
-    corr = cov / np.outer(vol, vol)
-    np.fill_diagonal(corr, 1.0)
-    lam, vec = np.linalg.eigh(cov)
-    order = np.argsort(lam)[::-1]
-    # skew/kurt of a +-1 variable with mean m, in closed form
-    skew = -2.0 * m / np.sqrt(np.maximum(1.0 - m**2, 1e-300))
-    kurt = (1.0 + 3.0 * m**2) / np.maximum(1.0 - m**2, 1e-300) - 3.0
-    return WindowStats(m, cov, corr, vol, skew, kurt, lam[order], vec[:, order],
-                       n_obs)
+def stats_from_moments(m: np.ndarray, cov: np.ndarray) -> WindowStats:
+    return WindowStats(m, cov)
 
 
 def brute_force_max_tree_weight(w: np.ndarray) -> float:

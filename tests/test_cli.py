@@ -180,6 +180,18 @@ class TestInferCommand:
         m = np.asarray(payload["matrix"])
         assert m.shape == (12, 12)
 
+    def test_infer_only_run_needs_no_eigendecomposition(self, market, tmp_path,
+                                                        monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("infer-only run called numpy.linalg.eigh")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        rc = main(["infer", "--prices", str(market / "prices.csv"),
+                   "--out-dir", str(tmp_path), "-T", "300", "--stride", "50",
+                   "--method", "nmf,tap,sm", "--seed", "2"])
+        assert rc == 0
+        assert len(list((tmp_path / "params" / "sm").glob("*.json"))) == 3
+
     def test_diag_trick_flag_changes_fields(self, market, tmp_path):
         params = {}
         for mode in ("on", "off"):
@@ -283,6 +295,26 @@ class TestAnalysisCommands:
         assert np.isclose(payload["e_ext"] + payload["e_int"],
                           payload["e_ext"] + payload["e_int"])
         assert "E_ext" in capsys.readouterr().out
+
+    def test_energy_without_window_uses_whole_history(self, market, tmp_path):
+        outputs = []
+        for name, flags in (("default", []), ("full", ["-T", "400"])):
+            rc = main(["energy", "--params", str(market / "truth.json"),
+                       "--prices", str(market / "prices.csv"),
+                       "--out-dir", str(tmp_path / name), *flags])
+            assert rc == 0
+            outputs.append((tmp_path / name / "energy.json").read_text())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("t", ["-5", "0", "401", "100000"])
+    def test_energy_window_outside_history_is_config_error(self, market, tmp_path,
+                                                           capsys, t):
+        rc = main(["energy", "--params", str(market / "truth.json"),
+                   "--prices", str(market / "prices.csv"),
+                   "--out-dir", str(tmp_path / "out"), "-T", t])
+        assert rc == 2
+        assert "-T/--window-size" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_compare_one_shot(self, market, tmp_path):
         rc = main(["compare", "--a", str(market / "truth.json"),
@@ -515,7 +547,6 @@ class TestConfigParsing:
             "eigen_top_k": ("2", 2),
             "n_boot": ("150", 150),
             "boot_level": ("0.9", 0.9),
-            "with_third_order": ("true", True),
             "emit_matrices": ("1", True),
             "cutoff_points": ("4", 4),
             "scaling_sizes": ("4,6, 12", (4, 6, 12)),
@@ -557,7 +588,6 @@ class TestConfigParsing:
             "mc_burnin": (["--mc-burnin", "13"], 13),
             "eigen_top_k": (["--eigen-top", "2"], 2),
             "n_boot": (["--n-boot", "100"], 100),
-            "with_third_order": (["--third-order"], True),
             "emit_matrices": (["--emit-matrices"], True),
             "cutoff_points": (["--cutoff-points", "3"], 3),
             "compare_pairs": (["--pairs", "nmf:tap"], [["nmf", "tap"]]),

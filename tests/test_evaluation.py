@@ -120,13 +120,31 @@ def planted_moment_params(n_sub: int) -> IsingParams:
     return IsingParams(h, np.zeros((n_sub, n_sub)))
 
 
+def coin_panel(n=40, steps=60, seed=6):
+    values = np.sign(np.random.default_rng(seed).normal(size=(n, steps)))
+    dates = tuple(f"d{t:05d}" for t in range(steps))
+    return ReturnPanel(synthetic_tickers(n), dates, values, "binary")
+
+
+# Boltzmann learning that samples at every subset size, on a small budget
+SAMPLED_EXACT = InferenceConfig(method="exact", exact_max_n=2, max_iters=3,
+                                mc_sweeps=20, mc_chains=4, mc_burnin=5)
+
+
 class TestScalingExponents:
     def make_panel(self, n=40, steps=60):
-        rng = np.random.default_rng(6)
-        values = np.sign(rng.normal(size=(n, steps)))
-        tickers = synthetic_tickers(n)
-        dates = tuple(f"d{t:05d}" for t in range(steps))
-        return ReturnPanel(tickers, dates, values, "binary")
+        return coin_panel(n, steps)
+
+    def test_sampled_fits_reproducible_for_a_seed(self):
+        panel = self.make_panel(n=8)
+        tracks = []
+        for _ in range(2):
+            report = scaling_exponents(panel, panel.dates[-1], 50, sizes=[3, 5, 8],
+                                       repeats=2, method="exact", seed=0,
+                                       cfg=SAMPLED_EXACT)
+            tracks.append([(fit.alphas, fit.n_excluded)
+                           for fits in (report.h, report.j) for fit in fits.values()])
+        assert tracks[0] == tracks[1]
 
     def test_planted_power_laws_recovered(self):
         panel = self.make_panel()
@@ -181,6 +199,15 @@ class TestScalingExponents:
 
 
 class TestSubsetCouplingScan:
+    def test_sampled_fits_reproducible_for_a_seed(self):
+        panel = coin_panel(n=8, seed=17)
+        scans = [subset_coupling_scan(panel, panel.dates[-1], 50, [0, 1, 2],
+                                      totals=[3, 5, 8], method="exact", seed=0,
+                                      cfg=SAMPLED_EXACT) for _ in range(2)]
+        for a, b in zip(scans[0].entries, scans[1].entries):
+            assert a.members == b.members
+            np.testing.assert_array_equal(a.couplings, b.couplings)
+
     def test_single_total_matches_direct_inference(self):
         truth = random_model(30, 0.1, 0.08, seed=9)
         panel = binary_panel_from(truth, 700, seed=10)

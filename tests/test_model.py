@@ -32,10 +32,6 @@ class TestIsingParams:
         with pytest.raises(ValueError, match="diagonal"):
             IsingParams(np.zeros(2), np.eye(2))
 
-    def test_beta_fixed(self):
-        with pytest.raises(ValueError, match="beta"):
-            IsingParams(np.zeros(1), np.zeros((1, 1)), beta=2.0)
-
     def test_json_round_trip(self):
         params = random_model(5, 0.5, 0.3, seed=1)
         again = params_from_json(params_to_json(params))

@@ -1,3 +1,4 @@
+import json
 import logging
 import re
 
@@ -6,10 +7,40 @@ import pytest
 
 from isingmarket import stats as stats_module
 from isingmarket.panels import standardize_window
-from isingmarket.stats import (_sorted_eigh, bootstrap_ci, dft_amplitudes,
+from isingmarket.pipeline import RunConfig, run
+from isingmarket.stats import (bootstrap_ci, dft_amplitudes, eigen_csv_rows,
                                moment_summary, off_diagonal_summary,
-                               off_diagonal_values, third_order_tensor,
-                               window_stats)
+                               off_diagonal_values, stats_csv_rows,
+                               third_order_tensor, window_stats)
+
+
+def stage_moments(x):
+    """Per-series moments as the stats stage writes them, keyed by stat."""
+    columns = {}
+    for _, _, stat, value, _, _ in stats_csv_rows("d", range(len(x)), x):
+        columns.setdefault(stat, []).append(value)
+    return {stat: np.array(values) for stat, values in columns.items()}
+
+
+def spectrum(cov):
+    """Every covariance eigenvalue as the stats stage writes them."""
+    return np.array([value for _, _, value in eigen_csv_rows("d", cov, len(cov))])
+
+
+def emitted_correlation(tmp_path, returns):
+    """Correlation matrix that `stats --emit-matrices` writes for one window
+    spanning the given (N, T) log returns."""
+    n, t = returns.shape
+    prices = 100.0 * np.exp(np.concatenate([np.zeros((n, 1)),
+                                            np.cumsum(returns, axis=1)], axis=1))
+    path = tmp_path / "prices.csv"
+    path.write_text("date," + ",".join(f"S{i}" for i in range(n)) + "\n" + "".join(
+        f"d{d:04d}," + ",".join(repr(float(v)) for v in prices[:, d]) + "\n"
+        for d in range(t + 1)))
+    run(RunConfig(prices=str(path), out_dir=str(tmp_path / "out"), kind="raw",
+                  window_size=t, stages=("stats",), emit_matrices=True))
+    [corr] = (tmp_path / "out" / "stats" / "matrices").glob("*_corr.json")
+    return np.asarray(json.loads(corr.read_text())["matrix"])
 
 
 class TestWindowStats:
@@ -19,8 +50,9 @@ class TestWindowStats:
         st = window_stats(x)
         assert st.means[0] == 0.0
         assert st.covariance[0, 0] == 1.0
-        assert st.skewness[0] == 0.0
-        assert st.kurtosis[0] == -2.0
+        moments = stage_moments(x)
+        assert moments["skew"][0] == 0.0
+        assert moments["kurt"][0] == -2.0
 
     @pytest.mark.parametrize("t", [2, 7, 250, 1001])
     def test_binary_series_closed_forms(self, t):
@@ -31,28 +63,42 @@ class TestWindowStats:
         ups = np.arange(1, t)
         x = np.where(np.arange(t) < ups[:, None], 1.0, -1.0)
         np.random.default_rng(t).permuted(x, axis=1, out=x)
-        st = window_stats(x)
+        moments = stage_moments(x)
         m = (2.0 * ups - t) / t
-        np.testing.assert_allclose(st.skewness, -2.0 * m / np.sqrt(1.0 - m * m),
+        np.testing.assert_allclose(moments["skew"], -2.0 * m / np.sqrt(1.0 - m * m),
                                    rtol=1e-12, atol=0)
-        np.testing.assert_allclose(st.kurtosis + 3.0, (1.0 + 3.0 * m * m) / (1.0 - m * m),
+        np.testing.assert_allclose(moments["kurt"] + 3.0,
+                                   (1.0 + 3.0 * m * m) / (1.0 - m * m),
                                    rtol=1e-12, atol=0)
 
-    def test_identical_pair_fully_correlated(self):
+    def test_stage_rows_follow_window_moments(self):
+        rng = np.random.default_rng(8)
+        x = np.sign(rng.normal(0.2, 1.0, size=(5, 250)))
+        rows = stats_csv_rows("d", list("ABCDE"), x)
+        assert [r[1:3] for r in rows[:8]] == [
+            ("A", "mean"), ("A", "vol"), ("A", "skew"), ("A", "kurt"),
+            ("B", "mean"), ("B", "vol"), ("B", "skew"), ("B", "kurt")]
+        st = window_stats(x)
+        moments = stage_moments(x)
+        np.testing.assert_array_equal(moments["mean"], st.means)
+        np.testing.assert_allclose(moments["vol"], np.sqrt(np.diag(st.covariance)),
+                                   rtol=1e-13)
+
+    def test_identical_pair_fully_correlated(self, tmp_path):
         rng = np.random.default_rng(0)
-        row = rng.normal(size=200)
-        st = window_stats(np.stack([row, row]))
-        np.testing.assert_allclose(st.correlation[0, 1], 1.0, atol=1e-12)
+        row = 0.01 * rng.normal(size=200)
+        corr = emitted_correlation(tmp_path, np.stack([row, row]))
+        np.testing.assert_allclose(corr[0, 1], 1.0, atol=1e-12)
 
     def test_gaussian_window_moments_inside_bootstrap_ci(self):
         # sampling oracle: skew and kurt of a large normal sample should be
         # statistically indistinguishable from zero
         rng = np.random.default_rng(1)
         x = rng.standard_normal((1, 10_000))
-        st = window_stats(x)
-        for stat, value in (("skew", st.skewness[0]), ("kurt", st.kurtosis[0])):
+        moments = stage_moments(x)
+        for stat in ("skew", "kurt"):
             lo, hi = bootstrap_ci(x[0], stat, n_resamples=500, level=0.95, seed=5)
-            assert lo <= value <= hi
+            assert lo <= moments[stat][0] <= hi
             assert lo < 0.0 < hi
 
     def test_zero_variance_series_named(self):
@@ -62,13 +108,13 @@ class TestWindowStats:
         with pytest.raises(ValueError, match="AAA"):
             window_stats(x, labels=["AAA", "BBB"])
 
-    def test_correlation_matches_standardized_covariance(self):
+    def test_correlation_matches_standardized_covariance(self, tmp_path):
         rng = np.random.default_rng(2)
-        x = rng.normal(size=(5, 300))
-        st = window_stats(x)
-        z = standardize_window(x)
-        cov_z = z @ z.T / z.shape[1]
-        np.testing.assert_allclose(st.correlation, cov_z, atol=1e-8)
+        corr = emitted_correlation(tmp_path, 0.01 * rng.normal(size=(5, 300)))
+        prices = np.loadtxt(tmp_path / "prices.csv", delimiter=",", skiprows=1,
+                            usecols=range(1, 6)).T
+        z = standardize_window(np.diff(np.log(prices), axis=1))
+        np.testing.assert_allclose(corr, z @ z.T / z.shape[1], atol=1e-8)
 
     def test_binary_variance_identity_exact(self):
         rng = np.random.default_rng(3)
@@ -80,26 +126,19 @@ class TestWindowStats:
     def test_covariance_psd_when_t_exceeds_n(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(8, 50))
-        st = window_stats(x)
-        assert st.eigenvalues.min() >= -1e-10 * st.eigenvalues.max()
+        lam = spectrum(window_stats(x).covariance)
+        assert lam.min() >= -1e-10 * lam.max()
 
     def test_eigen_sum_matches_trace(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(7, 60))
         st = window_stats(x)
-        np.testing.assert_allclose(st.eigenvalues.sum(), np.trace(st.covariance),
-                                   atol=1e-8)
-
-    def test_eigenvectors_orthonormal(self):
-        rng = np.random.default_rng(6)
-        st = window_stats(rng.normal(size=(6, 100)))
-        np.testing.assert_allclose(st.eigenvectors.T @ st.eigenvectors, np.eye(6),
-                                   atol=1e-8)
+        np.testing.assert_allclose(spectrum(st.covariance).sum(),
+                                   np.trace(st.covariance), atol=1e-8)
 
     def test_third_order_symmetric(self):
         rng = np.random.default_rng(7)
-        st = window_stats(rng.normal(size=(4, 80)), with_third_order=True)
-        t = st.third_order
+        t = third_order_tensor(rng.normal(size=(4, 80)))
         for perm in ((0, 2, 1), (1, 0, 2), (2, 1, 0)):
             np.testing.assert_allclose(t, np.transpose(t, perm), atol=1e-12)
 
@@ -307,14 +346,8 @@ class TestDftAmplitudes:
                                        atol=1e-10)
 
 
-def assert_sign_convention(vecs):
-    # largest-magnitude entry of every eigenvector positive
-    for k in range(vecs.shape[1]):
-        assert vecs[np.argmax(np.abs(vecs[:, k])), k] > 0
-
-
 class TestEigenTop:
-    """Eigenpairs of the window covariance carried by WindowStats."""
+    """Covariance eigenvalues written to `stats/eigen.csv`."""
 
     def test_identity_correlation(self):
         # rows of a Sylvester-Hadamard matrix past the first are zero-mean and
@@ -323,33 +356,32 @@ class TestEigenTop:
         for _ in range(3):
             h = np.block([[h, h], [h, -h]])
         st = window_stats(h[1:5])
-        np.testing.assert_allclose(st.eigenvalues, 1.0, atol=1e-12)
+        np.testing.assert_allclose(spectrum(st.covariance), 1.0, atol=1e-12)
 
     def test_rank_one_matrix(self):
         v = np.array([1.0, -1.0, 1.0, 1.0])  # |v|^2 = N
         z = np.tile([1.0, -1.0], 50)         # mean 0, population variance 1
-        st = window_stats(np.outer(v, z))
-        assert st.eigenvalues[0] == pytest.approx(4.0)
-        np.testing.assert_allclose(st.eigenvalues[1:], 0.0, atol=1e-12)
-        assert_sign_convention(st.eigenvectors)
+        lam = spectrum(window_stats(np.outer(v, z)).covariance)
+        assert lam[0] == pytest.approx(4.0)
+        np.testing.assert_allclose(lam[1:], 0.0, atol=1e-12)
 
     def test_equicorrelation_closed_form(self):
         # N=4, rho=0.5: top eigenvalue 1+3*rho, the rest 1-rho
         rho = 0.5
         m = np.full((4, 4), rho)
         np.fill_diagonal(m, 1.0)
-        lams, _ = _sorted_eigh(m)
-        np.testing.assert_allclose(lams, [2.5, 0.5, 0.5, 0.5], atol=1e-12)
+        np.testing.assert_allclose(spectrum(m), [2.5, 0.5, 0.5, 0.5], atol=1e-12)
 
     def test_from_window_stats(self):
         rng = np.random.default_rng(13)
         st = window_stats(rng.normal(size=(5, 100)))
-        np.testing.assert_allclose(st.eigenvalues,
+        np.testing.assert_allclose(spectrum(st.covariance),
                                    np.linalg.eigvalsh(st.covariance)[::-1],
                                    atol=1e-12)
-        np.testing.assert_allclose(st.covariance @ st.eigenvectors,
-                                   st.eigenvectors * st.eigenvalues, atol=1e-12)
-        assert_sign_convention(st.eigenvectors)
+
+    def test_top_k_rows(self):
+        rows = eigen_csv_rows("2001-01-02", np.diag([1.0, 3.0, 2.0]), 2)
+        assert rows == [("2001-01-02", 1, 3.0), ("2001-01-02", 2, 2.0)]
 
 
 class TestMomentSummaryCI:
