@@ -24,10 +24,10 @@ import numpy as np
 from . import __version__
 from .evaluation import compare_methods
 from .model import energy_split, params_from_json
-from .network import edges_to_csv, edges_to_dot, mst_result
+from .network import edges_to_csv, edges_to_dot, mst_result, window_forests
 from .panels import binarize, load_price_csv, load_sector_csv, log_returns
 from .pipeline import (ConfigError, NonConvergenceError, RunConfig,
-                       _cutoff_scans, _write_scan_csv, config_from_mapping,
+                       _write_scan_csv, config_from_mapping,
                        parse_config_file, run, sample_to_files, write_csv,
                        write_json)
 from .stats import window_stats
@@ -181,7 +181,8 @@ def _cmd_cutoff(args) -> int:
     points = RunConfig.cutoff_points if args.cutoff_points is None else args.cutoff_points
     if points < 1:
         raise ConfigError("cutoff_points must be at least 1")
-    pts, pts_e = _cutoff_scans(params.J, labels, points, args.direction)
+    _, pts, pts_e = window_forests([params.J], labels, mst=False, cutoff_points=points,
+                                   direction=args.direction)[0]
     _write_scan_csv(out / "coupling_scan.csv", pts)
     _write_scan_csv(out / "eigen_scan.csv", pts_e)
     print(f"wrote scans over {len(pts)} coupling and {len(pts_e)} eigen thresholds")
@@ -195,8 +196,8 @@ def _cmd_energy(args) -> int:
     panel, _ = load_price_csv(args.prices)
     binary = binarize(log_returns(panel))
     t = binary.n_steps if args.window_size is None else args.window_size
-    if not 1 <= t <= binary.n_steps:
-        raise ConfigError(f"-T/--window-size must lie in [1, {binary.n_steps}], "
+    if not 2 <= t <= binary.n_steps:
+        raise ConfigError(f"-T/--window-size must lie in [2, {binary.n_steps}], "
                           f"the return history; got {t}")
     means = window_stats(binary.values[:, -t:]).means
     split = energy_split(params, means)

@@ -29,6 +29,8 @@ from .stats import WindowStats
 logger = logging.getLogger(__name__)
 
 METHODS = ("exact", "nmf", "tap", "ip", "sm")
+# methods that invert the covariance (exact through its mean-field start)
+INVERTING = ("exact", "nmf", "tap", "sm")
 
 # below this |m_i m_j| the TAP quadratic is numerically the nMF limit
 _TAP_MEAN_PRODUCT_FLOOR = 1e-8
@@ -97,7 +99,10 @@ def _check_means(m: np.ndarray, tickers=None):
         )
 
 
-def _invert_cov(cov: np.ndarray, ridge: float):
+def invert_covariance(cov: np.ndarray, ridge: float) -> tuple[np.ndarray, float]:
+    """Inverse and condition number of cov + ridge*I.  Every method in
+    INVERTING takes this pair as its `inverse` argument, so a caller fitting
+    several of them to one window computes it once."""
     c = cov + ridge * np.eye(cov.shape[0])
     cond = float(np.linalg.cond(c))
     try:
@@ -134,7 +139,8 @@ def _finish(j_single: np.ndarray, h: np.ndarray, method: str, tickers,
                            residual=None, diagnostics=diagnostics)
 
 
-def infer_nmf(stats: WindowStats, cfg: InferenceConfig, tickers=None) -> InferenceResult:
+def infer_nmf(stats: WindowStats, cfg: InferenceConfig, tickers=None,
+              inverse=None) -> InferenceResult:
     """First-order mean-field inversion of the covariance matrix.
 
     With the diagonal trick on (the default) the uncut diagonal of the
@@ -143,7 +149,7 @@ def infer_nmf(stats: WindowStats, cfg: InferenceConfig, tickers=None) -> Inferen
     """
     m = stats.means
     _check_means(m, tickers)
-    cinv, cond = _invert_cov(stats.covariance, cfg.ridge)
+    cinv, cond = inverse or invert_covariance(stats.covariance, cfg.ridge)
     j_full = _nmf_matrix(m, cinv)
     j_for_fields = j_full if cfg.use_diagonal_trick else _zero_diag(j_full)
     h = _fields(m, j_for_fields)
@@ -152,7 +158,8 @@ def infer_nmf(stats: WindowStats, cfg: InferenceConfig, tickers=None) -> Inferen
                     "diagonal_trick": cfg.use_diagonal_trick})
 
 
-def infer_tap(stats: WindowStats, cfg: InferenceConfig, tickers=None) -> InferenceResult:
+def infer_tap(stats: WindowStats, cfg: InferenceConfig, tickers=None,
+              inverse=None) -> InferenceResult:
     """Second-order (TAP) mean-field inversion.
 
     Per pair, solves 2 m_i m_j x^2 + x + (Cinv)_ij = 0 taking the root
@@ -166,7 +173,7 @@ def infer_tap(stats: WindowStats, cfg: InferenceConfig, tickers=None) -> Inferen
     """
     m = stats.means
     _check_means(m, tickers)
-    cinv, cond = _invert_cov(stats.covariance, cfg.ridge)
+    cinv, cond = inverse or invert_covariance(stats.covariance, cfg.ridge)
     mm = np.outer(m, m)
     disc = 1.0 - 8.0 * mm * cinv
     nmf_limit = np.abs(mm) < _TAP_MEAN_PRODUCT_FLOOR
@@ -216,8 +223,10 @@ def _pair_couplings(m: np.ndarray, cov: np.ndarray, tickers=None) -> np.ndarray:
     return _zero_diag(j_pair)
 
 
-def infer_ip(stats: WindowStats, cfg: InferenceConfig, tickers=None) -> InferenceResult:
-    """Independent-pair inversion: each coupling from its pair's joint table alone."""
+def infer_ip(stats: WindowStats, cfg: InferenceConfig, tickers=None,
+             inverse=None) -> InferenceResult:
+    """Independent-pair inversion: each coupling from its pair's joint table
+    alone.  No covariance inverse is needed; `inverse` is ignored."""
     m = stats.means
     _check_means(m, tickers)
     j_pair = _pair_couplings(m, stats.covariance, tickers)
@@ -225,13 +234,14 @@ def infer_ip(stats: WindowStats, cfg: InferenceConfig, tickers=None) -> Inferenc
     return _finish(j_pair, h, "ip", tickers, {})
 
 
-def infer_sm(stats: WindowStats, cfg: InferenceConfig, tickers=None) -> InferenceResult:
+def infer_sm(stats: WindowStats, cfg: InferenceConfig, tickers=None,
+             inverse=None) -> InferenceResult:
     """Small-correlation expansion: mean-field plus independent-pair couplings
     with the shared second-order term removed once.  Fields are the
     independent-pair fields."""
     m = stats.means
     _check_means(m, tickers)
-    cinv, cond = _invert_cov(stats.covariance, cfg.ridge)
+    cinv, cond = inverse or invert_covariance(stats.covariance, cfg.ridge)
     j_nmf = _zero_diag(_nmf_matrix(m, cinv))
     j_pair = _pair_couplings(m, stats.covariance, tickers)
     cov = stats.covariance
@@ -288,7 +298,8 @@ def _moment_gap(stats: WindowStats, moments: SampleStats):
     return gap_m, gap_p, float(max(np.abs(gap_m).max(), np.abs(gap_p).max()))
 
 
-def infer_exact(stats: WindowStats, cfg: InferenceConfig, tickers=None) -> InferenceResult:
+def infer_exact(stats: WindowStats, cfg: InferenceConfig, tickers=None,
+                inverse=None) -> InferenceResult:
     """Iterative learning: nudge (h, J) along the gap between data moments and
     model moments until the largest gap falls below cfg.tol.
 
@@ -306,7 +317,7 @@ def infer_exact(stats: WindowStats, cfg: InferenceConfig, tickers=None) -> Infer
     iterations is aborted as diverged.
     """
     _check_means(stats.means, tickers)
-    init = infer_nmf(stats, replace(cfg, diagonal_trick=True), tickers)
+    init = infer_nmf(stats, replace(cfg, diagonal_trick=True), tickers, inverse)
     h = init.params.h.copy()
     j = init.params.J.copy()
 
@@ -361,10 +372,12 @@ _DISPATCH = {"exact": infer_exact, "nmf": infer_nmf, "tap": infer_tap,
              "ip": infer_ip, "sm": infer_sm}
 
 
-def infer(stats: WindowStats, cfg: InferenceConfig, tickers=None) -> InferenceResult:
+def infer(stats: WindowStats, cfg: InferenceConfig, tickers=None,
+          inverse=None) -> InferenceResult:
     """Run the method selected by cfg.method; optionally attach a post-hoc
-    moment residual for closed-form methods."""
-    result = _DISPATCH[cfg.method](stats, cfg, tickers)
+    moment residual for closed-form methods.  `inverse`, when given, is
+    invert_covariance(stats.covariance, cfg.ridge)."""
+    result = _DISPATCH[cfg.method](stats, cfg, tickers, inverse)
     if cfg.report_residual and result.residual is None:
         result.residual = moment_residual(result.params, stats, cfg)
     return result

@@ -1,6 +1,7 @@
 """
 Spanning-tree structure of coupling/covariance matrices and industry-sector
-clustering quality.
+clustering quality.  Every tree and forest comes from one vectorized Prim
+pass over a stack of weight matrices.
 """
 
 from __future__ import annotations
@@ -40,80 +41,128 @@ class MstResult:
     disconnected: bool = False
 
 
-def _check_square_symmetric(w: np.ndarray) -> np.ndarray:
+def _check_square_symmetric(w: np.ndarray, min_nodes: int = 0) -> np.ndarray:
+    """`w` as float64 with its lower triangle mirrored from the upper one,
+    the only triangle read."""
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError("weight matrix must be square")
     if not np.allclose(w, w.T, atol=1e-10, equal_nan=True):
         raise ValueError("weight matrix must be symmetric")
-    return w
+    if w.shape[0] < min_nodes:
+        raise ValueError("need at least two nodes")
+    return np.where(np.tri(w.shape[0], k=-1, dtype=bool), w.T, w)
 
 
-class _UnionFind:
-    """Disjoint sets over nodes 0..n-1 with path halving."""
+def _prim(w: np.ndarray) -> np.ndarray:
+    """Parent arrays (K, n) of the maximum spanning forests of a (K, n, n)
+    stack of symmetric weights, all grown at once; a root's parent is -1.
 
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        """Merge the sets of a and b; False when they were already one."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        return True
-
-
-def _sorted_edges(w: np.ndarray):
-    """Upper-triangle edges as (rows, cols, weights) in (-w, i, j) order.
-
-    The order is a strict total order on edges, so the maximum spanning
-    forest over any subset of them is unique.
+    -inf marks a missing edge; the diagonal is never read.  Edges rank in
+    (-w, i, j) order: each step adds, per matrix, the free node whose best
+    edge into the tree has the highest weight, then the smallest code
+    min(i,j)*n + max(i,j).  The order is strict, so each forest is the one
+    Kruskal's algorithm builds.  When no edge crosses, the next tree starts
+    at the smallest free node.
     """
-    rows, cols = np.triu_indices(w.shape[0], k=1)
-    wts = w[rows, cols]
-    # triu_indices lists pairs in (i, j) order, which a stable sort keeps
-    order = np.argsort(-wts, kind="stable")
-    return rows[order], cols[order], wts[order]
+    k, n = w.shape[:2]
+    rows, node = np.arange(k), np.arange(n)
+    codes = np.minimum.outer(node, node) * n + np.maximum.outer(node, node)
+    parent = np.full((k, n), -1)
+    free = np.ones((k, n), dtype=bool)
+    # each free node's best edge into the tree: its weight and its code
+    key = np.full((k, n), -np.inf)
+    code = np.zeros((k, n), dtype=codes.dtype)
+    for _ in range(n):
+        best = key.max(axis=1)
+        crosses = best > -np.inf
+        first = np.where(key == best[:, None], code, n * n).argmin(axis=1)
+        v = np.where(crosses, first, free.argmax(axis=1))
+        c = code[rows, v]
+        parent[rows, v] = np.where(crosses, c // n + c % n - v, -1)  # the other end
+        free[rows, v] = False
+        key[rows, v] = -np.inf
+        wv, cv = w[rows, v], codes[v]
+        better = free & ((wv > key) | ((wv == key) & (cv < code)))
+        np.copyto(key, wv, where=better)
+        np.copyto(code, cv, where=better)
+    return parent
 
 
-def _kruskal(n: int, rows, cols, wts):
-    """Maximum spanning forest of edges given in (-w, i, j) order.
+def _forest_edges(w: np.ndarray, parent: np.ndarray) -> list[tuple[int, int, float]]:
+    """A forest's edges as (i, j, weight), i < j, in (-w, i, j) order."""
+    child = np.flatnonzero(parent >= 0)
+    i, j = np.minimum(child, parent[child]), np.maximum(child, parent[child])
+    wts = w[i, j]
+    order = np.lexsort((j, i, -wts))
+    return list(zip(i[order].tolist(), j[order].tolist(), wts[order].tolist()))
 
-    Returns (edges, n_components) with the kept edges in that order.
-    """
-    if rows.size == 0:
-        raise ValueError("no edges survive the cutoff")
-    uf = _UnionFind(n)
-    edges: list[tuple[int, int, float]] = []
-    for i, j, wt in zip(rows.tolist(), cols.tolist(), wts.tolist()):
-        if uf.union(i, j):
-            edges.append((i, j, wt))
-            if len(edges) == n - 1:
-                break
-    return edges, n - len(edges)
+
+def _scores(parent: np.ndarray, labels):
+    """Same-sector cluster sizes (K, n), Q_mst (K,) and component counts (K,)
+    of a stack of forests given as parent arrays.  Each cluster's size sits
+    at its topmost node; every other node holds 0."""
+    names, sector = np.unique(labels, return_inverse=True)
+    k, n = parent.shape
+    up = np.where((parent >= 0) & (sector[parent] == sector), parent, np.arange(n))
+    while True:  # pointer jumping: every node ends at its cluster's top
+        top = np.take_along_axis(up, up, axis=1)
+        if np.array_equal(top, up):
+            break
+        up = top
+    sizes = np.bincount((up + n * np.arange(k)[:, None]).ravel(),
+                        minlength=k * n).reshape(k, n)
+    q = sum(sizes[:, sector == s].max(axis=1) for s in range(names.size)) / len(labels)
+    return sizes, q, (parent < 0).sum(axis=1)
+
+
+def _cluster_dict(sizes: np.ndarray, labels) -> dict[str, list[int]]:
+    names, sector = np.unique(labels, return_inverse=True)
+    return {str(name): sorted(sizes[(sector == s) & (sizes > 0)].tolist(), reverse=True)
+            for s, name in enumerate(names)}
+
+
+def _trees(js, spectra, labels, mst: bool, grids, direction: str) -> list[tuple]:
+    """window_forests' (mst, coupling, eigen) per checked matrix, from one
+    batched Prim pass over a (K, n, n) stack: the MST with `mst`, then one
+    forest per threshold of the matrix's (coupling, eigen) grid.  `spectra`
+    holds each matrix's eigh when its eigen grid is not empty."""
+    starts = np.cumsum([0] + [int(mst) + len(c) + len(e) for c, e in grids])
+    stack = np.empty((starts[-1], len(labels), len(labels)))
+    for j, spectrum, (coupling, eigen), at in zip(js, spectra, grids, starts):
+        stack[at:at + mst] = j
+        at += mst
+        layers = stack[at:at + len(coupling)]
+        layers.fill(-np.inf)  # in place: no second copy of the layers
+        th = np.asarray(coupling, dtype=np.float64)[:, None, None]
+        np.copyto(layers, j, where=_survivors(j, th, direction))
+        for t, th in enumerate(eigen, at + len(coupling)):
+            stack[t] = _rebuild(*spectrum, th, direction)
+    parent = _prim(stack)
+    sizes, q, n_comp = _scores(parent, labels)
+    out = []
+    for j, (coupling, eigen), at in zip(js, grids, starts):
+        if (n_comp[at + mst:at + mst + len(coupling)] == len(labels)).any():
+            raise ValueError("no edges survive the cutoff")
+        tree = None
+        if mst:
+            tree = MstResult(_forest_edges(j, parent[at]), _cluster_dict(sizes[at], labels),
+                             float(q[at]))
+        points = [ScanPoint(float(th), float(q[t]), bool(n_comp[t] > 1))
+                  for t, th in enumerate(coupling + eigen, at + mst)]
+        out.append((tree, points[:len(coupling)], points[len(coupling):]))
+    return out
 
 
 def build_mst(w: np.ndarray) -> list[tuple[int, int, float]]:
     """Spanning tree of maximal total weight over a complete weight matrix.
 
-    Kruskal's algorithm over the upper triangle.  Returns N-1 edges as
+    Prim's algorithm over the upper triangle.  Returns N-1 edges as
     (i, j, weight) with i < j, sorted by descending weight, then by (i, j);
     equal weights therefore break toward the smallest index pair.
     """
-    w = _check_square_symmetric(w)
-    n = w.shape[0]
-    if n < 2:
-        raise ValueError("need at least two nodes")
-    edges, _ = _kruskal(n, *_sorted_edges(w))
-    return edges
+    w = _check_square_symmetric(w, min_nodes=2)
+    return _forest_edges(w, _prim(w[None])[0])
 
 
 def max_spanning_forest(w: np.ndarray, allowed: np.ndarray):
@@ -124,9 +173,11 @@ def max_spanning_forest(w: np.ndarray, allowed: np.ndarray):
     edge allowed this is build_mst.
     """
     w = _check_square_symmetric(w)
-    rows, cols, wts = _sorted_edges(w)
-    keep = np.asarray(allowed, dtype=bool)[rows, cols]
-    return _kruskal(w.shape[0], rows[keep], cols[keep], wts[keep])
+    keep = np.triu(np.asarray(allowed, dtype=bool), k=1)
+    if not keep.any():
+        raise ValueError("no edges survive the cutoff")
+    parent = _prim(np.where(keep | keep.T, w, -np.inf)[None])[0]
+    return _forest_edges(w, parent), int(np.count_nonzero(parent < 0))
 
 
 def sector_clusters(edges, labels) -> dict[str, list[int]]:
@@ -136,19 +187,11 @@ def sector_clusters(edges, labels) -> dict[str, list[int]]:
     the same sector label.  Every node contributes to exactly one cluster
     (possibly a singleton).  Returns sector -> sizes sorted descending.
     """
-    n = len(labels)
-    uf = _UnionFind(n)
+    w = np.full((1, len(labels), len(labels)), -np.inf)
     for i, j, _ in edges:
         if labels[i] == labels[j]:
-            uf.union(i, j)
-    sizes: dict[int, int] = {}
-    for i in range(n):
-        r = uf.find(i)
-        sizes[r] = sizes.get(r, 0) + 1
-    clusters: dict[str, list[int]] = {}
-    for r, size in sizes.items():
-        clusters.setdefault(labels[r], []).append(size)
-    return {sector: sorted(cs, reverse=True) for sector, cs in sorted(clusters.items())}
+            w[0, i, j] = w[0, j, i] = 0.0
+    return _cluster_dict(_scores(_prim(w), labels)[0][0], labels)
 
 
 def q_mst(cluster_sizes: dict[str, list[int]], n_nodes: int) -> float:
@@ -164,9 +207,8 @@ def q_mst(cluster_sizes: dict[str, list[int]], n_nodes: int) -> float:
 
 def mst_result(w: np.ndarray, labels) -> MstResult:
     """Build the maximum spanning tree of `w` and score its sector clustering."""
-    edges = build_mst(w)
-    clusters = sector_clusters(edges, labels)
-    return MstResult(edges, clusters, q_mst(clusters, len(labels)), disconnected=False)
+    w = _check_square_symmetric(w, min_nodes=2)
+    return _trees([w], [None], labels, True, [([], [])], "discard_above")[0][0]
 
 
 @dataclass
@@ -185,7 +227,7 @@ def _check_scan(thresholds, direction: str) -> list:
     return thresholds
 
 
-def _survivors(values: np.ndarray, threshold: float, direction: str) -> np.ndarray:
+def _survivors(values: np.ndarray, threshold, direction: str) -> np.ndarray:
     return values <= threshold if direction == "discard_above" else values >= threshold
 
 
@@ -195,19 +237,11 @@ def coupling_cutoff_scan(j: np.ndarray, labels, thresholds, direction: str) -> l
     direction='discard_above' drops entries J_ij > threshold,
     'discard_below' drops J_ij < threshold.  If the surviving graph
     disconnects, a maximum spanning forest is scored instead and the point
-    is flagged.  The edges are sorted once for all thresholds.
+    is flagged.  All thresholds' forests are built in one batched pass.
     """
     j = _check_square_symmetric(j)
-    thresholds = _check_scan(thresholds, direction)
-    n = j.shape[0]
-    rows, cols, wts = _sorted_edges(j)
-    out = []
-    for th in thresholds:
-        keep = _survivors(wts, th, direction)
-        edges, n_comp = _kruskal(n, rows[keep], cols[keep], wts[keep])
-        clusters = sector_clusters(edges, labels)
-        out.append(ScanPoint(float(th), q_mst(clusters, len(labels)), n_comp > 1))
-    return out
+    grid = (_check_scan(thresholds, direction), [])
+    return _trees([j], [None], labels, False, [grid], direction)[0][1]
 
 
 def _rebuild(lam: np.ndarray, vec: np.ndarray, threshold: float,
@@ -238,21 +272,38 @@ def eigen_cutoff_scan(j: np.ndarray, labels, thresholds, direction: str) -> list
 
     For each threshold, eigenvalues beyond the cutoff are dropped and the
     matrix is reconstructed from the surviving modes with its diagonal
-    zeroed before tree construction.  The matrix is diagonalized once.
+    zeroed before tree construction.  The matrix is diagonalized once and
+    all thresholds' trees are built in one batched pass.
     """
-    j = _check_square_symmetric(j)
-    thresholds = _check_scan(thresholds, direction)
-    n = j.shape[0]
-    if n < 2:
-        raise ValueError("need at least two nodes")
-    lam, vec = np.linalg.eigh(j)
-    out = []
-    for th in thresholds:
-        # _rebuild returns an exactly symmetric matrix: no re-check needed
-        edges, _ = _kruskal(n, *_sorted_edges(_rebuild(lam, vec, th, direction)))
-        clusters = sector_clusters(edges, labels)
-        out.append(ScanPoint(float(th), q_mst(clusters, len(labels)), False))
-    return out
+    j = _check_square_symmetric(j, min_nodes=2)
+    grid = ([], _check_scan(thresholds, direction))
+    return _trees([j], [np.linalg.eigh(j)], labels, False, [grid], direction)[0][2]
+
+
+def _interior_grid(values: np.ndarray, n_points: int) -> list[float]:
+    # the extremes would discard everything (or nothing) and sit one
+    # rounding error away from emptiness
+    lo, hi = float(values.min()), float(values.max())
+    return list(np.linspace(lo, hi, n_points + 2)[1:-1])
+
+
+def window_forests(js, labels, mst: bool, cutoff_points: int,
+                   direction: str = "discard_above") -> list[tuple]:
+    """Every tree of a window's coupling matrices, built in one batched pass.
+
+    Returns (mst, coupling, eigen) per matrix: with `mst`, its mst_result
+    (else None); with `cutoff_points` > 0, its coupling_cutoff_scan and
+    eigen_cutoff_scan points (else empty) over interior grids of that many
+    thresholds spanning its off-diagonal entries and its spectrum.  Each
+    matrix is diagonalized once, for both its grid and its rebuilds.
+    """
+    js = [_check_square_symmetric(j, min_nodes=2) for j in js]
+    _check_scan([], direction)
+    spectra = [np.linalg.eigh(j) if cutoff_points else None for j in js]
+    grids = [(_interior_grid(j[np.triu_indices(len(j), k=1)], cutoff_points),
+              _interior_grid(spectrum[0], cutoff_points)) if cutoff_points else ([], [])
+             for j, spectrum in zip(js, spectra)]
+    return _trees(js, spectra, labels, mst, grids, direction)
 
 
 def edges_to_csv(edges, tickers, labels) -> str:

@@ -23,10 +23,9 @@ import numpy as np
 
 from . import __version__
 from .evaluation import compare_methods, scaling_exponents, subset_coupling_scan
-from .inference import InferenceConfig, infer
+from .inference import INVERTING, InferenceConfig, infer, invert_covariance
 from .model import energy_split, metropolis_sample, params_to_json
-from .network import (coupling_cutoff_scan, edges_to_csv, edges_to_dot,
-                      eigen_cutoff_scan, mst_result)
+from .network import edges_to_csv, edges_to_dot, window_forests
 from .panels import (RETURN_KINDS, WindowSpec, binarize, load_price_csv,
                      load_sector_csv, log_returns, standardize_window, windows)
 from .stats import (dft_amplitudes, eigen_csv_rows, off_diagonal_summary,
@@ -402,9 +401,13 @@ def _window_unit(cfg: RunConfig, out: Path, idx: int, date: str, block,
     if st is None:
         st = window_stats(block, labels=tickers)
     fits = {}
+    inverse = None  # (inverse, cond) of the covariance, shared by the methods
     for m_i, method in enumerate(cfg.methods):
         seed = _window_seed(cfg.seed, idx, salt=100 + m_i)
-        res = infer(st, cfg.inference_config(method, seed), tickers=tickers)
+        if inverse is None and method in INVERTING:
+            inverse = invert_covariance(st.covariance, cfg.ridge)
+        res = infer(st, cfg.inference_config(method, seed), tickers=tickers,
+                    inverse=inverse)
         fits[method] = params = res.params
         path = out / "params" / method / f"{date}.json"
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -412,23 +415,25 @@ def _window_unit(cfg: RunConfig, out: Path, idx: int, date: str, block,
         rows.setdefault("diag", []).append(
             (date, method, bool(res.converged), res.iterations, res.residual,
              res.diagnostics.get("cond_cov"), res.diagnostics.get("tap_fallbacks")))
-        if "mst" in cfg.stages:
-            tree = mst_result(params.J, labels)
-            base = out / "mst" / method
-            base.mkdir(parents=True, exist_ok=True)
-            (base / f"{date}.csv").write_text(edges_to_csv(tree.edges, tickers, labels))
-            (base / f"{date}.dot").write_text(edges_to_dot(tree.edges, tickers, labels))
-            rows.setdefault("q_mst", []).append((date, method, tree.q_mst))
-        if "cutoff" in cfg.stages:
-            pts, pts_e = _cutoff_scans(params.J, labels, cfg.cutoff_points,
-                                       "discard_above")
-            _write_scan_csv(out / "cutoff" / method / f"coupling_{date}.csv", pts)
-            _write_scan_csv(out / "cutoff" / method / f"eigen_{date}.csv", pts_e)
         if "energy" in cfg.stages:
             split = energy_split(params, st.means)
             rows.setdefault("energy", []).append(
                 (date, method, split.e_ext, split.e_int, split.energy_ratio,
                  split.bias_ratio, split.bias_ratio_sign))
+    if {"mst", "cutoff"} & set(cfg.stages):
+        points = cfg.cutoff_points if "cutoff" in cfg.stages else 0
+        trees = window_forests([p.J for p in fits.values()], labels,
+                               mst="mst" in cfg.stages, cutoff_points=points)
+        for method, (tree, coupling, eigen) in zip(fits, trees):
+            if tree is not None:
+                base = out / "mst" / method
+                base.mkdir(parents=True, exist_ok=True)
+                (base / f"{date}.csv").write_text(edges_to_csv(tree.edges, tickers, labels))
+                (base / f"{date}.dot").write_text(edges_to_dot(tree.edges, tickers, labels))
+                rows.setdefault("q_mst", []).append((date, method, tree.q_mst))
+            if points:
+                _write_scan_csv(out / "cutoff" / method / f"coupling_{date}.csv", coupling)
+                _write_scan_csv(out / "cutoff" / method / f"eigen_{date}.csv", eigen)
     if "compare" in cfg.stages and cfg.compare_pairs:
         rows["compare"] = []
         for a, b in cfg.compare_pairs:
@@ -436,24 +441,6 @@ def _window_unit(cfg: RunConfig, out: Path, idx: int, date: str, block,
             rows["compare"].append((date, f"{a}:{b}", "h", cmp.h.nrmse, cmp.h.pearson))
             rows["compare"].append((date, f"{a}:{b}", "J", cmp.j.nrmse, cmp.j.pearson))
     return rows
-
-
-def _cutoff_thresholds(values: np.ndarray, n_points: int) -> list[float]:
-    # interior grid: the extremes would discard everything (or nothing) and
-    # sit one rounding error away from emptiness
-    lo, hi = float(values.min()), float(values.max())
-    return list(np.linspace(lo, hi, n_points + 2)[1:-1])
-
-
-def _cutoff_scans(j: np.ndarray, labels, n_points: int, direction: str):
-    """Coupling and eigenvalue cutoff scans of `j` over interior grids of
-    `n_points` thresholds spanning its off-diagonal entries and its spectrum."""
-    iu = np.triu_indices(j.shape[0], k=1)
-    coupling = coupling_cutoff_scan(j, labels, _cutoff_thresholds(j[iu], n_points),
-                                    direction)
-    eigen = eigen_cutoff_scan(
-        j, labels, _cutoff_thresholds(np.linalg.eigvalsh(j), n_points), direction)
-    return coupling, eigen
 
 
 def _write_scan_csv(path: Path, points) -> None:

@@ -260,6 +260,32 @@ class TestNetworkCommands:
         assert len(scan) > 5
         assert (tmp_path / "eigen_scan.csv").exists()
 
+    def test_one_shot_trees_match_the_pipeline(self, market, tmp_path):
+        cfgfile = tmp_path / "pipeline.cfg"
+        cfgfile.write_text("stages=infer,mst,cutoff\n")
+        rc = main(["run", "--prices", str(market / "prices.csv"),
+                   "--sectors", str(market / "sectors.csv"), "--config", str(cfgfile),
+                   "--out-dir", str(tmp_path / "run"), "-T", "300", "--stride", "100",
+                   "--method", "nmf,tap,sm", "--seed", "3"])
+        assert rc == 0
+        for method in ("nmf", "tap", "sm"):
+            fits = sorted((tmp_path / "run" / "params" / method).glob("*.json"))
+            assert len(fits) == 2
+            for params_file in fits:
+                date, one = params_file.stem, tmp_path / "one" / method / params_file.stem
+                common = ["--params", str(params_file), "--sectors",
+                          str(market / "sectors.csv"), "--out-dir", str(one)]
+                assert main(["mst", *common]) == 0
+                assert main(["cutoff", *common]) == 0
+                run = tmp_path / "run"
+                assert ((one / "mst.csv").read_bytes()
+                        == (run / "mst" / method / f"{date}.csv").read_bytes())
+                q = json.loads((one / "mst_summary.json").read_text())["q_mst"]
+                assert f"{date},{method},{q!r}" in read_lines(run / "mst" / "q_mst.csv")
+                for kind in ("coupling", "eigen"):
+                    assert ((one / f"{kind}_scan.csv").read_bytes()
+                            == (run / "cutoff" / method / f"{kind}_{date}.csv").read_bytes())
+
 
 class TestAnalysisCommands:
     def test_sample_command(self, market, tmp_path):
@@ -306,14 +332,14 @@ class TestAnalysisCommands:
             outputs.append((tmp_path / name / "energy.json").read_text())
         assert outputs[0] == outputs[1]
 
-    @pytest.mark.parametrize("t", ["-5", "0", "401", "100000"])
+    @pytest.mark.parametrize("t", ["-5", "0", "1", "401", "100000"])
     def test_energy_window_outside_history_is_config_error(self, market, tmp_path,
                                                            capsys, t):
         rc = main(["energy", "--params", str(market / "truth.json"),
                    "--prices", str(market / "prices.csv"),
                    "--out-dir", str(tmp_path / "out"), "-T", t])
         assert rc == 2
-        assert "-T/--window-size" in capsys.readouterr().err
+        assert "-T/--window-size must lie in [2, 400]" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_compare_one_shot(self, market, tmp_path):
@@ -395,6 +421,19 @@ class TestRunPipeline:
         # collated rows stay in window order under threads
         dates = [line.split(",")[0] for line in read_lines(par / "mst" / "q_mst.csv")[1:]]
         assert dates == sorted(dates) and len(dates) == 5 * 2
+
+    def test_one_inverse_per_window(self, market, tmp_path, monkeypatch):
+        calls = {"inv": 0, "cond": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(np.linalg, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(np.linalg, name, counted)
+        rc = main(["infer", "--prices", str(market / "prices.csv"),
+                   "--out-dir", str(tmp_path), "-T", "300", "--stride", "50",
+                   "--method", "ip,nmf,tap,sm", "--seed", "5"])
+        assert rc == 0
+        assert calls == {"inv": 3, "cond": 3}  # 3 windows, 3 inverting methods
 
     def test_failure_leaves_partial_marker(self, market, tmp_path):
         # sectors file missing a ticker: the mst stage fails after ingest

@@ -64,6 +64,18 @@ class TestNmf:
         with pytest.raises(ValueError, match="series 0"):
             infer_nmf(st, CFG)
 
+    @pytest.mark.parametrize("method", inference.INVERTING)
+    def test_shared_inverse_is_bit_identical(self, method):
+        rng = np.random.default_rng(8)
+        panel = np.where(rng.random((6, 300)) < 0.5, -1.0, 1.0)
+        st = window_stats(panel)
+        cfg = InferenceConfig(method=method, ridge=1e-3, max_iters=5, seed=4)
+        inverse = inference.invert_covariance(st.covariance, cfg.ridge)
+        alone, shared = infer(st, cfg), infer(st, cfg, inverse=inverse)
+        assert shared.params.J.tobytes() == alone.params.J.tobytes()
+        assert shared.params.h.tobytes() == alone.params.h.tobytes()
+        assert shared.diagnostics == alone.diagnostics
+
     def test_singular_covariance_suggests_ridge(self):
         st = stats_from_moments(np.zeros(2), np.ones((2, 2)))
         with pytest.raises(ValueError, match="ridge"):

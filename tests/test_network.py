@@ -5,7 +5,8 @@ from conftest import brute_force_max_tree_weight
 from isingmarket.network import (SectorMap, build_mst, coupling_cutoff_scan,
                                  edges_to_csv, edges_to_dot, eigen_cutoff_scan,
                                  max_spanning_forest, mst_result, q_mst,
-                                 sector_clusters, spectral_truncation)
+                                 sector_clusters, spectral_truncation,
+                                 window_forests)
 
 
 def weights_from_edges(n, entries, default=0.0):
@@ -258,9 +259,10 @@ class TestForestAndOutputs:
 
     def test_forest_matches_bruteforce_on_split_masks(self):
         rng = np.random.default_rng(7)
-        for _ in range(40):
+        # normal weights, then integer weights in {0, 1, 2}: ties everywhere
+        for trial in range(80):
             n = int(rng.integers(3, 8))
-            w = rng.normal(size=(n, n))
+            w = rng.normal(size=(n, n)) if trial < 40 else rng.integers(0, 3, (n, n))
             w = (w + w.T) / 2
             np.fill_diagonal(w, 0.0)
             # edges only inside random groups, some of them dropped
@@ -303,3 +305,162 @@ class TestForestAndOutputs:
             smap.labels_for(["AAA", "XYZ"])
         with pytest.raises(ValueError):
             SectorMap({})
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the batched Prim forests against a plain Kruskal over one
+# union-find, edge by edge in (-w, i, j) order.
+# ---------------------------------------------------------------------------
+
+class RefUnionFind:
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, x):
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[ra] = rb
+        return True
+
+
+def ref_forest(w, allowed=None):
+    """Kruskal over the upper triangle in (-w, i, j) order: (edges, n_comp)."""
+    n = w.shape[0]
+    rows, cols = np.triu_indices(n, k=1)
+    wts = w[rows, cols]
+    order = np.argsort(-wts, kind="stable")
+    uf = RefUnionFind(n)
+    edges = []
+    for i, j, wt in zip(rows[order].tolist(), cols[order].tolist(), wts[order].tolist()):
+        if (allowed is None or allowed[i, j]) and uf.union(i, j):
+            edges.append((i, j, wt))
+    return edges, n - len(edges)
+
+
+def ref_clusters(edges, labels):
+    uf = RefUnionFind(len(labels))
+    for i, j, _ in edges:
+        if labels[i] == labels[j]:
+            uf.union(i, j)
+    sizes = {}
+    for i in range(len(labels)):
+        sizes[uf.find(i)] = sizes.get(uf.find(i), 0) + 1
+    clusters = {}
+    for root, size in sizes.items():
+        clusters.setdefault(labels[root], []).append(size)
+    return {s: sorted(c, reverse=True) for s, c in sorted(clusters.items())}
+
+
+def ref_q(edges, labels):
+    return sum(max(c) for c in ref_clusters(edges, labels).values()) / len(labels)
+
+
+def random_weights(rng, n, ties):
+    """Symmetric weights; with `ties`, integers in [-3, 3] so most edges tie."""
+    w = rng.integers(-3, 4, size=(n, n)).astype(float) if ties else rng.normal(size=(n, n))
+    w = np.triu(w, k=1)
+    return w + w.T
+
+
+class TestForestOracle:
+    @pytest.mark.parametrize("ties", [False, True])
+    @pytest.mark.parametrize("n", [2, 3, 7, 24, 60])
+    def test_mst_matches_kruskal(self, n, ties):
+        rng = np.random.default_rng(10 * n + ties)
+        for _ in range(10):
+            w = random_weights(rng, n, ties)
+            labels = [f"S{k}" for k in rng.integers(0, 3, size=n)]
+            want, n_comp = ref_forest(w)
+            assert n_comp == 1
+            assert build_mst(w) == want  # same edges, same (-w, i, j) order
+            tree = mst_result(w, labels)
+            assert tree.edges == want
+            assert tree.cluster_sizes == ref_clusters(want, labels)
+            assert sector_clusters(want, labels) == ref_clusters(want, labels)
+            assert tree.q_mst == ref_q(want, labels)
+            assert not tree.disconnected
+
+    @pytest.mark.parametrize("ties", [False, True])
+    @pytest.mark.parametrize("n", [2, 3, 7, 24, 60])
+    def test_forests_on_disconnecting_masks_match_kruskal(self, n, ties):
+        rng = np.random.default_rng(100 + 10 * n + ties)
+        for _ in range(10):
+            w = random_weights(rng, n, ties)
+            group = rng.integers(0, 4, size=n)
+            allowed = np.equal.outer(group, group) & (rng.random((n, n)) < 0.5)
+            allowed = np.triu(allowed, k=1)
+            if not allowed.any():
+                continue
+            want, n_comp = ref_forest(w, allowed)
+            assert max_spanning_forest(w, allowed) == (want, n_comp)
+
+    @pytest.mark.parametrize("ties", [False, True])
+    @pytest.mark.parametrize("n", [2, 3, 7, 24, 60])
+    def test_window_stack_matches_kruskal(self, n, ties):
+        # K = 1, 2 or 3 matrices, each with its MST, 6 coupling forests and
+        # 6 eigen trees, all in one stack
+        rng = np.random.default_rng(200 + 10 * n + ties)
+        labels = [f"S{k}" for k in rng.integers(0, 3, size=n)]
+        for k in (1, 2, 3):
+            js = [random_weights(rng, n, ties) for _ in range(k)]
+            got = window_forests(js, labels, mst=True, cutoff_points=6,
+                                 direction="discard_below")
+            assert len(got) == k
+            for j, (tree, coupling, eigen) in zip(js, got):
+                want, _ = ref_forest(j)
+                assert tree.edges == want
+                assert tree.cluster_sizes == ref_clusters(want, labels)
+                assert tree.q_mst == ref_q(want, labels)
+                for p in coupling:
+                    edges, n_comp = ref_forest(j, j >= p.threshold)
+                    assert (p.q_mst, p.disconnected) == (ref_q(edges, labels), n_comp > 1)
+                assert [p.threshold for p in eigen] == list(
+                    np.linspace(*np.linalg.eigh(j)[0][[0, -1]], 8)[1:-1])
+                for p in eigen:
+                    rebuilt = spectral_truncation(j, p.threshold, "discard_below")
+                    edges, n_comp = ref_forest(rebuilt)
+                    assert (p.q_mst, p.disconnected) == (ref_q(edges, labels), False)
+                    assert n_comp == 1
+
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_coupling_scan_matches_kruskal(self, ties):
+        rng = np.random.default_rng(300 + ties)
+        n = 24
+        labels = [f"S{k}" for k in rng.integers(0, 3, size=n)]
+        j = random_weights(rng, n, ties)
+        upper = j[np.triu_indices(n, k=1)]
+        thresholds = np.linspace(upper.min(), upper.max(), 13)[1:-1]
+        for direction in ("discard_above", "discard_below"):
+            pts = coupling_cutoff_scan(j, labels, thresholds, direction)
+            for th, p in zip(thresholds, pts):
+                keep = j <= th if direction == "discard_above" else j >= th
+                edges, n_comp = ref_forest(j, keep)
+                assert p.threshold == th
+                assert (p.q_mst, p.disconnected) == (ref_q(edges, labels), n_comp > 1)
+
+    def test_error_paths(self):
+        j = random_weights(np.random.default_rng(0), 5, ties=False)
+        labels = ["A"] * 5
+        with pytest.raises(ValueError, match="no edges survive the cutoff"):
+            coupling_cutoff_scan(j, labels, [-10.0, 100.0], "discard_below")
+        with pytest.raises(ValueError, match="no edges survive the cutoff"):
+            max_spanning_forest(j, np.zeros((5, 5), dtype=bool))
+        with pytest.raises(ValueError, match="no eigenvalues survive threshold"):
+            eigen_cutoff_scan(j, labels, [100.0], "discard_below")
+        with pytest.raises(ValueError, match="thresholds must be sorted"):
+            eigen_cutoff_scan(j, labels, [1.0, 0.0], "discard_above")
+        with pytest.raises(ValueError, match="at least two nodes"):
+            build_mst(np.zeros((1, 1)))
+        with pytest.raises(ValueError, match="at least two nodes"):
+            window_forests([np.zeros((1, 1))], ["A"], mst=True, cutoff_points=0)
+        with pytest.raises(ValueError, match="symmetric"):
+            window_forests([np.triu(j)], labels, mst=True, cutoff_points=0)
+        with pytest.raises(ValueError, match="unknown direction"):
+            window_forests([j], labels, mst=False, cutoff_points=3, direction="up")
