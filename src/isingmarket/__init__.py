@@ -20,9 +20,8 @@ from .model import (EnergySplit, IsingParams, SampleStats,
                     exact_moments_small, hamiltonian, metropolis_sample,
                     params_from_json, params_to_json, sample_configurations,
                     third_order_from_samples)
-from .network import (MstResult, ScanPoint, SectorMap, build_mst,
-                      coupling_cutoff_scan, eigen_cutoff_scan, mst_result,
-                      q_mst, sector_clusters, spectral_truncation)
+from .network import (MstResult, ScanPoint, SectorMap, coupling_cutoff_scan,
+                      eigen_cutoff_scan, mst_result, spectral_truncation)
 from .panels import (IngestReport, PricePanel, ReturnPanel, WindowSpec,
                      binarize, load_price_csv, load_sector_csv, log_returns,
                      shuffle_window, standardize_window, windows)
@@ -39,16 +38,15 @@ __all__ = [
     "MethodComparison", "MomentSummary", "MstResult", "PricePanel",
     "ReturnPanel", "SampleStats", "ScalingReport", "ScanPoint", "SectorMap",
     "SubsetScanResult", "WindowSpec", "WindowStats", "binarize", "block_model",
-    "boltzmann_distribution", "bootstrap_ci", "build_mst", "compare_methods",
+    "boltzmann_distribution", "bootstrap_ci", "compare_methods",
     "coupling_cutoff_scan", "dft_amplitudes", "eigen_cutoff_scan",
     "energy_split", "enumerate_states", "exact_moments_small", "fit_power_law",
     "generate_synthetic", "hamiltonian", "infer", "infer_exact", "infer_ip",
     "infer_nmf", "infer_sm", "infer_tap", "load_price_csv", "load_sector_csv",
     "log_returns", "metropolis_sample", "moment_residual", "moment_summary",
     "mst_result", "nrmse", "off_diagonal_summary", "params_from_json",
-    "params_to_json", "q_mst",
-    "random_model", "sample_binary_panel", "sample_configurations",
-    "scaling_exponents", "sector_clusters", "shuffle_window",
+    "params_to_json", "random_model", "sample_binary_panel",
+    "sample_configurations", "scaling_exponents", "shuffle_window",
     "spectral_truncation", "standardize_window", "subset_coupling_scan",
     "third_order_from_samples", "window_stats", "windows",
 ]

@@ -25,9 +25,9 @@ from . import __version__
 from .evaluation import compare_methods
 from .model import energy_split, params_from_json
 from .network import edges_to_csv, edges_to_dot, mst_result, window_forests
-from .panels import binarize, load_price_csv, load_sector_csv, log_returns
+from .panels import binarize, load_price_csv, log_returns
 from .pipeline import (ConfigError, NonConvergenceError, RunConfig,
-                       _write_scan_csv, config_from_mapping,
+                       _sector_labels, _write_scan_csv, config_from_mapping,
                        parse_config_file, run, sample_to_files, write_csv,
                        write_json)
 from .stats import window_stats
@@ -95,12 +95,8 @@ def _cmd_ingest(args) -> int:
                "dropped": report.dropped,
                "n_tickers": panel.n_series, "n_days": panel.n_days}
     if args.sectors:
-        sector_map = load_sector_csv(args.sectors)
-        payload["sectors"] = {t: sector_map.mapping[t] for t in panel.tickers
-                              if t in sector_map.mapping}
-        missing = [t for t in panel.tickers if t not in sector_map.mapping]
-        if missing:
-            raise ConfigError(f"tickers without sector assignment: {missing}")
+        payload["sectors"] = dict(zip(panel.tickers,
+                                      _sector_labels(args.sectors, panel.tickers)))
     write_json(out / "ingest_report.json", payload)
     if args.emit_returns:
         returns = log_returns(panel)
@@ -148,23 +144,23 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _load_params_and_labels(args):
-    params = params_from_json(Path(args.params).read_text())
+def _load_params(path, joined: str):
+    params = params_from_json(Path(path).read_text())
     if not params.tickers:
-        raise ConfigError(f"{args.params} carries no tickers; cannot join sectors")
-    sector_map = load_sector_csv(args.sectors)
-    return params, list(params.tickers), sector_map.labels_for(params.tickers)
+        raise ConfigError(f"{path} carries no tickers; cannot join {joined}")
+    return params
 
 
 def _cmd_mst(args) -> int:
     if not args.params:
         return _run_pipeline(args, "mst")
-    params, tickers, labels = _load_params_and_labels(args)
+    params = _load_params(args.params, "sectors")
+    labels = _sector_labels(args.sectors, params.tickers)
     tree = mst_result(params.J, labels)
     out = Path(args.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
-    (out / "mst.csv").write_text(edges_to_csv(tree.edges, tickers, labels))
-    (out / "mst.dot").write_text(edges_to_dot(tree.edges, tickers, labels))
+    (out / "mst.csv").write_text(edges_to_csv(tree.edges, params.tickers, labels))
+    (out / "mst.dot").write_text(edges_to_dot(tree.edges, params.tickers, labels))
     write_json(out / "mst_summary.json",
                {"q_mst": tree.q_mst,
                 "clusters": tree.cluster_sizes,
@@ -176,7 +172,8 @@ def _cmd_mst(args) -> int:
 def _cmd_cutoff(args) -> int:
     if not args.params:
         return _run_pipeline(args, "cutoff")
-    params, _, labels = _load_params_and_labels(args)
+    params = _load_params(args.params, "sectors")
+    labels = _sector_labels(args.sectors, params.tickers)
     out = Path(args.out_dir or ".")
     points = RunConfig.cutoff_points if args.cutoff_points is None else args.cutoff_points
     if points < 1:
@@ -192,14 +189,18 @@ def _cmd_cutoff(args) -> int:
 def _cmd_energy(args) -> int:
     if not args.params:
         return _run_pipeline(args, "energy")
-    params = params_from_json(Path(args.params).read_text())
+    params = _load_params(args.params, "prices")
     panel, _ = load_price_csv(args.prices)
+    missing = [name for name in params.tickers if name not in panel.tickers]
+    if missing:
+        raise ConfigError(f"tickers missing from {args.prices}: {missing}")
     binary = binarize(log_returns(panel))
     t = binary.n_steps if args.window_size is None else args.window_size
     if not 2 <= t <= binary.n_steps:
         raise ConfigError(f"-T/--window-size must lie in [2, {binary.n_steps}], "
                           f"the return history; got {t}")
-    means = window_stats(binary.values[:, -t:]).means
+    rows = [panel.tickers.index(name) for name in params.tickers]
+    means = window_stats(binary.values[rows, -t:]).means
     split = energy_split(params, means)
     out = Path(args.out_dir or ".")
     write_json(out / "energy.json", {

@@ -33,7 +33,8 @@ class SectorMap:
 
 @dataclass
 class MstResult:
-    """Maximum-weight spanning tree (or forest, under cutoffs) of a panel."""
+    """Maximum-weight spanning tree (or forest, under cutoffs) of a panel;
+    `q_mst` is the share of nodes in their sector's largest same-sector cluster."""
 
     edges: list[tuple[int, int, float]]
     cluster_sizes: dict[str, list[int]]
@@ -47,7 +48,9 @@ def _check_square_symmetric(w: np.ndarray, min_nodes: int = 0) -> np.ndarray:
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError("weight matrix must be square")
-    if not np.allclose(w, w.T, atol=1e-10, equal_nan=True):
+    if not np.isfinite(w).all():
+        raise ValueError("weight matrix must be finite")
+    if not np.allclose(w, w.T, atol=1e-10):
         raise ValueError("weight matrix must be symmetric")
     if w.shape[0] < min_nodes:
         raise ValueError("need at least two nodes")
@@ -154,59 +157,9 @@ def _trees(js, spectra, labels, mst: bool, grids, direction: str) -> list[tuple]
     return out
 
 
-def build_mst(w: np.ndarray) -> list[tuple[int, int, float]]:
-    """Spanning tree of maximal total weight over a complete weight matrix.
-
-    Prim's algorithm over the upper triangle.  Returns N-1 edges as
-    (i, j, weight) with i < j, sorted by descending weight, then by (i, j);
-    equal weights therefore break toward the smallest index pair.
-    """
-    w = _check_square_symmetric(w, min_nodes=2)
-    return _forest_edges(w, _prim(w[None])[0])
-
-
-def max_spanning_forest(w: np.ndarray, allowed: np.ndarray):
-    """Maximum-weight spanning forest restricted to allowed edges.
-
-    `allowed` is read on its upper triangle.  Returns (edges, n_components)
-    with edges in build_mst's (-w, i, j) order.  With every off-diagonal
-    edge allowed this is build_mst.
-    """
-    w = _check_square_symmetric(w)
-    keep = np.triu(np.asarray(allowed, dtype=bool), k=1)
-    if not keep.any():
-        raise ValueError("no edges survive the cutoff")
-    parent = _prim(np.where(keep | keep.T, w, -np.inf)[None])[0]
-    return _forest_edges(w, parent), int(np.count_nonzero(parent < 0))
-
-
-def sector_clusters(edges, labels) -> dict[str, list[int]]:
-    """Sizes of same-sector connected clusters of a tree (or forest).
-
-    A cluster is a connected subset of the tree in which every node carries
-    the same sector label.  Every node contributes to exactly one cluster
-    (possibly a singleton).  Returns sector -> sizes sorted descending.
-    """
-    w = np.full((1, len(labels), len(labels)), -np.inf)
-    for i, j, _ in edges:
-        if labels[i] == labels[j]:
-            w[0, i, j] = w[0, j, i] = 0.0
-    return _cluster_dict(_scores(_prim(w), labels)[0][0], labels)
-
-
-def q_mst(cluster_sizes: dict[str, list[int]], n_nodes: int) -> float:
-    """Fraction of nodes covered by each sector's largest same-sector cluster.
-
-    Ranges from M/N (every sector fully dispersed) to 1 (one cluster per
-    sector), with M the number of sectors present.
-    """
-    if n_nodes < 1:
-        raise ValueError("empty tree")
-    return sum(max(sizes) for sizes in cluster_sizes.values()) / n_nodes
-
-
 def mst_result(w: np.ndarray, labels) -> MstResult:
-    """Build the maximum spanning tree of `w` and score its sector clustering."""
+    """Build the maximum spanning tree of `w` and score its sector clustering;
+    edges are (i, j, weight), i < j, by descending weight, then by (i, j)."""
     w = _check_square_symmetric(w, min_nodes=2)
     return _trees([w], [None], labels, True, [([], [])], "discard_above")[0][0]
 

@@ -294,13 +294,20 @@ def run(cfg: RunConfig) -> dict:
     return manifest
 
 
+def _sector_labels(path, tickers) -> list[str]:
+    """Sector label per ticker from a sectors CSV; a ticker it lacks is a ConfigError."""
+    try:
+        return load_sector_csv(path).labels_for(tickers)
+    except KeyError as err:
+        raise ConfigError(err.args[0]) from err
+
+
 def _run_stages(cfg: RunConfig, out: Path, manifest: dict) -> None:
     timer = time.perf_counter
     manifest["_current_stage"] = "ingest"
     t0 = timer()
     panel, report = load_price_csv(cfg.prices)
-    sector_map = load_sector_csv(cfg.sectors) if cfg.sectors else None
-    labels = sector_map.labels_for(panel.tickers) if sector_map else None
+    labels = _sector_labels(cfg.sectors, panel.tickers) if cfg.sectors else None
     returns = log_returns(panel)
     write_json(out / "ingest_report.json",
                {"n_rows": report.n_rows, "kept": report.kept,

@@ -24,6 +24,16 @@ def stats_from_moments(m: np.ndarray, cov: np.ndarray) -> WindowStats:
     return WindowStats(m, cov)
 
 
+def weights_from_edges(n, entries, default=0.0):
+    """Symmetric n x n weights: `default` off the listed (i, j, w) entries,
+    zero on the diagonal."""
+    w = np.full((n, n), default, dtype=float)
+    np.fill_diagonal(w, 0.0)
+    for i, j, v in entries:
+        w[i, j] = w[j, i] = v
+    return w
+
+
 def brute_force_max_tree_weight(w: np.ndarray) -> float:
     """Maximum spanning-tree weight by enumerating all trees via Pruefer codes."""
     n = w.shape[0]

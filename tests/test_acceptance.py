@@ -13,15 +13,15 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import brute_force_max_tree_weight, stats_from_moments, stats_from_params
+from conftest import (brute_force_max_tree_weight, stats_from_moments,
+                      stats_from_params, weights_from_edges)
 from isingmarket.evaluation import scaling_exponents, subset_coupling_scan
 from isingmarket.inference import (InferenceConfig, infer_exact, infer_ip,
                                    infer_nmf, infer_sm, infer_tap)
 from isingmarket.model import (IsingParams, boltzmann_distribution, energy_split,
                                exact_moments_small, metropolis_sample)
-from isingmarket.network import (build_mst, coupling_cutoff_scan,
-                                 eigen_cutoff_scan, mst_result, q_mst,
-                                 sector_clusters, spectral_truncation)
+from isingmarket.network import (coupling_cutoff_scan, eigen_cutoff_scan,
+                                 mst_result, spectral_truncation)
 from isingmarket.panels import (PricePanel, ReturnPanel, WindowSpec, binarize,
                                 log_returns, shuffle_window, windows)
 from isingmarket.stats import window_stats
@@ -177,20 +177,21 @@ def test_criterion_05_mst_correctness():
             w = rng.normal(size=(n, n))
             w = (w + w.T) / 2
             np.fill_diagonal(w, 0.0)
-            total = sum(wt for _, _, wt in build_mst(w))
+            total = sum(wt for _, _, wt in mst_result(w, ["A"] * n).edges)
             assert abs(total - brute_force_max_tree_weight(w)) <= 1e-10
 
         chain = [(i, i + 1, 1.0) for i in range(3)]
-        assert q_mst(sector_clusters(chain, ["A", "A", "B", "B"]), 4) == 1.0
-        assert q_mst(sector_clusters(chain, ["A", "B", "A", "B"]), 4) == 0.5
+        w = weights_from_edges(4, chain)
+        assert mst_result(w, ["A", "A", "B", "B"]).edges == chain
+        assert mst_result(w, ["A", "A", "B", "B"]).q_mst == 1.0
+        assert mst_result(w, ["A", "B", "A", "B"]).q_mst == 0.5
 
         w = rng.normal(size=(12, 12))
         w = (w + w.T) / 2
         np.fill_diagonal(w, 0.0)
-        edges = build_mst(w)
         for _ in range(1000):
             labels = [f"S{k}" for k in rng.integers(0, 4, size=12)]
-            q = q_mst(sector_clusters(edges, labels), 12)
+            q = mst_result(w, labels).q_mst
             m = len(set(labels))
             assert m / 12 - 1e-12 <= q <= 1.0 + 1e-12
 

@@ -342,6 +342,54 @@ class TestAnalysisCommands:
         assert "-T/--window-size must lie in [2, 400]" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_energy_joins_prices_by_ticker(self, market, tmp_path):
+        # the same prices with their ticker columns reversed split the same
+        rows = [line.split(",") for line in read_lines(market / "prices.csv")]
+        reversed_prices = tmp_path / "reversed.csv"
+        reversed_prices.write_text("".join(",".join([r[0], *r[:0:-1]]) + "\n"
+                                           for r in rows))
+        outputs = []
+        for name, prices in (("as_is", market / "prices.csv"),
+                             ("reversed", reversed_prices)):
+            rc = main(["energy", "--params", str(market / "truth.json"),
+                       "--prices", str(prices), "--out-dir", str(tmp_path / name)])
+            assert rc == 0
+            outputs.append((tmp_path / name / "energy.json").read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_energy_needs_every_params_ticker_in_prices(self, market, tmp_path, capsys):
+        rows = [line.split(",") for line in read_lines(market / "prices.csv")]
+        short = tmp_path / "short.csv"
+        short.write_text("".join(",".join(r[:-1]) + "\n" for r in rows))
+        untagged = tmp_path / "untagged.json"
+        truth = json.loads((market / "truth.json").read_text())
+        untagged.write_text(json.dumps({**truth, "tickers": None}))
+        for params, prices, message in (
+                (market / "truth.json", short, f"tickers missing from {short}: ['S011']"),
+                (untagged, market / "prices.csv", "carries no tickers; cannot join prices")):
+            rc = main(["energy", "--params", str(params), "--prices", str(prices),
+                       "--out-dir", str(tmp_path / "out")])
+            assert rc == 2
+            assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["ingest", "mst", "cutoff", "run",
+                                         "mst --params", "cutoff --params"])
+    def test_ticker_without_sector_is_config_error(self, market, tmp_path, capsys,
+                                                   command):
+        bad = tmp_path / "bad_sectors.csv"
+        bad.write_text("".join(line + "\n" for line in read_lines(market / "sectors.csv")
+                               if not line.startswith("S005,")))
+        name, *params = command.split()
+        args = [name, "--sectors", str(bad), "--out-dir", str(tmp_path / "out")]
+        if params:
+            args += ["--params", str(market / "truth.json")]
+        else:
+            args += ["--prices", str(market / "prices.csv")]
+            args += [] if name == "ingest" else ["-T", "300"]
+        assert main(args) == 2
+        assert "tickers without sector assignment: ['S005']" in capsys.readouterr().err
+
     def test_compare_one_shot(self, market, tmp_path):
         rc = main(["compare", "--a", str(market / "truth.json"),
                    "--b", str(market / "truth.json"),
@@ -436,13 +484,13 @@ class TestRunPipeline:
         assert calls == {"inv": 3, "cond": 3}  # 3 windows, 3 inverting methods
 
     def test_failure_leaves_partial_marker(self, market, tmp_path):
-        # sectors file missing a ticker: the mst stage fails after ingest
+        # sectors file missing a ticker: the run fails at ingest, a config error
         bad_sectors = tmp_path / "bad_sectors.csv"
         bad_sectors.write_text("ticker,name,sector\nS000,zero,SEC0\n")
         rc = main(["mst", "--prices", str(market / "prices.csv"),
                    "--sectors", str(bad_sectors),
                    "--out-dir", str(tmp_path / "broken"), "-T", "300"])
-        assert rc == 3
+        assert rc == 2
         assert (tmp_path / "broken" / ".partial").exists()
         manifest = json.loads((tmp_path / "broken" / "manifest.json").read_text())
         assert manifest["failure"] is not None

@@ -1,34 +1,38 @@
 import numpy as np
 import pytest
 
-from conftest import brute_force_max_tree_weight
-from isingmarket.network import (SectorMap, build_mst, coupling_cutoff_scan,
-                                 edges_to_csv, edges_to_dot, eigen_cutoff_scan,
-                                 max_spanning_forest, mst_result, q_mst,
-                                 sector_clusters, spectral_truncation,
-                                 window_forests)
-
-
-def weights_from_edges(n, entries, default=0.0):
-    w = np.full((n, n), default, dtype=float)
-    np.fill_diagonal(w, 0.0)
-    for i, j, v in entries:
-        w[i, j] = w[j, i] = v
-    return w
+from conftest import brute_force_max_tree_weight, weights_from_edges
+from isingmarket.network import (SectorMap, _forest_edges, _prim,
+                                 coupling_cutoff_scan, edges_to_csv,
+                                 edges_to_dot, eigen_cutoff_scan, mst_result,
+                                 spectral_truncation, window_forests)
 
 
 def chain_edges(n):
     return [(i, i + 1, 1.0) for i in range(n - 1)]
 
 
+def tree_edges(w):
+    """The maximum spanning tree's edges; the labels do not shape the tree."""
+    return mst_result(w, ["A"] * len(w)).edges
+
+
+def masked_forest(w, allowed):
+    """The Prim core's forest over the edges `allowed` marks on its upper
+    triangle (the rest set to -inf): (edges, n_components)."""
+    keep = np.triu(np.asarray(allowed, dtype=bool), k=1)
+    parent = _prim(np.where(keep | keep.T, w, -np.inf)[None])[0]
+    return _forest_edges(w, parent), int(np.count_nonzero(parent < 0))
+
+
 class TestBuildMst:
     def test_three_node_obvious_tree(self):
         w = weights_from_edges(3, [(0, 1, 0.9), (0, 2, 0.5), (1, 2, 0.1)])
-        edges = build_mst(w)
+        edges = tree_edges(w)
         assert {(i, j) for i, j, _ in edges} == {(0, 1), (0, 2)}
 
     def test_equal_weights_tie_break(self):
-        edges = build_mst(np.ones((4, 4)) - np.eye(4))
+        edges = tree_edges(np.ones((4, 4)) - np.eye(4))
         assert [(i, j) for i, j, _ in edges] == [(0, 1), (0, 2), (0, 3)]
 
     def test_matches_bruteforce_on_random_instances(self):
@@ -38,7 +42,7 @@ class TestBuildMst:
             w = rng.normal(size=(n, n))
             w = (w + w.T) / 2
             np.fill_diagonal(w, 0.0)
-            edges = build_mst(w)
+            edges = tree_edges(w)
             got = sum(wt for _, _, wt in edges)
             assert got == pytest.approx(brute_force_max_tree_weight(w), abs=1e-10)
 
@@ -46,7 +50,7 @@ class TestBuildMst:
         rng = np.random.default_rng(1)
         w = rng.normal(size=(10, 10))
         w = (w + w.T) / 2
-        edges = build_mst(w)
+        edges = tree_edges(w)
         assert len(edges) == 9
         parent = list(range(10))
 
@@ -63,7 +67,7 @@ class TestBuildMst:
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
-            build_mst(np.array([[0.0, 1.0], [2.0, 0.0]]))
+            mst_result(np.array([[0.0, 1.0], [2.0, 0.0]]), ["A", "B"])
 
     def test_edges_in_kruskal_order(self):
         rng = np.random.default_rng(6)
@@ -71,36 +75,40 @@ class TestBuildMst:
             # one decimal of rounding makes equal weights common
             w = np.round(rng.normal(size=(9, 9)), 1)
             w = (w + w.T) / 2
-            edges = build_mst(w)
+            edges = tree_edges(w)
             assert edges == sorted(edges, key=lambda e: (-e[2], e[0], e[1]))
 
 
 class TestSectorClusters:
     def test_chain_aabb(self):
-        clusters = sector_clusters(chain_edges(4), ["A", "A", "B", "B"])
-        assert clusters == {"A": [2], "B": [2]}
-        assert q_mst(clusters, 4) == 1.0
+        tree = mst_result(weights_from_edges(4, chain_edges(4)), ["A", "A", "B", "B"])
+        assert tree.edges == chain_edges(4)
+        assert tree.cluster_sizes == {"A": [2], "B": [2]}
+        assert tree.q_mst == 1.0
 
     def test_chain_abab(self):
-        clusters = sector_clusters(chain_edges(4), ["A", "B", "A", "B"])
-        assert clusters == {"A": [1, 1], "B": [1, 1]}
-        assert q_mst(clusters, 4) == 0.5
+        tree = mst_result(weights_from_edges(4, chain_edges(4)), ["A", "B", "A", "B"])
+        assert tree.edges == chain_edges(4)
+        assert tree.cluster_sizes == {"A": [1, 1], "B": [1, 1]}
+        assert tree.q_mst == 0.5
 
     def test_star_hand_trace(self):
         edges = [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0)]
-        clusters = sector_clusters(edges, ["A", "A", "B", "B"])
-        assert clusters == {"A": [2], "B": [1, 1]}
+        tree = mst_result(weights_from_edges(4, edges), ["A", "A", "B", "B"])
+        assert tree.edges == edges
+        assert tree.cluster_sizes == {"A": [2], "B": [1, 1]}
 
     def test_bounds_on_random_assignments(self):
         rng = np.random.default_rng(2)
         n = 12
         w = rng.normal(size=(n, n))
         w = (w + w.T) / 2
-        edges = build_mst(w)
+        edges = tree_edges(w)
         for _ in range(200):
             labels = [f"S{k}" for k in rng.integers(0, 4, size=n)]
-            clusters = sector_clusters(edges, labels)
-            q = q_mst(clusters, n)
+            tree = mst_result(w, labels)
+            assert tree.edges == edges
+            q = tree.q_mst
             m = len(set(labels))
             assert m / n - 1e-12 <= q <= 1.0 + 1e-12
 
@@ -253,7 +261,7 @@ class TestForestAndOutputs:
         w = weights_from_edges(5, [(0, 1, 1.0), (1, 2, 0.5), (3, 4, 1.0)],
                                default=-2.0)
         allowed = w > 0
-        edges, n_comp = max_spanning_forest(w, allowed)
+        edges, n_comp = masked_forest(w, allowed)
         assert n_comp == 2
         assert len(edges) == 3  # N - components
 
@@ -271,7 +279,7 @@ class TestForestAndOutputs:
             allowed = (allowed | allowed.T) & ~np.eye(n, dtype=bool)
             if not allowed.any():
                 continue
-            edges, n_comp = max_spanning_forest(w, allowed)
+            edges, n_comp = masked_forest(w, allowed)
             # components from the transitive closure of the adjacency
             reach = allowed | np.eye(n, dtype=bool)
             for _ in range(n):
@@ -288,9 +296,9 @@ class TestForestAndOutputs:
 
     def test_csv_and_dot_outputs(self):
         w = weights_from_edges(3, [(0, 1, 0.9), (0, 2, 0.5), (1, 2, 0.1)])
-        edges = build_mst(w)
         tickers = ["AAA", "BBB", "CCC"]
         labels = ["Tech", "Tech", "Energy"]
+        edges = mst_result(w, labels).edges
         csv_text = edges_to_csv(edges, tickers, labels)
         assert csv_text.splitlines()[0] == "i_ticker,j_ticker,weight,i_sector,j_sector"
         assert "AAA,BBB,0.9,Tech,Tech" in csv_text
@@ -379,11 +387,9 @@ class TestForestOracle:
             labels = [f"S{k}" for k in rng.integers(0, 3, size=n)]
             want, n_comp = ref_forest(w)
             assert n_comp == 1
-            assert build_mst(w) == want  # same edges, same (-w, i, j) order
             tree = mst_result(w, labels)
-            assert tree.edges == want
+            assert tree.edges == want  # same edges, same (-w, i, j) order
             assert tree.cluster_sizes == ref_clusters(want, labels)
-            assert sector_clusters(want, labels) == ref_clusters(want, labels)
             assert tree.q_mst == ref_q(want, labels)
             assert not tree.disconnected
 
@@ -399,7 +405,7 @@ class TestForestOracle:
             if not allowed.any():
                 continue
             want, n_comp = ref_forest(w, allowed)
-            assert max_spanning_forest(w, allowed) == (want, n_comp)
+            assert masked_forest(w, allowed) == (want, n_comp)
 
     @pytest.mark.parametrize("ties", [False, True])
     @pytest.mark.parametrize("n", [2, 3, 7, 24, 60])
@@ -450,17 +456,40 @@ class TestForestOracle:
         labels = ["A"] * 5
         with pytest.raises(ValueError, match="no edges survive the cutoff"):
             coupling_cutoff_scan(j, labels, [-10.0, 100.0], "discard_below")
+        # with every edge masked the core leaves 5 singletons, which the
+        # scans report as the error above
+        assert masked_forest(j, np.zeros((5, 5), dtype=bool)) == ([], 5)
         with pytest.raises(ValueError, match="no edges survive the cutoff"):
-            max_spanning_forest(j, np.zeros((5, 5), dtype=bool))
+            coupling_cutoff_scan(j, labels, [-10.0], "discard_above")
         with pytest.raises(ValueError, match="no eigenvalues survive threshold"):
             eigen_cutoff_scan(j, labels, [100.0], "discard_below")
         with pytest.raises(ValueError, match="thresholds must be sorted"):
             eigen_cutoff_scan(j, labels, [1.0, 0.0], "discard_above")
         with pytest.raises(ValueError, match="at least two nodes"):
-            build_mst(np.zeros((1, 1)))
+            mst_result(np.zeros((1, 1)), ["A"])
         with pytest.raises(ValueError, match="at least two nodes"):
             window_forests([np.zeros((1, 1))], ["A"], mst=True, cutoff_points=0)
         with pytest.raises(ValueError, match="symmetric"):
             window_forests([np.triu(j)], labels, mst=True, cutoff_points=0)
         with pytest.raises(ValueError, match="unknown direction"):
             window_forests([j], labels, mst=False, cutoff_points=3, direction="up")
+
+
+ENTRY_POINTS = {
+    "mst_result": lambda j: mst_result(j, ["A", "A", "B"]),
+    "coupling_cutoff_scan": lambda j: coupling_cutoff_scan(j, ["A", "A", "B"], [0.0],
+                                                           "discard_below"),
+    "eigen_cutoff_scan": lambda j: eigen_cutoff_scan(j, ["A", "A", "B"], [0.0],
+                                                     "discard_below"),
+    "spectral_truncation": lambda j: spectral_truncation(j, 0.0, "discard_below"),
+    "window_forests": lambda j: window_forests([j], ["A", "A", "B"], mst=True,
+                                               cutoff_points=3),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_weights_rejected(entry, bad):
+    j = weights_from_edges(3, [(0, 1, 0.5), (0, 2, bad), (1, 2, 0.2)])
+    with pytest.raises(ValueError, match="weight matrix must be finite"):
+        ENTRY_POINTS[entry](j)
