@@ -18,8 +18,7 @@ from .inference import (InferenceConfig, InferenceResult, infer, infer_exact,
 from .model import (EnergySplit, IsingParams, SampleStats,
                     boltzmann_distribution, energy_split, enumerate_states,
                     exact_moments_small, hamiltonian, metropolis_sample,
-                    params_from_json, params_to_json, sample_configurations,
-                    third_order_from_samples)
+                    params_from_json, params_to_json, third_order_from_samples)
 from .network import (MstResult, ScanPoint, SectorMap, coupling_cutoff_scan,
                       eigen_cutoff_scan, mst_result, spectral_truncation)
 from .panels import (IngestReport, PricePanel, ReturnPanel, WindowSpec,
@@ -46,7 +45,7 @@ __all__ = [
     "log_returns", "metropolis_sample", "moment_residual", "moment_summary",
     "mst_result", "nrmse", "off_diagonal_summary", "params_from_json",
     "params_to_json", "random_model", "sample_binary_panel",
-    "sample_configurations", "scaling_exponents", "shuffle_window",
+    "scaling_exponents", "shuffle_window",
     "spectral_truncation", "standardize_window", "subset_coupling_scan",
     "third_order_from_samples", "window_stats", "windows",
 ]

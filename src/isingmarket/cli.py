@@ -23,15 +23,16 @@ import numpy as np
 
 from . import __version__
 from .evaluation import compare_methods
-from .model import energy_split, params_from_json
+from .model import (STATE_TRACKING_MAX_N, energy_split, metropolis_sample,
+                    params_from_json)
 from .network import edges_to_csv, edges_to_dot, mst_result, window_forests
 from .panels import binarize, load_price_csv, log_returns
 from .pipeline import (ConfigError, NonConvergenceError, RunConfig,
                        _sector_labels, _write_scan_csv, config_from_mapping,
-                       parse_config_file, run, sample_to_files, write_csv,
-                       write_json)
-from .stats import window_stats
-from .synthetic import BlockSpec, generate_synthetic, truth_from_json
+                       parse_config_file, run, write_csv, write_json)
+from .stats import THIRD_ORDER_MAX_N, window_stats
+from .synthetic import (BlockSpec, generate_synthetic, synthetic_tickers,
+                        truth_from_json)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -135,11 +136,32 @@ def _cmd_sample(args) -> int:
         if value < low:
             raise ConfigError(f"{flag} must be at least {low}")
     params = params_from_json(Path(args.params).read_text())
-    sample_to_files(params, args.out_dir or ".", n_sweeps=args.sweeps,
-                    n_burnin=args.burnin, n_chains=args.chains,
-                    seed=args.seed if args.seed is not None else 0,
-                    with_third_order=args.third_order,
-                    track_states=args.track_states)
+    for flag, wanted, max_n in (("--track-states", args.track_states,
+                                 STATE_TRACKING_MAX_N),
+                                ("--third-order", args.third_order, THIRD_ORDER_MAX_N)):
+        if wanted and params.n > max_n:
+            raise ConfigError(f"{flag} limited to N <= {max_n}; "
+                              f"{args.params} has N={params.n}")
+    stats = metropolis_sample(params, n_sweeps=args.sweeps, n_burnin=args.burnin,
+                              n_chains=args.chains,
+                              seed=args.seed if args.seed is not None else 0,
+                              with_third_order=args.third_order,
+                              track_states=args.track_states)
+    out = Path(args.out_dir or ".")
+    tickers = params.tickers or synthetic_tickers(params.n)
+    write_csv(out / "sample_means.csv", "ticker,mean,se,r_hat",
+              [(t, stats.means[i],
+                stats.se_means[i] if stats.se_means is not None else "",
+                stats.r_hat[i] if stats.r_hat is not None else "")
+               for i, t in enumerate(tickers)])
+    write_csv(out / "sample_pair_moments.csv", "ticker," + ",".join(tickers),
+              [(t, *stats.pair_moments[i]) for i, t in enumerate(tickers)])
+    if args.third_order:
+        write_json(out / "sample_third_order.json",
+                   {"tickers": list(tickers), "tensor": stats.third_order.tolist()})
+    if args.track_states:
+        write_csv(out / "sample_state_counts.csv", "state,count",
+                  list(enumerate(stats.state_counts.tolist())))
     print(f"sampled {args.chains * args.sweeps} configurations")
     return 0
 

@@ -23,7 +23,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .model import IsingParams, SampleStats, exact_moments_small, metropolis_sample
+from .model import (ENUMERATION_HARD_CAP, IsingParams, SampleStats, exact_moments_small,
+                    metropolis_sample)
 from .stats import WindowStats
 
 logger = logging.getLogger(__name__)
@@ -54,8 +55,6 @@ class InferenceConfig:
     mc_burnin: int = 100     # sweeps before a fit's first sampled step only
     seed: int | None = None
     exact_max_n: int = 16    # use exhaustive model moments up to this N
-    report_residual: bool = False
-    track_history: bool = False
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -72,6 +71,8 @@ class InferenceConfig:
                           ("mc_burnin", 0), ("exact_max_n", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be at least {low}")
+        if self.exact_max_n > ENUMERATION_HARD_CAP:
+            raise ValueError(f"exact_max_n must be at most {ENUMERATION_HARD_CAP}")
 
     @property
     def use_diagonal_trick(self) -> bool:
@@ -309,7 +310,8 @@ def infer_exact(stats: WindowStats, cfg: InferenceConfig, tickers=None,
     starts them from random states and burns in for cfg.mc_burnin sweeps,
     every later step continues the previous step's final states with no
     burn-in.  Each step draws its own child seed, so a fit is deterministic
-    for cfg.seed.  Sampled fits record the last step's largest per-spin
+    for cfg.seed.  diagnostics["residual_history"] lists each iteration's
+    residual; sampled fits also record the last step's largest per-spin
     R-hat as diagnostics["mc_r_hat_max"].  Initialized from the
     mean-field solution (fields via the diagonal trick).  Learning rates
     decay geometrically by cfg.eta_decay per iteration.  A run whose
@@ -336,8 +338,7 @@ def infer_exact(stats: WindowStats, cfg: InferenceConfig, tickers=None,
         moments = _model_moments(params, cfg, seed=ss.spawn(1)[0], chains=chains)
         chains = moments.final_states
         gap_m, gap_p, residual = _moment_gap(stats, moments)
-        if cfg.track_history:
-            history.append(residual)
+        history.append(residual)
         best = min(best, residual)
         if residual < cfg.tol:
             break
@@ -356,12 +357,11 @@ def infer_exact(stats: WindowStats, cfg: InferenceConfig, tickers=None,
     params = IsingParams(h, j, tickers=tickers)
     converged = residual < cfg.tol and not diverged
     diagnostics = {"min_residual": best, "diverged": diverged,
+                   "residual_history": history,
                    "final_eta_h": eta_h, "final_eta_j": eta_j,
                    "init": "nmf", "cond_cov": init.diagnostics.get("cond_cov")}
     if moments.r_hat is not None:
         diagnostics["mc_r_hat_max"] = float(moments.r_hat.max())
-    if cfg.track_history:
-        diagnostics["residual_history"] = history
     if diverged:
         logger.warning("exact learning aborted as diverged after %d iterations "
                        "(residual %.3g, best %.3g)", iterations, residual, best)
@@ -374,13 +374,10 @@ _DISPATCH = {"exact": infer_exact, "nmf": infer_nmf, "tap": infer_tap,
 
 def infer(stats: WindowStats, cfg: InferenceConfig, tickers=None,
           inverse=None) -> InferenceResult:
-    """Run the method selected by cfg.method; optionally attach a post-hoc
-    moment residual for closed-form methods.  `inverse`, when given, is
-    invert_covariance(stats.covariance, cfg.ridge)."""
-    result = _DISPATCH[cfg.method](stats, cfg, tickers, inverse)
-    if cfg.report_residual and result.residual is None:
-        result.residual = moment_residual(result.params, stats, cfg)
-    return result
+    """Run the method selected by cfg.method.  `inverse`, when given, is
+    invert_covariance(stats.covariance, cfg.ridge).  Closed-form methods
+    leave `residual` None; `moment_residual` measures their fit."""
+    return _DISPATCH[cfg.method](stats, cfg, tickers, inverse)
 
 
 def moment_residual(params: IsingParams, stats: WindowStats,

@@ -26,6 +26,7 @@ import numpy as np
 from . import stats as _stats
 
 ENUMERATION_HARD_CAP = 20  # 2^N states; above this exact sums are refused
+STATE_TRACKING_MAX_N = 16  # sampled state counts keep 2^N bins
 
 
 @dataclass(frozen=True)
@@ -211,19 +212,6 @@ def _simulate(params: IsingParams, n_chains: int, n_sweeps: int, n_burnin: int,
     return out
 
 
-def sample_configurations(params: IsingParams, n_samples: int, n_chains: int = 10,
-                          n_burnin: int = 1000, seed=None) -> np.ndarray:
-    """Draw n_samples configurations, stacked chain-major so each chain's
-    block is a contiguous stretch of its trajectory.  Returns (n_samples, N)."""
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
-    n_chains = min(n_chains, n_samples)
-    per_chain = -(-n_samples // n_chains)  # ceil
-    rng = np.random.default_rng(seed)
-    configs = _simulate(params, n_chains, per_chain, n_burnin, rng)
-    return configs.reshape(-1, params.n)[:n_samples]
-
-
 def metropolis_sample(params: IsingParams, n_sweeps: int, n_burnin: int = 1000,
                       n_chains: int = 10, seed=None, with_third_order: bool = False,
                       track_states: bool = False, init="random") -> SampleStats:
@@ -237,9 +225,11 @@ def metropolis_sample(params: IsingParams, n_sweeps: int, n_burnin: int = 1000,
     """
     if n_sweeps < 1:
         raise ValueError("need at least one sweep")
+    n = params.n
+    if track_states and n > STATE_TRACKING_MAX_N:
+        raise ValueError(f"state tracking limited to N <= {STATE_TRACKING_MAX_N}")
     rng = np.random.default_rng(seed)
     configs = _simulate(params, n_chains, n_sweeps, n_burnin, rng, init=init)
-    n = params.n
     flat = configs.reshape(-1, n).astype(np.float64)
     count = flat.shape[0]
     means = flat.mean(axis=0)
@@ -260,11 +250,7 @@ def metropolis_sample(params: IsingParams, n_sweeps: int, n_burnin: int = 1000,
         r_hat = _gelman_rubin(chain_means, n_sweeps)
 
     third = third_order_from_samples(flat) if with_third_order else None
-    counts = None
-    if track_states:
-        if n > 16:
-            raise ValueError("state tracking limited to N <= 16")
-        counts = np.bincount(encode_states(flat), minlength=2**n)
+    counts = np.bincount(encode_states(flat), minlength=2**n) if track_states else None
 
     settings = {"kind": "metropolis", "n_sweeps": n_sweeps, "n_burnin": n_burnin,
                 "n_chains": n_chains, "seed": seed,

@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .evaluation import compare_methods, scaling_exponents, subset_coupling_scan
 from .inference import INVERTING, InferenceConfig, infer, invert_covariance
-from .model import energy_split, metropolis_sample, params_to_json
+from .model import energy_split, params_to_json
 from .network import edges_to_csv, edges_to_dot, window_forests
 from .panels import (RETURN_KINDS, WindowSpec, binarize, load_price_csv,
                      load_sector_csv, log_returns, standardize_window, windows)
@@ -84,8 +84,9 @@ class RunConfig:
     subset_totals: tuple[int, ...] = ()
 
     def validate(self):
-        for key in ("window_size", "stride", "jobs", "eigen_top_k",
-                    "cutoff_points", "scaling_repeats"):
+        if self.window_size < 2:
+            raise ConfigError("window_size must be at least 2")
+        for key in ("stride", "jobs", "eigen_top_k", "cutoff_points", "scaling_repeats"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be at least 1")
         if self.kind not in RETURN_KINDS:
@@ -112,6 +113,8 @@ class RunConfig:
             raise ConfigError("no inference methods selected")
         if {"mst", "cutoff"} & set(self.stages) and self.sectors is None:
             raise ConfigError("mst/cutoff stages need a sectors file")
+        if "compare" in self.stages and not self.compare_pairs:
+            raise ConfigError("compare stage needs compare_pairs")
         for a, b in self.compare_pairs:
             if a not in self.methods or b not in self.methods:
                 raise ConfigError(f"compare pair {a}:{b} not covered by methods")
@@ -119,11 +122,18 @@ class RunConfig:
             raise ConfigError("n_boot must be 0 (no bootstrap) or at least 100")
         if not 0 < self.boot_level < 1:
             raise ConfigError("boot_level must lie in (0, 1)")
-        if "scaling" in self.stages and len(set(self.scaling_sizes)) < 3:
-            raise ConfigError("scaling stage needs at least three subset sizes")
-        if "subset" in self.stages and (not self.subset_indices or
-                                        not self.subset_totals):
-            raise ConfigError("subset stage needs subset_indices and subset_totals")
+        if "scaling" in self.stages:
+            if len(set(self.scaling_sizes)) < 3:
+                raise ConfigError("scaling stage needs at least three subset sizes")
+            if min(self.scaling_sizes) < 2:
+                raise ConfigError("scaling sizes must be at least 2")
+        if "subset" in self.stages:
+            if not self.subset_indices or not self.subset_totals:
+                raise ConfigError("subset stage needs subset_indices and subset_totals")
+            if len(set(self.subset_indices)) < len(self.subset_indices):
+                raise ConfigError("subset_indices has duplicate members")
+            if min(self.subset_totals) < len(self.subset_indices):
+                raise ConfigError("subset_totals must be at least the subset size")
 
     def inference_config(self, method: str, seed) -> InferenceConfig:
         """InferenceConfig for `method`: every field the two classes share."""
@@ -318,6 +328,13 @@ def _run_stages(cfg: RunConfig, out: Path, manifest: dict) -> None:
     if cfg.window_size > returns.n_steps:
         raise ConfigError(f"window_size {cfg.window_size} exceeds the "
                           f"{returns.n_steps}-step return history")
+    n = panel.n_series
+    if "scaling" in cfg.stages and max(cfg.scaling_sizes) > n:
+        raise ConfigError(f"largest scaling size {max(cfg.scaling_sizes)} exceeds panel N={n}")
+    if "subset" in cfg.stages and not all(0 <= i < n for i in cfg.subset_indices):
+        raise ConfigError(f"subset indices must lie in [0, {n - 1}] for panel N={n}")
+    if "subset" in cfg.stages and max(cfg.subset_totals) > n:
+        raise ConfigError(f"subset total {max(cfg.subset_totals)} exceeds panel N={n}")
     binary = binarize(returns)
     items = list(enumerate(windows(binary if cfg.kind == "binary" else returns, spec)))
     manifest["windows"] = len(items)
@@ -441,7 +458,7 @@ def _window_unit(cfg: RunConfig, out: Path, idx: int, date: str, block,
             if points:
                 _write_scan_csv(out / "cutoff" / method / f"coupling_{date}.csv", coupling)
                 _write_scan_csv(out / "cutoff" / method / f"eigen_{date}.csv", eigen)
-    if "compare" in cfg.stages and cfg.compare_pairs:
+    if "compare" in cfg.stages:
         rows["compare"] = []
         for a, b in cfg.compare_pairs:
             cmp = compare_methods(fits[a], fits[b])
@@ -496,31 +513,3 @@ def _write_subset_outputs(cfg, out, binary) -> None:
                      "couplings": e.couplings.tolist(),
                      "mean": e.mean, "std": e.std} for e in scan.entries],
     })
-
-
-# ---------------------------------------------------------------------------
-# One-shot helpers used by CLI subcommands
-# ---------------------------------------------------------------------------
-
-def sample_to_files(params, out_dir, n_sweeps, n_burnin, n_chains, seed,
-                    with_third_order=False, track_states=False) -> None:
-    out = Path(out_dir)
-    stats = metropolis_sample(params, n_sweeps=n_sweeps, n_burnin=n_burnin,
-                              n_chains=n_chains, seed=seed,
-                              with_third_order=with_third_order,
-                              track_states=track_states)
-    tickers = params.tickers or [f"S{i:03d}" for i in range(params.n)]
-    write_csv(out / "sample_means.csv", "ticker,mean,se,r_hat",
-              [(t, stats.means[i],
-                stats.se_means[i] if stats.se_means is not None else "",
-                stats.r_hat[i] if stats.r_hat is not None else "")
-               for i, t in enumerate(tickers)])
-    write_csv(out / "sample_pair_moments.csv", "ticker," + ",".join(tickers),
-              [(t, *stats.pair_moments[i]) for i, t in enumerate(tickers)])
-    if with_third_order:
-        write_json(out / "sample_third_order.json",
-                   {"tickers": list(tickers),
-                    "tensor": stats.third_order.tolist()})
-    if track_states:
-        write_csv(out / "sample_state_counts.csv", "state,count",
-                  list(enumerate(stats.state_counts.tolist())))

@@ -10,7 +10,7 @@ from datetime import date, timedelta
 
 import numpy as np
 
-from .model import IsingParams, params_to_json, sample_configurations
+from .model import IsingParams, _simulate, params_to_json
 from .network import SectorMap
 
 PRICE_STEP = 0.01  # log-return magnitude; cosmetic, sign carries the signal
@@ -65,15 +65,16 @@ def random_model(n: int, h_scale: float, j_scale: float, seed=None,
 
 
 def sample_binary_panel(params: IsingParams, n_steps: int, seed=None,
-                        n_chains: int = 8, n_burnin: int = 500) -> np.ndarray:
+                        n_burnin: int = 500) -> np.ndarray:
     """Sample an (N, n_steps) +-1 panel from the model.
 
-    Columns are Metropolis trajectories, chain-major, so each chain
-    contributes one contiguous quasi-stationary segment.
+    Each column is the final state of its own Metropolis chain after
+    n_burnin + 1 sweeps from a random start, so the days are independent
+    draws, as the model's inference assumes.
     """
-    configs = sample_configurations(params, n_steps, n_chains=n_chains,
-                                    n_burnin=n_burnin, seed=seed)
-    return configs.T.astype(np.float64)
+    configs = _simulate(params, n_chains=n_steps, n_sweeps=1, n_burnin=n_burnin,
+                        rng=np.random.default_rng(seed))
+    return configs[:, 0].T.astype(np.float64)
 
 
 def trading_dates(n: int, start: str = "1990-01-02") -> tuple[str, ...]:
@@ -106,8 +107,7 @@ def sectors_to_csv(sector_map: SectorMap) -> str:
 
 def generate_synthetic(out_prices, out_truth, n_days: int,
                        model: IsingParams | BlockSpec, seed=None,
-                       out_sectors=None, n_chains: int = 8,
-                       n_burnin: int = 500) -> IsingParams:
+                       out_sectors=None, n_burnin: int = 500) -> IsingParams:
     """Write a synthetic price CSV plus its ground-truth parameter JSON.
 
     `model` is either planted parameters or a BlockSpec (in which case a
@@ -125,7 +125,7 @@ def generate_synthetic(out_prices, out_truth, n_days: int,
         params = model
         sample_seed = seed
     signs = sample_binary_panel(params, n_days - 1, seed=sample_seed,
-                                n_chains=n_chains, n_burnin=n_burnin)
+                                n_burnin=n_burnin)
     prices = prices_from_signs(signs)
     tickers = params.tickers or synthetic_tickers(params.n)
     dates = trading_dates(n_days)

@@ -150,8 +150,7 @@ def test_criterion_04_outlier_bias_shape():
             strong = rng.permutation(len(iu[0]))[:8]
             j[iu[0][strong], iu[1][strong]] = 0.25
             truth = IsingParams(rng.uniform(-0.1, 0.1, n), j + j.T)
-            panel = sample_binary_panel(truth, t, seed=seed + 1, n_chains=t,
-                                        n_burnin=150)
+            panel = sample_binary_panel(truth, t, seed=seed + 1, n_burnin=150)
             st = window_stats(panel)
             true_flat = truth.J[iu]
             top = np.argsort(true_flat)[::-1][: len(true_flat) // 10]
@@ -204,7 +203,7 @@ def _block_cutoff_trial(seed: int):
     j = np.where(same, a, 0.0)
     np.fill_diagonal(j, 0.0)
     truth = IsingParams(np.zeros(n), j)
-    panel = sample_binary_panel(truth, t, seed=seed, n_chains=t, n_burnin=150)
+    panel = sample_binary_panel(truth, t, seed=seed, n_burnin=150)
     jest = infer_nmf(window_stats(panel), InferenceConfig()).params.J
 
     base = mst_result(jest, labels).q_mst
@@ -248,8 +247,7 @@ def test_criterion_07_shuffled_baseline():
         n = 16
         j = np.triu(rng.normal(0.04, 0.05, (n, n)), 1)
         truth = IsingParams(rng.uniform(-0.2, 0.2, n), j + j.T)
-        panel = sample_binary_panel(truth, 1500, seed=6, n_chains=1500,
-                                    n_burnin=150)
+        panel = sample_binary_panel(truth, 1500, seed=6, n_burnin=150)
         cfg = InferenceConfig()
         base = upper(infer_nmf(window_stats(panel), cfg).params.J).mean()
         means0 = panel.mean(axis=1)
@@ -297,7 +295,7 @@ def test_criterion_08_scaling_machinery():
         truth = random_model(30, 0.1, 0.08, seed=9)
         bin_panel = ReturnPanel(
             synthetic_tickers(30), tuple(f"d{t:05d}" for t in range(700)),
-            sample_binary_panel(truth, 700, seed=10, n_chains=64), "binary")
+            sample_binary_panel(truth, 700, seed=10), "binary")
         subset = list(range(5, 25))  # a fixed subset of 20
         scan = subset_coupling_scan(bin_panel, bin_panel.dates[-1], 700,
                                     subset, totals=[20], method="nmf", seed=12)

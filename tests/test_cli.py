@@ -10,8 +10,10 @@ import pytest
 
 import isingmarket
 from isingmarket.cli import build_parser, main
+from isingmarket.model import params_to_json
 from isingmarket.pipeline import (ConfigError, RunConfig, config_from_mapping,
                                   parse_config_file, run)
+from isingmarket.synthetic import random_model
 
 
 @pytest.fixture(scope="module")
@@ -304,10 +306,22 @@ class TestAnalysisCommands:
         counts = read_lines(tmp_path / "sample_state_counts.csv")
         assert len(counts) - 1 == 2**12
 
-    @pytest.mark.parametrize("flags", [["--sweeps", "0"], ["--burnin", "-1"],
-                                       ["--chains", "0"]], ids=" ".join)
-    def test_sample_bad_settings_are_config_errors(self, market, tmp_path, flags):
-        rc = main(["sample", "--params", str(market / "truth.json"),
+    @pytest.mark.parametrize("flags,n", [
+        (["--sweeps", "0"], None), (["--burnin", "-1"], None), (["--chains", "0"], None),
+        (["--track-states"], 17), (["--third-order"], 129),
+    ], ids=["--sweeps 0", "--burnin -1", "--chains 0", "--track-states", "--third-order"])
+    def test_sample_bad_settings_are_config_errors(self, market, tmp_path, monkeypatch,
+                                                   flags, n):
+        params = market / "truth.json"
+        if n is not None:  # an output the sampler cannot produce at this N
+            params = tmp_path / "wide.json"
+            params.write_text(params_to_json(random_model(n, 0.1, 0.1, seed=0)))
+
+        def no_sweeps(*args, **kwargs):
+            raise AssertionError("sampled before rejecting the settings")
+
+        monkeypatch.setattr(isingmarket.model, "_simulate", no_sweeps)
+        rc = main(["sample", "--params", str(params), "--sweeps", "1", "--burnin", "0",
                    "--out-dir", str(tmp_path / "out"), *flags])
         assert rc == 2
         assert not (tmp_path / "out").exists()
@@ -579,7 +593,13 @@ class TestConfigParsing:
         ("stats", ["--eigen-top", "0"], ""),
         ("cutoff", ["--cutoff-points", "0"], ""),
         ("scaling", ["--sizes", "4,6,12", "--repeats", "0"], ""),
+        ("scaling", ["--sizes", "1,5,10"], ""),
+        ("subset-scan", ["--subset", "0,0,2", "--totals", "3,8"], ""),
+        ("subset-scan", ["--subset", "0,1,2", "--totals", "2,8"], ""),
         ("mst", ["--sectors", ""], ""),
+        ("infer", [], "exact_max_n=21"),
+        ("stats", ["-T", "1"], ""),
+        ("compare", ["--method", "nmf,tap"], ""),
     ]
 
     @pytest.mark.parametrize(
@@ -597,6 +617,22 @@ class TestConfigParsing:
         assert main(argv) == 2
         assert not (out / "ingest_report.json").exists()
         assert not (out / ".partial").exists()
+
+    @pytest.mark.parametrize("command,flags", [
+        ("scaling", ["--sizes", "4,6,13"]),
+        ("subset-scan", ["--subset", "0,1,12", "--totals", "3,8"]),
+        ("subset-scan", ["--subset", "0,1,2", "--totals", "3,13"]),
+    ], ids=["--sizes 4,6,13", "--subset 0,1,12", "--totals 3,13"])
+    def test_setting_beyond_panel_exits_after_ingest(self, market, tmp_path, command,
+                                                     flags):
+        out = tmp_path / "out"
+        rc = main([command, "--prices", str(market / "prices.csv"), "--out-dir", str(out),
+                   "-T", "300", *flags])
+        assert rc == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["failure"]["stage"] == "ingest"
+        assert manifest["failure"]["error"].startswith("ConfigError")
+        assert not (out / "scaling").exists() and not (out / "subset").exists()
 
     def test_cutoff_params_rejects_zero_points(self, market, tmp_path):
         rc = main(["cutoff", "--params", str(market / "truth.json"),

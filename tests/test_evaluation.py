@@ -13,8 +13,7 @@ from isingmarket.synthetic import (BlockSpec, block_model, random_model,
 
 
 def binary_panel_from(params, n_steps, seed):
-    values = sample_binary_panel(params, n_steps, seed=seed, n_chains=64,
-                                 n_burnin=200)
+    values = sample_binary_panel(params, n_steps, seed=seed, n_burnin=200)
     tickers = params.tickers or synthetic_tickers(params.n)
     dates = tuple(f"d{t:05d}" for t in range(n_steps))
     return ReturnPanel(tickers, dates, values, "binary")

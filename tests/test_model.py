@@ -10,8 +10,7 @@ from isingmarket.model import (IsingParams, _gelman_rubin, _simulate,
                                encode_states, energy_split, enumerate_states,
                                exact_moments_small, hamiltonian,
                                metropolis_sample, params_from_json,
-                               params_to_json, sample_configurations,
-                               third_order_from_samples)
+                               params_to_json, third_order_from_samples)
 from isingmarket.stats import third_order_tensor
 from isingmarket.synthetic import random_model
 
@@ -208,12 +207,6 @@ class TestMetropolis:
         params = random_model(4, 0.2, 0.2, seed=10)
         stats = metropolis_sample(params, 50, 20, 10, seed=12)
         np.testing.assert_array_equal(np.diag(stats.pair_moments), 1.0)
-
-    def test_configs_shape(self):
-        params = random_model(3, 0.1, 0.1, seed=11)
-        configs = sample_configurations(params, 57, n_chains=8, n_burnin=20, seed=4)
-        assert configs.shape == (57, 3)
-        assert np.all(np.abs(configs) == 1)
 
     def test_tv_distance_decreases_with_sweeps(self):
         # from a cold random start, more sweeps bring the empirical state

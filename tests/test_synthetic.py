@@ -33,16 +33,27 @@ class TestBlockModel:
 class TestSampling:
     def test_free_model_has_no_cross_correlations(self):
         params = IsingParams(np.zeros(6), np.zeros((6, 6)))
-        panel = sample_binary_panel(params, 4000, seed=1, n_chains=40)
+        panel = sample_binary_panel(params, 4000, seed=1)
         cov = np.cov(panel, bias=True)
         off = cov[~np.eye(6, dtype=bool)]
         assert np.abs(off).max() < 4 / np.sqrt(4000 / 2)
 
     def test_single_spin_mean_tracks_field(self):
         params = IsingParams(np.array([0.5]), np.zeros((1, 1)))
-        panel = sample_binary_panel(params, 20_000, seed=2, n_chains=50)
+        panel = sample_binary_panel(params, 20_000, seed=2)
         se = np.sqrt((1 - np.tanh(0.5) ** 2) / 20_000) * 3  # iid bound
         assert abs(panel.mean() - np.tanh(0.5)) < 5 * se
+
+    def test_days_are_independent_draws(self):
+        # each day is its own chain, so the daily mean spin of a strongly
+        # coupled block model carries no memory from one day to the next
+        params = block_model(BlockSpec(24, 3, 0.08, 0.0, 0.05), seed=1)[0]
+        panel = sample_binary_panel(params, 1000, seed=2)
+        assert panel.shape == (24, 1000)
+        assert np.all(np.abs(panel) == 1.0)
+        daily = panel.mean(axis=0) - panel.mean()
+        lag1 = daily[:-1] @ daily[1:] / (daily @ daily)
+        assert abs(lag1) < 3 / np.sqrt(1000)
 
 
 class TestGenerateSynthetic:
@@ -77,8 +88,7 @@ class TestGenerateSynthetic:
         # window stats -> inference -> spanning tree clustering
         spec = BlockSpec(18, 3, j_intra=0.12, j_inter=0.0)
         generate_synthetic(tmp_path / "p.csv", tmp_path / "t.json", n_days=2501,
-                           model=spec, seed=6, out_sectors=tmp_path / "s.csv",
-                           n_chains=64)
+                           model=spec, seed=6, out_sectors=tmp_path / "s.csv")
         panel, _ = load_price_csv(tmp_path / "p.csv")
         binary = binarize(log_returns(panel))
         res = infer_nmf(window_stats(binary.values), InferenceConfig())
