@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import orjson
 
 from . import stats as _stats
 
@@ -349,40 +350,36 @@ def energy_split(params: IsingParams, means) -> EnergySplit:
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _couplings_json(j: np.ndarray) -> str:
-    """`json.dumps(j.tolist())` for a J built by IsingParams.
+def _floats_json(a: np.ndarray) -> str:
+    """`json.dumps(a.tolist())` for a finite float64 vector or matrix.
 
-    IsingParams stores J = (j + j.T) / 2 with a +0.0 diagonal; IEEE
-    addition is commutative, so J[a, b] and J[b, a] have identical bits.
-    Each upper-triangle value is therefore formatted once, with the
-    float.__repr__ that json.dumps uses for finite floats, and its text
-    reused for the mirrored cell.
+    orjson writes the same shortest round-trip digits as float.__repr__,
+    but without an exponent for 1e-5 <= |x| < 1e-4 and with a bare one
+    (1e-7, 1e16) where repr writes 1e-07 and 1e+16.  Each row that holds
+    a value with 0 < |x| < 1e-4 or |x| >= 1e16 is formatted by json.dumps.
     """
-    n = j.shape[0]
-    rows: list = [[] for _ in range(n)]
-    lines = []
-    for a in range(n):
-        # row a already holds its lower part, appended by rows 0..a-1
-        upper = list(map(float.__repr__, j[a, a + 1:].tolist()))
-        row = rows[a]
-        row.append("0.0")
-        row += upper
-        for below, text in zip(rows[a + 1:], upper):
-            below.append(text)
-        lines.append(", ".join(row))
-        rows[a] = None  # frees each string once both of its rows are joined
-    return "[[" + "], [".join(lines) + "]]" if n else "[]"
+    text = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY).decode().replace(",", ", ")
+    mag = np.abs(a)
+    odd = (mag >= 1e16) | ((mag < 1e-4) & (mag > 0.0))
+    if not odd.any():
+        return text
+    if a.ndim == 1:
+        return json.dumps(a.tolist())
+    rows = text[2:-2].split("], [")
+    for i in np.flatnonzero(odd.any(axis=1)):
+        rows[i] = json.dumps(a[i].tolist())[1:-1]
+    return "[[" + "], [".join(rows) + "]]"
 
 
 def params_to_json(params: IsingParams) -> str:
     """Byte-equal to json.dumps of {"tickers", "h", "J": J.tolist()}."""
     tickers = list(params.tickers) if params.tickers else None
-    return (f'{{"tickers": {json.dumps(tickers)}, "h": {json.dumps(params.h.tolist())}, '
-            f'"J": {_couplings_json(params.J)}}}')
+    return (f'{{"tickers": {json.dumps(tickers)}, "h": {_floats_json(params.h)}, '
+            f'"J": {_floats_json(params.J)}}}')
 
 
 def params_from_json(text: str) -> IsingParams:
-    obj = json.loads(text)
+    obj = orjson.loads(text)
     tickers = tuple(obj["tickers"]) if obj.get("tickers") else None
     return IsingParams(np.asarray(obj["h"], dtype=float),
                        np.asarray(obj["J"], dtype=float), tickers=tickers)

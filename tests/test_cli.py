@@ -404,6 +404,40 @@ class TestAnalysisCommands:
         assert main(args) == 2
         assert "tickers without sector assignment: ['S005']" in capsys.readouterr().err
 
+    MISSING_FILES = {
+        "sample --params": "sample --params {missing}",
+        "mst --params": "mst --params {missing} --sectors {market}/sectors.csv",
+        "mst --sectors": "mst --params {market}/truth.json --sectors {missing}",
+        "cutoff --params": "cutoff --params {missing} --sectors {market}/sectors.csv",
+        "energy --params": "energy --params {missing} --prices {market}/prices.csv",
+        "energy --prices": "energy --params {market}/truth.json --prices {missing}",
+        "ingest --prices": "ingest --prices {missing}",
+        "ingest --sectors": "ingest --prices {market}/prices.csv --sectors {missing}",
+        "synth --truth": "synth --truth {missing}",
+        "compare --a": "compare --a {missing} --b {market}/truth.json",
+        "compare --b": "compare --a {market}/truth.json --b {missing}",
+        "infer --config": "infer --prices {market}/prices.csv --config {missing}",
+    }
+
+    @pytest.mark.parametrize("argv", MISSING_FILES.values(), ids=MISSING_FILES.keys())
+    def test_missing_input_file_is_config_error(self, market, tmp_path, capsys, argv):
+        missing = tmp_path / "nope.json"
+        args = argv.format(missing=missing, market=market).split()
+        assert main([*args, "--out-dir", str(tmp_path / "out")]) == 2
+        assert f"file {str(missing)!r} is not a file" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text", ['{"tickers": null, "h": [0.1, 0.2], "J": [[0.0, ',
+                                      '{"tickers": null, "h": [NaN], "J": [[0.0]]}'],
+                             ids=["truncated", "NaN"])
+    def test_unreadable_params_are_numeric_failures(self, tmp_path, capsys, text):
+        params = tmp_path / "bad.json"
+        params.write_text(text)
+        rc = main(["sample", "--params", str(params), "--out-dir", str(tmp_path / "out")])
+        assert rc == 3
+        assert "numeric failure" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_compare_one_shot(self, market, tmp_path):
         rc = main(["compare", "--a", str(market / "truth.json"),
                    "--b", str(market / "truth.json"),
@@ -600,23 +634,34 @@ class TestConfigParsing:
         ("infer", [], "exact_max_n=21"),
         ("stats", ["-T", "1"], ""),
         ("compare", ["--method", "nmf,tap"], ""),
+        ("synth", ["--n-days", "1"], ""),
+        ("synth", ["--n-stocks", "1"], ""),
+        ("synth", ["--n-stocks", "10", "--n-sectors", "3"], ""),
     ]
 
     @pytest.mark.parametrize(
         "command,flags,config_text", BAD_VALUES,
         ids=[" ".join(flags) or text.replace("\n", ";") for _, flags, text in BAD_VALUES])
-    def test_bad_value_exits_before_ingest(self, market, tmp_path, command,
+    def test_bad_value_exits_before_ingest(self, market, tmp_path, monkeypatch, command,
                                            flags, config_text):
         out = tmp_path / "out"
-        argv = [command, "--prices", str(market / "prices.csv"),
-                "--sectors", str(market / "sectors.csv"), "--out-dir", str(out),
-                "-T", "300", "--stride", "100", *flags]
+        if command == "synth":  # it reads no prices; a bad size must stop it before sampling
+            def no_sweeps(*args, **kwargs):
+                raise AssertionError("sampled before rejecting the settings")
+
+            monkeypatch.setattr(isingmarket.synthetic, "_simulate", no_sweeps)
+            argv = [command, "--out-dir", str(out), *flags]
+        else:
+            argv = [command, "--prices", str(market / "prices.csv"),
+                    "--sectors", str(market / "sectors.csv"), "--out-dir", str(out),
+                    "-T", "300", "--stride", "100", *flags]
         if config_text:
             (tmp_path / "bad.cfg").write_text(config_text + "\n")
             argv += ["--config", str(tmp_path / "bad.cfg")]
         assert main(argv) == 2
         assert not (out / "ingest_report.json").exists()
         assert not (out / ".partial").exists()
+        assert not (out / "prices.csv").exists()
 
     @pytest.mark.parametrize("command,flags", [
         ("scaling", ["--sizes", "4,6,13"]),

@@ -56,12 +56,37 @@ class TestParamsJson:
         assert params_to_json(params) == reference_json(params)
 
     def test_edge_values_and_tickers(self):
-        # -0.0, the smallest subnormal and both repr exponent switch points
-        j = coupling_matrix(4, [(0, 1, -0.0), (0, 2, 5e-324), (1, 3, 1e-05),
-                                (2, 3, 1e+16), (0, 3, -1e-05)])
-        h = np.array([-0.0, 5e-324, 1e16, -2.5])
-        for tickers in (None, ('A"B', "C\\D", "Ünï", "日本")):
+        # -0.0, the smallest subnormal and normal, the largest float, both
+        # repr exponent switch points and the values on either side of
+        # them; rows 6 and 7 hold only values that orjson prints as repr
+        # does, 1e-4 and 9999999999999998.0 among them
+        j = coupling_matrix(8, [(0, 1, -0.0), (0, 2, 5e-324), (1, 3, 1e-05),
+                                (2, 3, 1e+16), (0, 3, -1e-05), (0, 4, 9.99e-05),
+                                (1, 2, -1.234e-05), (1, 4, 1e-4), (2, 4, -1e-07),
+                                (3, 4, 1.5e17), (0, 5, 1e22),
+                                (2, 5, 2.2250738585072014e-308), (6, 7, 1e-4),
+                                (1, 6, 9999999999999998.0), (5, 7, -0.25)])
+        h = np.array([-0.0, 5e-324, 1e16, -2.5, 1.7976931348623157e308,
+                      2.2250738585072014e-308, 1e22, -1e-07])
+        for tickers in (None, ('A"B', "C\\D", "Ünï", "日本", "e", "f", "g", "h")):
             params = IsingParams(h, j, tickers=tickers)
+            assert params_to_json(params) == reference_json(params)
+
+    def test_log_uniform_sweep_matches_json_dumps(self):
+        # magnitudes from underflow to 1e300, about a tenth of them -0.0
+        rng = np.random.default_rng(1234)
+
+        def draw(size):
+            values = rng.normal(size=size) * 10.0 ** rng.integers(-330, 301, size=size)
+            return np.where(rng.random(size) < 0.1, -0.0, values)
+
+        for _ in range(300):
+            n = int(rng.integers(1, 41))
+            upper = np.triu_indices(n, k=1)
+            j = np.zeros((n, n))
+            j[upper] = draw(upper[0].size)
+            j.T[upper] = j[upper]
+            params = IsingParams(draw(n), j)
             assert params_to_json(params) == reference_json(params)
 
     def test_round_trip_bit_exact_at_n200(self):
