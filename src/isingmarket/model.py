@@ -43,13 +43,15 @@ class IsingParams:
         j = np.asarray(self.J, dtype=np.float64)
         if h.ndim != 1 or j.shape != (h.size, h.size):
             raise ValueError(f"shape mismatch: h {h.shape}, J {j.shape}")
-        if not (np.all(np.isfinite(h)) and np.all(np.isfinite(j))):
+        with np.errstate(over="ignore"):  # an overflow is caught as non-finite
+            sym = (j + j.T) / 2.0
+        if not (np.all(np.isfinite(h)) and np.all(np.isfinite(sym))):
             raise ValueError("parameters must be finite")
         if not np.allclose(j, j.T, atol=1e-10):
             raise ValueError("J must be symmetric")
         if not np.allclose(np.diag(j), 0.0, atol=1e-12):
             raise ValueError("J must have zero diagonal")
-        j = (j + j.T) / 2.0
+        j = sym
         np.fill_diagonal(j, 0.0)
         h = h.copy()
         h.flags.writeable = False
@@ -350,35 +352,40 @@ def energy_split(params: IsingParams, means) -> EnergySplit:
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _floats_json(a: np.ndarray) -> str:
-    """`json.dumps(a.tolist())` for a finite float64 vector or matrix.
+def _floats_json(a: np.ndarray) -> bytes:
+    """`json.dumps(a.tolist()).encode()` for a finite float64 vector or matrix.
 
     orjson writes the same shortest round-trip digits as float.__repr__,
     but without an exponent for 1e-5 <= |x| < 1e-4 and with a bare one
-    (1e-7, 1e16) where repr writes 1e-07 and 1e+16.  Each row that holds
-    a value with 0 < |x| < 1e-4 or |x| >= 1e16 is formatted by json.dumps.
+    (1e-7, 1e16) where repr writes 1e-07 and 1e+16; only the tokens of
+    values with 0 < |x| < 1e-4 or |x| >= 1e16 are re-formatted, by repr.
     """
-    text = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY).decode().replace(",", ", ")
-    mag = np.abs(a)
+    out = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY).replace(b",", b", ")
+    rows = np.atleast_2d(a)  # a vector is one row
+    mag = np.abs(rows)
     odd = (mag >= 1e16) | ((mag < 1e-4) & (mag > 0.0))
     if not odd.any():
-        return text
-    if a.ndim == 1:
-        return json.dumps(a.tolist())
-    rows = text[2:-2].split("], [")
+        return out
+    ends = np.flatnonzero(np.frombuffer(out, np.uint8) == ord("]"))  # row i ends at ends[i]
+    view, parts, done = memoryview(out), [], 0
     for i in np.flatnonzero(odd.any(axis=1)):
-        rows[i] = json.dumps(a[i].tolist())[1:-1]
-    return "[[" + "], [".join(rows) + "]]"
+        first = ends[i - 1] + 4 if i else a.ndim  # just after "], [", "[[" or "["
+        tokens = out[first:ends[i]].split(b", ")
+        for k in np.flatnonzero(odd[i]):
+            tokens[k] = repr(float(rows[i, k])).encode()
+        parts += [view[done:first], b", ".join(tokens)]
+        done = ends[i]
+    return b"".join([*parts, view[done:]])
 
 
-def params_to_json(params: IsingParams) -> str:
-    """Byte-equal to json.dumps of {"tickers", "h", "J": J.tolist()}."""
-    tickers = list(params.tickers) if params.tickers else None
-    return (f'{{"tickers": {json.dumps(tickers)}, "h": {_floats_json(params.h)}, '
-            f'"J": {_floats_json(params.J)}}}')
+def params_to_json(params: IsingParams) -> bytes:
+    """Byte-equal to json.dumps of {"tickers", "h", "J": J.tolist()}, encoded."""
+    tickers = json.dumps(list(params.tickers) if params.tickers else None).encode()
+    return b'{"tickers": %b, "h": %b, "J": %b}' % (
+        tickers, _floats_json(params.h), _floats_json(params.J))
 
 
-def params_from_json(text: str) -> IsingParams:
+def params_from_json(text: str | bytes) -> IsingParams:
     obj = orjson.loads(text)
     tickers = tuple(obj["tickers"]) if obj.get("tickers") else None
     return IsingParams(np.asarray(obj["h"], dtype=float),

@@ -435,7 +435,7 @@ def _window_unit(cfg: RunConfig, out: Path, idx: int, date: str, block,
         fits[method] = params = res.params
         path = out / "params" / method / f"{date}.json"
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(params_to_json(params) + "\n")
+        path.write_bytes(params_to_json(params) + b"\n")
         rows.setdefault("diag", []).append(
             (date, method, bool(res.converged), res.iterations, res.residual,
              res.diagnostics.get("cond_cov"), res.diagnostics.get("tap_fallbacks")))

@@ -10,7 +10,7 @@ from datetime import date, timedelta
 
 import numpy as np
 
-from .model import IsingParams, _simulate, params_to_json
+from .model import IsingParams, _simulate, params_from_json, params_to_json
 from .network import SectorMap
 
 PRICE_STEP = 0.01  # log-return magnitude; cosmetic, sign carries the signal
@@ -131,7 +131,7 @@ def generate_synthetic(out_prices, out_truth, n_days: int,
     dates = trading_dates(n_days)
     with open(out_prices, "w") as fh:
         fh.write(prices_to_csv(tickers, dates, prices))
-    with open(out_truth, "w") as fh:
+    with open(out_truth, "wb") as fh:
         fh.write(params_to_json(params))
     if out_sectors is not None:
         if sector_map is None:
@@ -142,6 +142,5 @@ def generate_synthetic(out_prices, out_truth, n_days: int,
 
 
 def truth_from_json(path) -> IsingParams:
-    from .model import params_from_json
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         return params_from_json(fh.read())

@@ -1,7 +1,9 @@
-"""Shared test helpers: exact-moment bridges and brute-force oracles."""
+"""Shared test helpers: exact-moment bridges, brute-force oracles and the
+params JSON reference."""
 
 from __future__ import annotations
 
+import json
 from itertools import product
 
 import numpy as np
@@ -22,6 +24,12 @@ def stats_from_params(params: IsingParams) -> WindowStats:
 
 def stats_from_moments(m: np.ndarray, cov: np.ndarray) -> WindowStats:
     return WindowStats(m, cov)
+
+
+def reference_json(params: IsingParams) -> str:
+    """The params wire format as json.dumps writes it."""
+    return json.dumps({"tickers": list(params.tickers) if params.tickers else None,
+                       "h": params.h.tolist(), "J": params.J.tolist()})
 
 
 def weights_from_edges(n, entries, default=0.0):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,8 +10,9 @@ import numpy as np
 import pytest
 
 import isingmarket
+from conftest import reference_json
 from isingmarket.cli import build_parser, main
-from isingmarket.model import params_to_json
+from isingmarket.model import params_from_json, params_to_json
 from isingmarket.pipeline import (ConfigError, RunConfig, config_from_mapping,
                                   parse_config_file, run)
 from isingmarket.synthetic import random_model
@@ -170,6 +172,22 @@ class TestInferCommand:
         assert diag[0].startswith("date,method,converged")
         assert len(diag) - 1 == 2 * 3
 
+    def test_params_files_are_json_dumps_bytes(self, market, tmp_path):
+        # short windows give fits with values that orjson writes in another
+        # notation than json.dumps (1e-05, 1e+16), so the fix-up path runs
+        rc = main(["infer", "--prices", str(market / "prices.csv"),
+                   "--out-dir", str(tmp_path), "-T", "60", "--stride", "20",
+                   "--method", "nmf,tap,sm", "--seed", "5"])
+        assert rc == 0
+        files = sorted((tmp_path / "params").glob("*/*.json"))
+        assert len(files) == 18 * 3
+        odd_tokens = 0
+        for path in files:
+            data = path.read_bytes()
+            odd_tokens += len(re.findall(rb"\de[-+]\d", data))
+            assert data == reference_json(params_from_json(data)).encode() + b"\n"
+        assert odd_tokens > 0
+
     def test_emit_matrices(self, market, tmp_path):
         rc = main(["stats", "--prices", str(market / "prices.csv"),
                    "--out-dir", str(tmp_path), "-T", "400",
@@ -315,7 +333,7 @@ class TestAnalysisCommands:
         params = market / "truth.json"
         if n is not None:  # an output the sampler cannot produce at this N
             params = tmp_path / "wide.json"
-            params.write_text(params_to_json(random_model(n, 0.1, 0.1, seed=0)))
+            params.write_bytes(params_to_json(random_model(n, 0.1, 0.1, seed=0)))
 
         def no_sweeps(*args, **kwargs):
             raise AssertionError("sampled before rejecting the settings")
@@ -427,12 +445,13 @@ class TestAnalysisCommands:
         assert f"file {str(missing)!r} is not a file" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("text", ['{"tickers": null, "h": [0.1, 0.2], "J": [[0.0, ',
-                                      '{"tickers": null, "h": [NaN], "J": [[0.0]]}'],
-                             ids=["truncated", "NaN"])
-    def test_unreadable_params_are_numeric_failures(self, tmp_path, capsys, text):
+    @pytest.mark.parametrize("data", [b'{"tickers": null, "h": [0.1, 0.2], "J": [[0.0, ',
+                                      b'{"tickers": null, "h": [NaN], "J": [[0.0]]}',
+                                      b'{"tickers": ["\xff"], "h": [0.0], "J": [[0.0]]}'],
+                             ids=["truncated", "NaN", "non-UTF-8"])
+    def test_unreadable_params_are_numeric_failures(self, tmp_path, capsys, data):
         params = tmp_path / "bad.json"
-        params.write_text(text)
+        params.write_bytes(data)
         rc = main(["sample", "--params", str(params), "--out-dir", str(tmp_path / "out")])
         assert rc == 3
         assert "numeric failure" in capsys.readouterr().err

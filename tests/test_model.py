@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from isingmarket.model import (IsingParams, _gelman_rubin, _simulate,
+from conftest import reference_json
+from isingmarket.model import (IsingParams, _floats_json, _gelman_rubin, _simulate,
                                boltzmann_distribution,
                                encode_states, energy_split, enumerate_states,
                                exact_moments_small, hamiltonian,
@@ -31,17 +32,18 @@ class TestIsingParams:
         with pytest.raises(ValueError, match="diagonal"):
             IsingParams(np.zeros(2), np.eye(2))
 
+    @pytest.mark.parametrize("big", [1.7976931348623157e308, -1.7976931348623157e308])
+    def test_rejects_coupling_that_overflows_when_symmetrized(self, big):
+        # (j + j.T) / 2 overflows to inf for |J_ij| above about 8.99e307
+        with pytest.raises(ValueError, match="parameters must be finite"):
+            IsingParams(np.zeros(2), [[0.0, big], [big, 0.0]])
+
     def test_json_round_trip(self):
         params = random_model(5, 0.5, 0.3, seed=1)
         again = params_from_json(params_to_json(params))
         np.testing.assert_array_equal(again.h, params.h)
         np.testing.assert_array_equal(again.J, params.J)
         assert again.tickers == params.tickers
-
-
-def reference_json(params):
-    return json.dumps({"tickers": list(params.tickers) if params.tickers else None,
-                       "h": params.h.tolist(), "J": params.J.tolist()})
 
 
 class TestParamsJson:
@@ -53,7 +55,7 @@ class TestParamsJson:
         np.fill_diagonal(j, 0.0)
         tickers = tuple(f"S{i:03d}" for i in range(n)) or None
         params = IsingParams(rng.normal(size=n), j, tickers=tickers)
-        assert params_to_json(params) == reference_json(params)
+        assert params_to_json(params) == reference_json(params).encode()
 
     def test_edge_values_and_tickers(self):
         # -0.0, the smallest subnormal and normal, the largest float, both
@@ -70,7 +72,7 @@ class TestParamsJson:
                       2.2250738585072014e-308, 1e22, -1e-07])
         for tickers in (None, ('A"B', "C\\D", "Ünï", "日本", "e", "f", "g", "h")):
             params = IsingParams(h, j, tickers=tickers)
-            assert params_to_json(params) == reference_json(params)
+            assert params_to_json(params) == reference_json(params).encode()
 
     def test_log_uniform_sweep_matches_json_dumps(self):
         # magnitudes from underflow to 1e300, about a tenth of them -0.0
@@ -87,7 +89,41 @@ class TestParamsJson:
             j[upper] = draw(upper[0].size)
             j.T[upper] = j[upper]
             params = IsingParams(draw(n), j)
-            assert params_to_json(params) == reference_json(params)
+            assert params_to_json(params) == reference_json(params).encode()
+
+    def test_odd_tokens_at_row_edges(self):
+        # values orjson writes in another notation (0 < |x| < 1e-4 or
+        # |x| >= 1e16): several in one row, in its first and last column;
+        # a row whose every off-diagonal value is odd; h with odd values
+        # at index 0 and N-1, and an h made only of odd values
+        n = 6
+        j = coupling_matrix(n, [(0, 1, 3e-05), (0, 3, -2.5e17), (0, 5, 1e-07),
+                                (1, 5, 7.25), (2, 3, 0.125)])
+        j[4, :4] = j[:4, 4] = [-4e-06, 1e16, 6.02e23, -9.99e-05]
+        j[4, 5] = j[5, 4] = 5e-324
+        for h in ([1e-05, 0.5, -0.25, 2.0, 0.75, -3e20],
+                  [1e-07, -2e-05, 1e16, -5e-324, 8e-05, 1e300]):
+            params = IsingParams(np.array(h), j)
+            assert params_to_json(params) == reference_json(params).encode()
+        # J's diagonal is never odd; any matrix may have odd corners
+        m = np.array([[1e-07, 0.5, 2e16], [-0.0, 3.5, 1.5], [4e-05, 0.25, -1e300]])
+        assert _floats_json(m) == json.dumps(m.tolist()).encode()
+
+    @pytest.mark.parametrize("h", [0.3, 1e-07, -2e16, 0.0])
+    def test_single_spin(self, h):
+        params = IsingParams(np.array([h]), np.zeros((1, 1)), tickers=("A",))
+        assert params_to_json(params) == reference_json(params).encode()
+
+    def test_reads_bytes_and_str_alike(self):
+        rng = np.random.default_rng(9)
+        a = rng.normal(scale=0.05, size=(12, 12)) * 10.0 ** rng.integers(-9, 20, (12, 12))
+        j = a + a.T
+        np.fill_diagonal(j, 0.0)
+        data = params_to_json(IsingParams(rng.normal(size=12), j))
+        from_bytes, from_str = params_from_json(data), params_from_json(data.decode())
+        assert from_bytes.h.tobytes() == from_str.h.tobytes()
+        assert from_bytes.J.tobytes() == from_str.J.tobytes()
+        assert from_bytes.tickers is from_str.tickers is None
 
     def test_round_trip_bit_exact_at_n200(self):
         rng = np.random.default_rng(200)
