@@ -23,16 +23,15 @@ import numpy as np
 
 from . import __version__
 from .evaluation import compare_methods
-from .model import (STATE_TRACKING_MAX_N, energy_split, metropolis_sample,
-                    params_from_json)
+from .model import (STATE_TRACKING_MAX_N, THIRD_ORDER_MAX_N, energy_split,
+                    metropolis_sample, params_from_json)
 from .network import edges_to_csv, edges_to_dot, mst_result, window_forests
 from .panels import binarize, load_price_csv, log_returns
 from .pipeline import (ConfigError, NonConvergenceError, RunConfig,
                        _sector_labels, _write_scan_csv, config_from_mapping,
                        parse_config_file, run, write_csv, write_json)
-from .stats import THIRD_ORDER_MAX_N, window_stats
-from .synthetic import (BlockSpec, generate_synthetic, synthetic_tickers,
-                        truth_from_json)
+from .stats import window_stats
+from .synthetic import BlockSpec, generate_synthetic, synthetic_tickers
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -117,7 +116,7 @@ def _cmd_synth(args) -> int:
         raise ConfigError("--n-days must be at least 2")
     out = Path(args.out_dir or ".")
     if args.truth:
-        model = truth_from_json(args.truth)
+        model = params_from_json(Path(args.truth).read_bytes())
         sectors_path = None
     else:
         try:
@@ -361,6 +360,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 # flags that name a file some command reads; checked before any command runs
 _INPUT_FILES = ("config", "prices", "sectors", "params", "truth", "a", "b")
+# (command, flag, companion): the one-shot mode that `flag` selects needs `companion`
+_ONE_SHOT_NEEDS = (("mst", "params", "sectors"), ("cutoff", "params", "sectors"),
+                   ("energy", "params", "prices"), ("compare", "a", "b"),
+                   ("compare", "b", "a"))
 
 
 def main(argv=None) -> int:
@@ -369,6 +372,10 @@ def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=args.log_level.upper(),
                         format="%(levelname)s %(name)s: %(message)s")
     try:
+        for command, flag, companion in _ONE_SHOT_NEEDS:
+            if (args.command == command and getattr(args, flag)
+                    and not getattr(args, companion)):
+                raise ConfigError(f"{command} --{flag} needs --{companion}")
         for dest in _INPUT_FILES:
             path = getattr(args, dest, None)
             if path is not None and not Path(path).is_file():

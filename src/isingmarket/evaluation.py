@@ -13,7 +13,7 @@ import numpy as np
 from .inference import InferenceConfig, infer
 from .model import IsingParams
 from .panels import ReturnPanel
-from .stats import MOMENT_NAMES, moment_summary, window_stats
+from .stats import MOMENT_NAMES, _upper_triangle, moment_summary, window_stats
 
 logger = logging.getLogger(__name__)
 
@@ -61,20 +61,16 @@ class MethodComparison:
     j: ComparisonReport
 
 
-def _upper(j: np.ndarray) -> np.ndarray:
-    return j[np.triu_indices(j.shape[0], k=1)]
-
-
 def compare_methods(a: IsingParams, b: IsingParams) -> MethodComparison:
     """Compare parameter set `a` against reference `b`."""
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
     if a.tickers and b.tickers and a.tickers != b.tickers:
         raise ValueError("parameter sets cover different tickers")
+    ja, jb = _upper_triangle(a.J), _upper_triangle(b.J)
     return MethodComparison(
         h=ComparisonReport(nrmse(a.h, b.h), pearson(a.h, b.h)),
-        j=ComparisonReport(nrmse(_upper(a.J), _upper(b.J)),
-                           pearson(_upper(a.J), _upper(b.J))),
+        j=ComparisonReport(nrmse(ja, jb), pearson(ja, jb)),
     )
 
 
@@ -178,7 +174,7 @@ def scaling_exponents(panel: ReturnPanel, end_date: str, window_size: int,
             members = np.sort(rng.choice(panel.n_series, size=n_sub, replace=False))
             params = run(window[members], fit_seed)
             h_moments = moment_summary(params.h)
-            j_moments = moment_summary(_upper(params.J))
+            j_moments = moment_summary(_upper_triangle(params.J))
             for name in MOMENT_NAMES:
                 h_vals[name][r].append(getattr(h_moments, name))
                 j_vals[name][r].append(getattr(j_moments, name))
@@ -270,7 +266,7 @@ def subset_coupling_scan(panel: ReturnPanel, end_date: str, window_size: int,
         idx = np.array([pos[i] for i in subset])
         block = params.J[np.ix_(idx, idx)]
         top, bottom = _extreme_pairs(block, n_extreme)
-        vals = _upper(block)
+        vals = _upper_triangle(block)
         entries.append(SubsetScanEntry(total, tuple(int(i) for i in members), block,
                                        top, bottom, float(vals.mean()),
                                        float(vals.std())))

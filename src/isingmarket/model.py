@@ -24,10 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import orjson
 
-from . import stats as _stats
-
 ENUMERATION_HARD_CAP = 20  # 2^N states; above this exact sums are refused
 STATE_TRACKING_MAX_N = 16  # sampled state counts keep 2^N bins
+THIRD_ORDER_MAX_N = 128  # O(N^3 T) cost guard
 
 
 @dataclass(frozen=True)
@@ -98,16 +97,6 @@ class SampleStats:
         p = self.pair_moments
         if not np.allclose(p, p.T, atol=1e-10) or not np.allclose(np.diag(p), 1.0):
             raise ValueError("pair moments must be symmetric with unit diagonal")
-
-
-def hamiltonian(params: IsingParams, s) -> float:
-    """Energy -h.s - s'Js of one configuration."""
-    s = np.asarray(s, dtype=np.float64)
-    if s.shape != (params.n,):
-        raise ValueError(f"state has shape {s.shape}, expected ({params.n},)")
-    if not np.all(np.abs(s) == 1.0):
-        raise ValueError("state entries must be -1 or +1")
-    return float(-params.h @ s - s @ params.J @ s)
 
 
 def enumerate_states(n: int) -> np.ndarray:
@@ -282,12 +271,9 @@ def _gelman_rubin(chain_means: np.ndarray, n_sweeps: int) -> np.ndarray | None:
 
 
 def third_order_from_samples(samples: np.ndarray,
-                             max_n: int = _stats.THIRD_ORDER_MAX_N) -> np.ndarray:
-    """Central third moments from an (n_samples, N) sample matrix.
-
-    Accumulated slice-by-slice via matrix products (a different route from
-    the window-statistics einsum, so the two can cross-check each other).
-    """
+                             max_n: int = THIRD_ORDER_MAX_N) -> np.ndarray:
+    """Central third moments from an (n_samples, N) sample matrix,
+    accumulated slice by slice via matrix products."""
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("samples must be (n_samples, N)")
@@ -388,5 +374,7 @@ def params_to_json(params: IsingParams) -> bytes:
 def params_from_json(text: str | bytes) -> IsingParams:
     obj = orjson.loads(text)
     tickers = tuple(obj["tickers"]) if obj.get("tickers") else None
-    return IsingParams(np.asarray(obj["h"], dtype=float),
-                       np.asarray(obj["J"], dtype=float), tickers=tickers)
+    h, j = (np.asarray(obj[key], dtype=float) for key in ("h", "J"))
+    if h.shape == j.shape == (0,):  # N = 0 is written as "J": []
+        j = j.reshape(0, 0)
+    return IsingParams(h, j, tickers=tickers)

@@ -10,6 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .stats import _upper_triangle
+
 
 @dataclass(frozen=True)
 class SectorMap:
@@ -171,30 +173,13 @@ class ScanPoint:
     disconnected: bool
 
 
-def _check_scan(thresholds, direction: str) -> list:
-    thresholds = list(thresholds)
-    if any(a > b for a, b in zip(thresholds, thresholds[1:])):
-        raise ValueError("thresholds must be sorted ascending")
+def _check_direction(direction: str) -> None:
     if direction not in ("discard_above", "discard_below"):
         raise ValueError(f"unknown direction {direction!r}")
-    return thresholds
 
 
 def _survivors(values: np.ndarray, threshold, direction: str) -> np.ndarray:
     return values <= threshold if direction == "discard_above" else values >= threshold
-
-
-def coupling_cutoff_scan(j: np.ndarray, labels, thresholds, direction: str) -> list[ScanPoint]:
-    """Q_mst after excluding couplings beyond each threshold.
-
-    direction='discard_above' drops entries J_ij > threshold,
-    'discard_below' drops J_ij < threshold.  If the surviving graph
-    disconnects, a maximum spanning forest is scored instead and the point
-    is flagged.  All thresholds' forests are built in one batched pass.
-    """
-    j = _check_square_symmetric(j)
-    grid = (_check_scan(thresholds, direction), [])
-    return _trees([j], [None], labels, False, [grid], direction)[0][1]
 
 
 def _rebuild(lam: np.ndarray, vec: np.ndarray, threshold: float,
@@ -216,21 +201,8 @@ def spectral_truncation(j: np.ndarray, threshold: float, direction: str) -> np.n
     diagonal is zeroed so the result is usable as a coupling matrix.
     """
     j = _check_square_symmetric(j)
-    _check_scan([threshold], direction)
+    _check_direction(direction)
     return _rebuild(*np.linalg.eigh(j), threshold, direction)
-
-
-def eigen_cutoff_scan(j: np.ndarray, labels, thresholds, direction: str) -> list[ScanPoint]:
-    """Q_mst of the coupling matrix rebuilt from a subset of its eigenmodes.
-
-    For each threshold, eigenvalues beyond the cutoff are dropped and the
-    matrix is reconstructed from the surviving modes with its diagonal
-    zeroed before tree construction.  The matrix is diagonalized once and
-    all thresholds' trees are built in one batched pass.
-    """
-    j = _check_square_symmetric(j, min_nodes=2)
-    grid = ([], _check_scan(thresholds, direction))
-    return _trees([j], [np.linalg.eigh(j)], labels, False, [grid], direction)[0][2]
 
 
 def _interior_grid(values: np.ndarray, n_points: int) -> list[float]:
@@ -245,15 +217,19 @@ def window_forests(js, labels, mst: bool, cutoff_points: int,
     """Every tree of a window's coupling matrices, built in one batched pass.
 
     Returns (mst, coupling, eigen) per matrix: with `mst`, its mst_result
-    (else None); with `cutoff_points` > 0, its coupling_cutoff_scan and
-    eigen_cutoff_scan points (else empty) over interior grids of that many
-    thresholds spanning its off-diagonal entries and its spectrum.  Each
-    matrix is diagonalized once, for both its grid and its rebuilds.
+    (else None); with `cutoff_points` > 0, ScanPoints (else empty) over
+    interior grids of that many thresholds spanning its off-diagonal entries
+    and its spectrum.  A coupling point scores the forest of the couplings
+    that survive the threshold (direction='discard_above' drops J_ij above
+    it, 'discard_below' those below it), flagged when it disconnects.  An
+    eigen point scores the tree of the matrix rebuilt from the surviving
+    eigenmodes with its diagonal zeroed.  Each matrix is diagonalized once,
+    for both its grid and its rebuilds.
     """
     js = [_check_square_symmetric(j, min_nodes=2) for j in js]
-    _check_scan([], direction)
+    _check_direction(direction)
     spectra = [np.linalg.eigh(j) if cutoff_points else None for j in js]
-    grids = [(_interior_grid(j[np.triu_indices(len(j), k=1)], cutoff_points),
+    grids = [(_interior_grid(_upper_triangle(j), cutoff_points),
               _interior_grid(spectrum[0], cutoff_points)) if cutoff_points else ([], [])
              for j, spectrum in zip(js, spectra)]
     return _trees(js, spectra, labels, mst, grids, direction)

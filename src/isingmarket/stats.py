@@ -1,7 +1,8 @@
 """
 Per-window sample statistics: the means and covariance that inference
-reads, the stats stage's per-series moment and spectrum rows, third-order
-central moments and bootstrap confidence intervals.
+reads, the stats stage's per-series moment and spectrum rows, moment
+summaries of a matrix's off-diagonal entries and bootstrap confidence
+intervals.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ import numpy as np
 
 logger = logging.getLogger(__name__)
 
-THIRD_ORDER_MAX_N = 128  # O(N^3 T) cost guard
-
 
 @dataclass(frozen=True)
 class WindowStats:
@@ -22,16 +21,6 @@ class WindowStats:
 
     means: np.ndarray          # (N,)
     covariance: np.ndarray     # (N, N)
-
-
-def third_order_tensor(window: np.ndarray, max_n: int = THIRD_ORDER_MAX_N) -> np.ndarray:
-    """Central third moments <(s_i - m_i)(s_j - m_j)(s_k - m_k)> of an (N, T) window."""
-    x = np.asarray(window, dtype=np.float64)
-    n, t = x.shape
-    if n > max_n:
-        raise ValueError(f"third-order tensor limited to N <= {max_n} (got {n})")
-    xc = x - x.mean(axis=1, keepdims=True)
-    return np.einsum("it,jt,kt->ijk", xc, xc, xc) / t
 
 
 def window_stats(window: np.ndarray, labels=None) -> WindowStats:
@@ -140,17 +129,19 @@ def moment_summary(values, n_boot: int = 0, level: float = 0.95,
                          ci_level=level if n_boot else None)
 
 
+def _upper_triangle(m: np.ndarray) -> np.ndarray:
+    """Entries above the diagonal of a square matrix, row by row."""
+    return m[np.triu_indices(m.shape[0], k=1)]
+
+
 def off_diagonal_values(m: np.ndarray) -> np.ndarray:
-    """Off-diagonal entries of a square matrix, each unordered pair once when
-    the matrix is symmetric, all N(N-1) entries otherwise."""
+    """Off-diagonal entries of a symmetric matrix, each unordered pair once."""
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2:
         raise ValueError("need a square matrix with N >= 2")
-    if np.allclose(m, m.T, atol=1e-12):
-        iu = np.triu_indices(m.shape[0], k=1)
-        return m[iu]
-    mask = ~np.eye(m.shape[0], dtype=bool)
-    return m[mask]
+    if not np.allclose(m, m.T, atol=1e-12):
+        raise ValueError("matrix must be symmetric")
+    return _upper_triangle(m)
 
 
 def off_diagonal_summary(m: np.ndarray, n_boot: int = 0, level: float = 0.95,

@@ -10,7 +10,7 @@ from datetime import date, timedelta
 
 import numpy as np
 
-from .model import IsingParams, _simulate, params_from_json, params_to_json
+from .model import IsingParams, _simulate, params_to_json
 from .network import SectorMap
 
 PRICE_STEP = 0.01  # log-return magnitude; cosmetic, sign carries the signal
@@ -139,8 +139,3 @@ def generate_synthetic(out_prices, out_truth, n_days: int,
         with open(out_sectors, "w") as fh:
             fh.write(sectors_to_csv(sector_map))
     return params
-
-
-def truth_from_json(path) -> IsingParams:
-    with open(path, "rb") as fh:
-        return params_from_json(fh.read())

@@ -1,5 +1,5 @@
-"""Shared test helpers: exact-moment bridges, brute-force oracles and the
-params JSON reference."""
+"""Shared test helpers: exact-moment bridges, brute-force oracles, the
+params JSON reference and cutoff scans at explicit thresholds."""
 
 from __future__ import annotations
 
@@ -8,8 +8,36 @@ from itertools import product
 
 import numpy as np
 
+from isingmarket import network
 from isingmarket.model import IsingParams, exact_moments_small
 from isingmarket.stats import WindowStats
+
+
+def hamiltonian(params: IsingParams, s) -> float:
+    """Energy -h.s - s'Js of one configuration."""
+    s = np.asarray(s, dtype=np.float64)
+    return float(-params.h @ s - s @ params.J @ s)
+
+
+def third_order_tensor(window: np.ndarray) -> np.ndarray:
+    """Central third moments <(s_i - m_i)(s_j - m_j)(s_k - m_k)> of an (N, T)
+    window, by one einsum."""
+    xc = window - window.mean(axis=1, keepdims=True)
+    return np.einsum("it,jt,kt->ijk", xc, xc, xc) / window.shape[1]
+
+
+def cutoff_scan(j, labels, thresholds, direction: str, eigen: bool = False):
+    """ScanPoints of `j` at explicit thresholds: its coupling scan, or with
+    `eigen` its eigenmode scan, through window_forests' checks, batched Prim
+    pass and scoring."""
+    j = network._check_square_symmetric(j, min_nodes=2)
+    network._check_direction(direction)
+    thresholds = list(thresholds)
+    grid = ([], thresholds) if eigen else (thresholds, [])
+    spectrum = np.linalg.eigh(j) if eigen else None
+    _, coupling, eigen_points = network._trees([j], [spectrum], labels, False, [grid],
+                                               direction)[0]
+    return eigen_points if eigen else coupling
 
 
 def stats_from_params(params: IsingParams) -> WindowStats:

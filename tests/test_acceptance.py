@@ -13,15 +13,14 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import (brute_force_max_tree_weight, stats_from_moments,
-                      stats_from_params, weights_from_edges)
+from conftest import (brute_force_max_tree_weight, cutoff_scan,
+                      stats_from_moments, stats_from_params, weights_from_edges)
 from isingmarket.evaluation import scaling_exponents, subset_coupling_scan
 from isingmarket.inference import (InferenceConfig, infer_exact, infer_ip,
                                    infer_nmf, infer_sm, infer_tap)
 from isingmarket.model import (IsingParams, boltzmann_distribution, energy_split,
                                exact_moments_small, metropolis_sample)
-from isingmarket.network import (coupling_cutoff_scan, eigen_cutoff_scan,
-                                 mst_result, spectral_truncation)
+from isingmarket.network import mst_result, spectral_truncation
 from isingmarket.panels import (PricePanel, ReturnPanel, WindowSpec, binarize,
                                 log_returns, shuffle_window, windows)
 from isingmarket.stats import window_stats
@@ -208,14 +207,14 @@ def _block_cutoff_trial(seed: int):
 
     base = mst_result(jest, labels).q_mst
     vals = upper(jest)
-    drop_top = base - coupling_cutoff_scan(
+    drop_top = base - cutoff_scan(
         jest, labels, [np.quantile(vals, 0.95)], "discard_above")[0].q_mst
-    drop_neg = base - coupling_cutoff_scan(
+    drop_neg = base - cutoff_scan(
         jest, labels, [np.median(vals[vals < 0])], "discard_below")[0].q_mst
 
     lam = np.sort(np.linalg.eigvalsh(jest))[::-1]
     th = (lam[2] + lam[3]) / 2
-    q_eig = eigen_cutoff_scan(jest, labels, [th], "discard_above")[0].q_mst
+    q_eig = cutoff_scan(jest, labels, [th], "discard_above", eigen=True)[0].q_mst
     truncated = spectral_truncation(jest, th, "discard_above")
     rng = np.random.default_rng(seed * 7919 + 13)
     randomized = np.array([

@@ -445,6 +445,25 @@ class TestAnalysisCommands:
         assert f"file {str(missing)!r} is not a file" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    MISSING_COMPANIONS = {
+        "mst --params": ("mst --params", "--sectors"),
+        "cutoff --params": ("cutoff --params", "--sectors"),
+        "energy --params": ("energy --params", "--prices"),
+        "compare --a": ("compare --a", "--b"),
+        "compare --b": ("compare --b", "--a"),
+    }
+
+    @pytest.mark.parametrize("argv, companion", MISSING_COMPANIONS.values(),
+                             ids=MISSING_COMPANIONS.keys())
+    def test_one_shot_mode_without_companion_is_config_error(self, market, tmp_path,
+                                                             capsys, argv, companion):
+        args = [*argv.split(), str(market / "truth.json")]
+        assert main([*args, "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {argv} needs {companion}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("data", [b'{"tickers": null, "h": [0.1, 0.2], "J": [[0.0, ',
                                       b'{"tickers": null, "h": [NaN], "J": [[0.0]]}',
                                       b'{"tickers": ["\xff"], "h": [0.0], "J": [[0.0]]}'],

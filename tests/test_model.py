@@ -5,14 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import reference_json
+from conftest import hamiltonian, reference_json, third_order_tensor
 from isingmarket.model import (IsingParams, _floats_json, _gelman_rubin, _simulate,
                                boltzmann_distribution,
                                encode_states, energy_split, enumerate_states,
-                               exact_moments_small, hamiltonian,
-                               metropolis_sample, params_from_json,
-                               params_to_json, third_order_from_samples)
-from isingmarket.stats import third_order_tensor
+                               exact_moments_small, metropolis_sample,
+                               params_from_json, params_to_json,
+                               third_order_from_samples)
 from isingmarket.synthetic import random_model
 
 
@@ -55,7 +54,9 @@ class TestParamsJson:
         np.fill_diagonal(j, 0.0)
         tickers = tuple(f"S{i:03d}" for i in range(n)) or None
         params = IsingParams(rng.normal(size=n), j, tickers=tickers)
-        assert params_to_json(params) == reference_json(params).encode()
+        data = params_to_json(params)
+        assert data == reference_json(params).encode()
+        assert params_to_json(params_from_json(data)) == data  # N = 0 too
 
     def test_edge_values_and_tickers(self):
         # -0.0, the smallest subnormal and normal, the largest float, both
@@ -125,6 +126,12 @@ class TestParamsJson:
         assert from_bytes.J.tobytes() == from_str.J.tobytes()
         assert from_bytes.tickers is from_str.tickers is None
 
+    @pytest.mark.parametrize("h, j", [("[]", "[[]]"), ("[]", "[0.0]"),
+                                      ("[0.5]", "[]"), ("[0.5, 0.1]", "[0.0, 0.0]")])
+    def test_wrong_j_shape_rejected(self, h, j):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            params_from_json(f'{{"tickers": null, "h": {h}, "J": {j}}}')
+
     def test_round_trip_bit_exact_at_n200(self):
         rng = np.random.default_rng(200)
         a = rng.normal(scale=0.05, size=(200, 200))
@@ -171,12 +178,11 @@ class TestHamiltonian:
             s = rng.choice([-1.0, 1.0], size=5)
             assert hamiltonian(params, s) == pytest.approx(hamiltonian(params, -s))
 
-    def test_dimension_checked(self):
-        params = IsingParams(np.zeros(2), np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            hamiltonian(params, [1.0, 1.0, 1.0])
-        with pytest.raises(ValueError):
-            hamiltonian(params, [1.0, 0.5])
+    def test_boltzmann_distribution_is_exp_minus_energy(self):
+        params = random_model(5, 0.6, 0.4, seed=4)
+        weights = np.exp([-hamiltonian(params, s) for s in enumerate_states(5)])
+        np.testing.assert_allclose(boltzmann_distribution(params),
+                                   weights / weights.sum(), rtol=1e-12)
 
 
 class TestExactMoments:

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import brute_force_max_tree_weight, weights_from_edges
-from isingmarket.network import (SectorMap, _forest_edges, _prim,
-                                 coupling_cutoff_scan, edges_to_csv,
-                                 edges_to_dot, eigen_cutoff_scan, mst_result,
-                                 spectral_truncation, window_forests)
+from conftest import brute_force_max_tree_weight, cutoff_scan, weights_from_edges
+from isingmarket.network import (SectorMap, _forest_edges, _prim, edges_to_csv,
+                                 edges_to_dot, mst_result, spectral_truncation,
+                                 window_forests)
 
 
 def chain_edges(n):
@@ -148,7 +147,7 @@ class TestCouplingCutoff:
     def test_threshold_beyond_max_is_identity(self):
         w = self.bridge_weights()
         base = mst_result(w, self.labels6()).q_mst
-        pts = coupling_cutoff_scan(w, self.labels6(), [1.5], "discard_above")
+        pts = cutoff_scan(w, self.labels6(), [1.5], "discard_above")
         assert pts[0].q_mst == base
         assert not pts[0].disconnected
 
@@ -159,25 +158,20 @@ class TestCouplingCutoff:
         base = mst_result(w, self.labels6())
         assert base.q_mst == pytest.approx(5 / 6)
         assert (2, 3) in {(i, j) for i, j, _ in base.edges}
-        pts = coupling_cutoff_scan(w, self.labels6(), [0.92], "discard_above")
+        pts = cutoff_scan(w, self.labels6(), [0.92], "discard_above")
         assert pts[0].q_mst == pytest.approx(1.0)
 
     def test_disconnection_flagged_and_scored(self):
         w = weights_from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)], default=-1.0)
         # discard everything below 0: only the two strong bonds survive
-        pts = coupling_cutoff_scan(w, ["A", "A", "B", "B"], [0.0], "discard_below")
+        pts = cutoff_scan(w, ["A", "A", "B", "B"], [0.0], "discard_below")
         assert pts[0].disconnected
         assert pts[0].q_mst == 1.0
 
     def test_all_discarded_is_an_error(self):
         w = self.bridge_weights()
         with pytest.raises(ValueError, match="survive"):
-            coupling_cutoff_scan(w, self.labels6(), [2.0], "discard_below")
-
-    def test_thresholds_must_be_sorted(self):
-        with pytest.raises(ValueError, match="sorted"):
-            coupling_cutoff_scan(self.bridge_weights(), self.labels6(),
-                                 [0.5, 0.1], "discard_above")
+            cutoff_scan(w, self.labels6(), [2.0], "discard_below")
 
 
 class TestEigenCutoff:
@@ -189,7 +183,7 @@ class TestEigenCutoff:
         labels = ["A", "A", "A", "B", "B", "B"]
         lam = np.linalg.eigvalsh(j)
         base = mst_result(j, labels).q_mst
-        pts = eigen_cutoff_scan(j, labels, [lam.max() + 1.0], "discard_above")
+        pts = cutoff_scan(j, labels, [lam.max() + 1.0], "discard_above", eigen=True)
         assert pts[0].q_mst == base
 
     def test_scan_matches_trees_of_rebuilt_matrices(self):
@@ -201,7 +195,7 @@ class TestEigenCutoff:
         thresholds = np.sort(np.linalg.eigvalsh(j))[2:] + 1e-9
         for direction in ("discard_above", "discard_below"):
             ths = thresholds if direction == "discard_above" else thresholds - 2e-9
-            pts = eigen_cutoff_scan(j, labels, ths, direction)
+            pts = cutoff_scan(j, labels, ths, direction, eigen=True)
             want = [mst_result(spectral_truncation(j, th, direction), labels).q_mst
                     for th in ths]
             assert [p.q_mst for p in pts] == want
@@ -209,7 +203,7 @@ class TestEigenCutoff:
 
     def test_single_node_rejected(self):
         with pytest.raises(ValueError, match="at least two nodes"):
-            eigen_cutoff_scan(np.zeros((1, 1)), ["A"], [1.0], "discard_above")
+            window_forests([np.zeros((1, 1))], ["A"], mst=False, cutoff_points=1)
 
     def test_keep_all_reconstruction_exact(self):
         rng = np.random.default_rng(5)
@@ -444,7 +438,7 @@ class TestForestOracle:
         upper = j[np.triu_indices(n, k=1)]
         thresholds = np.linspace(upper.min(), upper.max(), 13)[1:-1]
         for direction in ("discard_above", "discard_below"):
-            pts = coupling_cutoff_scan(j, labels, thresholds, direction)
+            pts = cutoff_scan(j, labels, thresholds, direction)
             for th, p in zip(thresholds, pts):
                 keep = j <= th if direction == "discard_above" else j >= th
                 edges, n_comp = ref_forest(j, keep)
@@ -455,16 +449,14 @@ class TestForestOracle:
         j = random_weights(np.random.default_rng(0), 5, ties=False)
         labels = ["A"] * 5
         with pytest.raises(ValueError, match="no edges survive the cutoff"):
-            coupling_cutoff_scan(j, labels, [-10.0, 100.0], "discard_below")
+            cutoff_scan(j, labels, [-10.0, 100.0], "discard_below")
         # with every edge masked the core leaves 5 singletons, which the
         # scans report as the error above
         assert masked_forest(j, np.zeros((5, 5), dtype=bool)) == ([], 5)
         with pytest.raises(ValueError, match="no edges survive the cutoff"):
-            coupling_cutoff_scan(j, labels, [-10.0], "discard_above")
+            cutoff_scan(j, labels, [-10.0], "discard_above")
         with pytest.raises(ValueError, match="no eigenvalues survive threshold"):
-            eigen_cutoff_scan(j, labels, [100.0], "discard_below")
-        with pytest.raises(ValueError, match="thresholds must be sorted"):
-            eigen_cutoff_scan(j, labels, [1.0, 0.0], "discard_above")
+            cutoff_scan(j, labels, [100.0], "discard_below", eigen=True)
         with pytest.raises(ValueError, match="at least two nodes"):
             mst_result(np.zeros((1, 1)), ["A"])
         with pytest.raises(ValueError, match="at least two nodes"):
@@ -477,10 +469,11 @@ class TestForestOracle:
 
 ENTRY_POINTS = {
     "mst_result": lambda j: mst_result(j, ["A", "A", "B"]),
-    "coupling_cutoff_scan": lambda j: coupling_cutoff_scan(j, ["A", "A", "B"], [0.0],
-                                                           "discard_below"),
-    "eigen_cutoff_scan": lambda j: eigen_cutoff_scan(j, ["A", "A", "B"], [0.0],
-                                                     "discard_below"),
+    # the two scans at explicit thresholds, as the tests reach them
+    "coupling_cutoff_scan": lambda j: cutoff_scan(j, ["A", "A", "B"], [0.0],
+                                                  "discard_below"),
+    "eigen_cutoff_scan": lambda j: cutoff_scan(j, ["A", "A", "B"], [0.0],
+                                               "discard_below", eigen=True),
     "spectral_truncation": lambda j: spectral_truncation(j, 0.0, "discard_below"),
     "window_forests": lambda j: window_forests([j], ["A", "A", "B"], mst=True,
                                                cutoff_points=3),

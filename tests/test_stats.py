@@ -8,10 +8,10 @@ import pytest
 from isingmarket import stats as stats_module
 from isingmarket.panels import standardize_window
 from isingmarket.pipeline import RunConfig, run
+from isingmarket.model import third_order_from_samples
 from isingmarket.stats import (bootstrap_ci, dft_amplitudes, eigen_csv_rows,
                                moment_summary, off_diagonal_summary,
-                               off_diagonal_values, stats_csv_rows,
-                               third_order_tensor, window_stats)
+                               off_diagonal_values, stats_csv_rows, window_stats)
 
 
 def stage_moments(x):
@@ -138,13 +138,13 @@ class TestWindowStats:
 
     def test_third_order_symmetric(self):
         rng = np.random.default_rng(7)
-        t = third_order_tensor(rng.normal(size=(4, 80)))
+        t = third_order_from_samples(rng.normal(size=(80, 4)))
         for perm in ((0, 2, 1), (1, 0, 2), (2, 1, 0)):
             np.testing.assert_allclose(t, np.transpose(t, perm), atol=1e-12)
 
     def test_third_order_guard(self):
         with pytest.raises(ValueError, match="limited"):
-            third_order_tensor(np.zeros((200, 10)))
+            third_order_from_samples(np.zeros((10, 200)))
 
 
 class TestOffDiagonalSummary:
@@ -173,9 +173,9 @@ class TestOffDiagonalSummary:
         np.testing.assert_allclose(
             s.kurt, ((vals - vals.mean()) ** 4).mean() / vals.std() ** 4 - 3, rtol=1e-12)
 
-    def test_asymmetric_uses_all_entries(self):
-        m = np.array([[0.0, 1.0], [2.0, 0.0]])
-        np.testing.assert_array_equal(np.sort(off_diagonal_values(m)), [1.0, 2.0])
+    def test_asymmetric_rejected(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            off_diagonal_values(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
 
 def per_resample_bootstrap(values, statistic, n_resamples, level, seed):

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from isingmarket.inference import InferenceConfig, infer_nmf
-from isingmarket.model import IsingParams
+from isingmarket.model import IsingParams, params_from_json
 from isingmarket.network import mst_result
 from isingmarket.panels import binarize, load_price_csv, log_returns
 from isingmarket.stats import window_stats
 from isingmarket.synthetic import (BlockSpec, block_model, generate_synthetic,
                                    prices_from_signs, random_model,
-                                   sample_binary_panel, trading_dates,
-                                   truth_from_json)
+                                   sample_binary_panel, trading_dates)
 
 
 class TestBlockModel:
@@ -70,7 +69,7 @@ class TestGenerateSynthetic:
         # the emitted prices encode exactly the sampled spin panel
         regenerated = sample_binary_panel(truth, 300, seed=4)
         np.testing.assert_array_equal(binary.values, regenerated)
-        loaded = truth_from_json(truth_path)
+        loaded = params_from_json(truth_path.read_bytes())
         np.testing.assert_array_equal(loaded.J, truth.J)
 
     def test_block_spec_writes_sectors(self, tmp_path):
