@@ -30,8 +30,6 @@ from .stats import WindowStats
 logger = logging.getLogger(__name__)
 
 METHODS = ("exact", "nmf", "tap", "ip", "sm")
-# methods that invert the covariance (exact through its mean-field start)
-INVERTING = ("exact", "nmf", "tap", "sm")
 
 # below this |m_i m_j| the TAP quadratic is numerically the nMF limit
 _TAP_MEAN_PRODUCT_FLOOR = 1e-8
@@ -91,29 +89,12 @@ class InferenceResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _check_means(m: np.ndarray, tickers=None):
-    bad = np.flatnonzero(np.abs(m) >= 1.0)
+def _check_means(stats: WindowStats) -> np.ndarray:
+    bad = np.flatnonzero(np.abs(stats.means) >= 1.0)
     if bad.size:
-        name = tickers[bad[0]] if tickers else f"series {bad[0]}"
-        raise ValueError(
-            f"{name} has |mean| >= 1 (constant sign in this window); fields diverge"
-        )
-
-
-def invert_covariance(cov: np.ndarray, ridge: float) -> tuple[np.ndarray, float]:
-    """Inverse and condition number of cov + ridge*I.  Every method in
-    INVERTING takes this pair as its `inverse` argument, so a caller fitting
-    several of them to one window computes it once."""
-    c = cov + ridge * np.eye(cov.shape[0])
-    cond = float(np.linalg.cond(c))
-    try:
-        cinv = np.linalg.inv(c)
-    except np.linalg.LinAlgError as err:
-        raise ValueError(
-            f"covariance matrix is singular (cond={cond:.3g}); "
-            "retry with a positive ridge"
-        ) from err
-    return cinv, cond
+        raise ValueError(f"{stats.label(bad[0])} has |mean| >= 1 (constant sign "
+                         "in this window); fields diverge")
+    return stats.means
 
 
 def _zero_diag(m: np.ndarray) -> np.ndarray:
@@ -132,35 +113,32 @@ def _fields(m: np.ndarray, coupling: np.ndarray) -> np.ndarray:
     return np.arctanh(m) - coupling @ m
 
 
-def _finish(j_single: np.ndarray, h: np.ndarray, method: str, tickers,
+def _finish(j_single: np.ndarray, h: np.ndarray, method: str, stats: WindowStats,
             diagnostics: dict) -> InferenceResult:
     j = _zero_diag((j_single + j_single.T) / 2.0) / 2.0  # calibrate to s'Js energy
-    params = IsingParams(h, j, tickers=tickers)
+    params = IsingParams(h, j, tickers=stats.tickers)
     return InferenceResult(params, method, converged=True, iterations=0,
                            residual=None, diagnostics=diagnostics)
 
 
-def infer_nmf(stats: WindowStats, cfg: InferenceConfig, tickers=None,
-              inverse=None) -> InferenceResult:
+def infer_nmf(stats: WindowStats, cfg: InferenceConfig) -> InferenceResult:
     """First-order mean-field inversion of the covariance matrix.
 
     With the diagonal trick on (the default) the uncut diagonal of the
     mean-field matrix participates in the field sums, which markedly
     improves field estimates.
     """
-    m = stats.means
-    _check_means(m, tickers)
-    cinv, cond = inverse or invert_covariance(stats.covariance, cfg.ridge)
+    m = _check_means(stats)
+    cinv, cond = stats.inverse(cfg.ridge)
     j_full = _nmf_matrix(m, cinv)
     j_for_fields = j_full if cfg.use_diagonal_trick else _zero_diag(j_full)
     h = _fields(m, j_for_fields)
-    return _finish(_zero_diag(j_full), h, "nmf", tickers,
+    return _finish(_zero_diag(j_full), h, "nmf", stats,
                    {"cond_cov": cond, "ridge": cfg.ridge,
                     "diagonal_trick": cfg.use_diagonal_trick})
 
 
-def infer_tap(stats: WindowStats, cfg: InferenceConfig, tickers=None,
-              inverse=None) -> InferenceResult:
+def infer_tap(stats: WindowStats, cfg: InferenceConfig) -> InferenceResult:
     """Second-order (TAP) mean-field inversion.
 
     Per pair, solves 2 m_i m_j x^2 + x + (Cinv)_ij = 0 taking the root
@@ -172,9 +150,8 @@ def infer_tap(stats: WindowStats, cfg: InferenceConfig, tickers=None,
     h_i -= m_i (1 - m_i^2) sum_j x_ij^2 is applied to the untricked
     mean-field fields.
     """
-    m = stats.means
-    _check_means(m, tickers)
-    cinv, cond = inverse or invert_covariance(stats.covariance, cfg.ridge)
+    m = _check_means(stats)
+    cinv, cond = stats.inverse(cfg.ridge)
     mm = np.outer(m, m)
     disc = 1.0 - 8.0 * mm * cinv
     nmf_limit = np.abs(mm) < _TAP_MEAN_PRODUCT_FLOOR
@@ -192,15 +169,16 @@ def infer_tap(stats: WindowStats, cfg: InferenceConfig, tickers=None,
     else:
         h_nmf = _fields(m, _zero_diag(_nmf_matrix(m, cinv)))
         h = h_nmf - m * (1.0 - m**2) * (j_tap**2).sum(axis=1)
-    return _finish(j_tap, h, "tap", tickers,
+    return _finish(j_tap, h, "tap", stats,
                    {"cond_cov": cond, "ridge": cfg.ridge,
                     "tap_fallbacks": n_fallback,
                     "diagonal_trick": cfg.use_diagonal_trick})
 
 
-def _pair_couplings(m: np.ndarray, cov: np.ndarray, tickers=None) -> np.ndarray:
+def _pair_couplings(stats: WindowStats) -> np.ndarray:
     """Closed-form coupling of each pair in isolation, from its joint +-1 table."""
-    cstar = cov + np.outer(m, m)  # raw second moments <s_i s_j>
+    m = stats.means
+    cstar = stats.covariance + np.outer(m, m)  # raw second moments <s_i s_j>
     mi = m[:, None]
     mj = m[None, :]
     num1 = 1.0 + mi + mj + cstar
@@ -213,53 +191,42 @@ def _pair_couplings(m: np.ndarray, cov: np.ndarray, tickers=None) -> np.ndarray:
         bad = np.argwhere((arg <= 0.0) & off)
         if bad.size:
             i, j = bad[0]
-            li = tickers[i] if tickers else i
-            lj = tickers[j] if tickers else j
-            raise ValueError(
-                f"pair ({li}, {lj}): term {name} is non-positive; joint table "
-                "inconsistent with +-1 marginals"
-            )
+            raise ValueError(f"pair ({stats.label(i)}, {stats.label(j)}): term {name} is "
+                             "non-positive; joint table inconsistent with +-1 marginals")
     with np.errstate(divide="ignore", invalid="ignore"):
         j_pair = 0.25 * np.log((num1 * num2) / (den1 * den2))
     return _zero_diag(j_pair)
 
 
-def infer_ip(stats: WindowStats, cfg: InferenceConfig, tickers=None,
-             inverse=None) -> InferenceResult:
+def infer_ip(stats: WindowStats, cfg: InferenceConfig) -> InferenceResult:
     """Independent-pair inversion: each coupling from its pair's joint table
-    alone.  No covariance inverse is needed; `inverse` is ignored."""
-    m = stats.means
-    _check_means(m, tickers)
-    j_pair = _pair_couplings(m, stats.covariance, tickers)
-    h = _fields(m, j_pair)
-    return _finish(j_pair, h, "ip", tickers, {})
+    alone.  No covariance inverse is needed."""
+    m = _check_means(stats)
+    j_pair = _pair_couplings(stats)
+    return _finish(j_pair, _fields(m, j_pair), "ip", stats, {})
 
 
-def infer_sm(stats: WindowStats, cfg: InferenceConfig, tickers=None,
-             inverse=None) -> InferenceResult:
+def infer_sm(stats: WindowStats, cfg: InferenceConfig) -> InferenceResult:
     """Small-correlation expansion: mean-field plus independent-pair couplings
     with the shared second-order term removed once.  Fields are the
     independent-pair fields."""
-    m = stats.means
-    _check_means(m, tickers)
-    cinv, cond = inverse or invert_covariance(stats.covariance, cfg.ridge)
+    m = _check_means(stats)
+    cinv, cond = stats.inverse(cfg.ridge)
     j_nmf = _zero_diag(_nmf_matrix(m, cinv))
-    j_pair = _pair_couplings(m, stats.covariance, tickers)
+    j_pair = _pair_couplings(stats)
     cov = stats.covariance
     denom = np.outer(1.0 - m**2, 1.0 - m**2) - cov**2
     off = ~np.eye(m.size, dtype=bool)
     bad = np.argwhere((np.abs(denom) < 1e-300) & off)
     if bad.size:
         i, j = bad[0]
-        li = tickers[i] if tickers else i
-        lj = tickers[j] if tickers else j
-        raise ValueError(f"pair ({li}, {lj}): vanishing denominator in the "
-                         "double-count correction")
+        raise ValueError(f"pair ({stats.label(i)}, {stats.label(j)}): vanishing "
+                         "denominator in the double-count correction")
     with np.errstate(divide="ignore", invalid="ignore"):
         correction = cov / denom
     j_sm = j_nmf + j_pair - _zero_diag(correction)
     h = _fields(m, j_pair)
-    return _finish(j_sm, h, "sm", tickers, {"cond_cov": cond, "ridge": cfg.ridge})
+    return _finish(j_sm, h, "sm", stats, {"cond_cov": cond, "ridge": cfg.ridge})
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +266,7 @@ def _moment_gap(stats: WindowStats, moments: SampleStats):
     return gap_m, gap_p, float(max(np.abs(gap_m).max(), np.abs(gap_p).max()))
 
 
-def infer_exact(stats: WindowStats, cfg: InferenceConfig, tickers=None,
-                inverse=None) -> InferenceResult:
+def infer_exact(stats: WindowStats, cfg: InferenceConfig) -> InferenceResult:
     """Iterative learning: nudge (h, J) along the gap between data moments and
     model moments until the largest gap falls below cfg.tol.
 
@@ -318,8 +284,7 @@ def infer_exact(stats: WindowStats, cfg: InferenceConfig, tickers=None,
     residual sits 10x above its running minimum for 50 consecutive
     iterations is aborted as diverged.
     """
-    _check_means(stats.means, tickers)
-    init = infer_nmf(stats, replace(cfg, diagonal_trick=True), tickers, inverse)
+    init = infer_nmf(stats, replace(cfg, diagonal_trick=True))
     h = init.params.h.copy()
     j = init.params.J.copy()
 
@@ -334,7 +299,7 @@ def infer_exact(stats: WindowStats, cfg: InferenceConfig, tickers=None,
     chains = None  # the sampled chains, carried from step to step
 
     for iterations in range(1, cfg.max_iters + 1):
-        params = IsingParams(h, j, tickers=tickers)
+        params = IsingParams(h, j, tickers=stats.tickers)
         moments = _model_moments(params, cfg, seed=ss.spawn(1)[0], chains=chains)
         chains = moments.final_states
         gap_m, gap_p, residual = _moment_gap(stats, moments)
@@ -354,7 +319,7 @@ def infer_exact(stats: WindowStats, cfg: InferenceConfig, tickers=None,
         eta_h *= cfg.eta_decay
         eta_j *= cfg.eta_decay
 
-    params = IsingParams(h, j, tickers=tickers)
+    params = IsingParams(h, j, tickers=stats.tickers)
     converged = residual < cfg.tol and not diverged
     diagnostics = {"min_residual": best, "diverged": diverged,
                    "residual_history": history,
@@ -372,12 +337,10 @@ _DISPATCH = {"exact": infer_exact, "nmf": infer_nmf, "tap": infer_tap,
              "ip": infer_ip, "sm": infer_sm}
 
 
-def infer(stats: WindowStats, cfg: InferenceConfig, tickers=None,
-          inverse=None) -> InferenceResult:
-    """Run the method selected by cfg.method.  `inverse`, when given, is
-    invert_covariance(stats.covariance, cfg.ridge).  Closed-form methods
-    leave `residual` None; `moment_residual` measures their fit."""
-    return _DISPATCH[cfg.method](stats, cfg, tickers, inverse)
+def infer(stats: WindowStats, cfg: InferenceConfig) -> InferenceResult:
+    """Run the method selected by cfg.method.  Closed-form methods leave
+    `residual` None; `moment_residual` measures their fit."""
+    return _DISPATCH[cfg.method](stats, cfg)
 
 
 def moment_residual(params: IsingParams, stats: WindowStats,

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .network import SectorMap
+from .stats import _series_label
 
 logger = logging.getLogger(__name__)
 
@@ -229,18 +230,19 @@ def binarize(r: ReturnPanel) -> ReturnPanel:
     return ReturnPanel(r.tickers, r.dates, values, "binary")
 
 
-def standardize_window(window: np.ndarray, label: str = "window") -> np.ndarray:
+def standardize_window(window: np.ndarray, tickers=None) -> np.ndarray:
     """Standardize one (N, T) window to per-series mean 0 and population
     standard deviation 1.
 
-    Raises on any zero-variance series, naming it and the window.
+    Raises on any zero-variance series, naming it by its ticker.
     """
     w = np.asarray(window, dtype=np.float64)
     mean = w.mean(axis=1, keepdims=True)
     std = w.std(axis=1, keepdims=True)  # population (1/T) normalization
     dead = np.flatnonzero(std[:, 0] == 0.0)
     if dead.size:
-        raise ValueError(f"series {dead[0]} has zero variance in {label}")
+        raise ValueError(f"{_series_label(tickers, dead[0])} has zero variance "
+                         "in this window")
     return (w - mean) / std
 
 

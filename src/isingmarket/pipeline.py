@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .evaluation import compare_methods, scaling_exponents, subset_coupling_scan
-from .inference import INVERTING, InferenceConfig, infer, invert_covariance
+from .inference import InferenceConfig, infer
 from .model import energy_split, params_to_json
 from .network import edges_to_csv, edges_to_dot, window_forests
 from .panels import (RETURN_KINDS, WindowSpec, binarize, load_price_csv,
@@ -354,7 +354,10 @@ def _run_stages(cfg: RunConfig, out: Path, manifest: dict) -> None:
 
     def unit(item):
         idx, (date, block) = item
-        return _window_unit(cfg, out, idx, date, block, panel.tickers, labels)
+        try:
+            return _window_unit(cfg, out, idx, date, block, panel.tickers, labels)
+        except ValueError as err:
+            raise ValueError(f"window ending {date}: {err}") from err
 
     with ExitStack() as stack:
         if cfg.jobs > 1:
@@ -402,11 +405,12 @@ def _window_unit(cfg: RunConfig, out: Path, idx: int, date: str, block,
     rows of the collated CSVs, keyed as in `_COLLATED`; nothing else of the
     window outlives the call."""
     rows: dict[str, list] = {}
+    if not {"stats", *_WINDOW_FIT_STAGES} & set(cfg.stages):
+        return rows  # scaling and subset fit the whole panel instead
     if cfg.kind == "standardized":
-        block = standardize_window(block, label=f"window ending {date}")
-    st = None
+        block = standardize_window(block, tickers)
+    st = window_stats(block, tickers)
     if "stats" in cfg.stages:
-        st = window_stats(block, labels=tickers)
         boot_seed = _window_seed(cfg.seed, idx, salt=7).generate_state(1)[0]
         summary = off_diagonal_summary(st.covariance, n_boot=cfg.n_boot,
                                        level=cfg.boot_level, seed=int(boot_seed))
@@ -422,16 +426,10 @@ def _window_unit(cfg: RunConfig, out: Path, idx: int, date: str, block,
                            {"tickers": list(tickers), "matrix": m.tolist()})
     if not _needs_inference(cfg):  # validate() ensures kind == "binary" past here
         return rows
-    if st is None:
-        st = window_stats(block, labels=tickers)
     fits = {}
-    inverse = None  # (inverse, cond) of the covariance, shared by the methods
     for m_i, method in enumerate(cfg.methods):
         seed = _window_seed(cfg.seed, idx, salt=100 + m_i)
-        if inverse is None and method in INVERTING:
-            inverse = invert_covariance(st.covariance, cfg.ridge)
-        res = infer(st, cfg.inference_config(method, seed), tickers=tickers,
-                    inverse=inverse)
+        res = infer(st, cfg.inference_config(method, seed))
         fits[method] = params = res.params
         path = out / "params" / method / f"{date}.json"
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -8,22 +8,49 @@ intervals.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 logger = logging.getLogger(__name__)
 
 
+def _series_label(tickers, i: int) -> str:
+    """Name of series i in an error message: its ticker, else `series i`."""
+    return str(tickers[i]) if tickers is not None else f"series {i}"
+
+
 @dataclass(frozen=True)
 class WindowStats:
-    """Means and covariance of one window, population (1/T) normalized."""
+    """One window's means, population (1/T) covariance and tickers: every fit's input."""
 
     means: np.ndarray          # (N,)
     covariance: np.ndarray     # (N, N)
+    tickers: tuple[str, ...] | None = None
+    # ridge -> (inverse, cond).  A WindowStats lives inside one window's unit
+    # of work, so the cache is never shared between worker threads.
+    _inverses: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def label(self, i: int) -> str:
+        return _series_label(self.tickers, i)
+
+    def inverse(self, ridge: float) -> tuple[np.ndarray, float]:
+        """(inverse, cond) of covariance + ridge*I, computed once per ridge and
+        shared by every fit.  Raises when the matrix is singular to working
+        precision: cond >= 1/(N*eps), numpy's matrix_rank tolerance."""
+        if ridge not in self._inverses:
+            c = self.covariance + ridge * np.eye(self.means.size)
+            cond = float(np.linalg.cond(c))
+            if not cond * self.means.size * np.finfo(np.float64).eps < 1.0:
+                raise ValueError(f"covariance matrix is singular (cond={cond:.3g}); "
+                                 "retry with a positive ridge")
+            cinv = np.linalg.inv(c)
+            cinv.flags.writeable = False
+            self._inverses[ridge] = (cinv, cond)
+        return self._inverses[ridge]
 
 
-def window_stats(window: np.ndarray, labels=None) -> WindowStats:
+def window_stats(window: np.ndarray, tickers=None) -> WindowStats:
     """Compute WindowStats for an (N, T) window.
 
     Warns when T < N (covariance not positive definite for inversion
@@ -41,12 +68,11 @@ def window_stats(window: np.ndarray, labels=None) -> WindowStats:
     m = x.mean(axis=1)
     xc = x - m[:, None]
     cov = (xc @ xc.T) / t
-    cov = (cov + cov.T) / 2.0
-    dead = np.flatnonzero(np.diag(cov) <= 0.0)
+    st = WindowStats(m, (cov + cov.T) / 2.0, tickers)
+    dead = np.flatnonzero(np.diag(st.covariance) <= 0.0)
     if dead.size:
-        name = labels[dead[0]] if labels is not None else f"series {dead[0]}"
-        raise ValueError(f"{name} has zero variance in this window")
-    return WindowStats(m, cov)
+        raise ValueError(f"{st.label(dead[0])} has zero variance in this window")
+    return st
 
 
 # ---------------------------------------------------------------------------

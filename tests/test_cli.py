@@ -147,6 +147,17 @@ class TestStatsCommand:
             elif stat == "vol":
                 assert abs(float(value) - 1.0) < 1e-10
 
+    @pytest.mark.parametrize("kind", ["raw", "standardized", "binary"])
+    def test_zero_variance_names_window_and_ticker(self, tmp_path, capsys, kind):
+        prices = tmp_path / "flat.csv"
+        prices.write_text("date,AAA,BBB\n2001-01-01,100.0,50.0\n2001-01-02,110.0,50.0\n"
+                          "2001-01-03,99.0,50.0\n2001-01-04,108.9,50.0\n")
+        rc = main(["stats", "--prices", str(prices), "--out-dir", str(tmp_path / "out"),
+                   "-T", "3", "--kind", kind])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "window ending 2001-01-04: BBB has zero variance" in err
+
     def test_window_too_long_is_config_error(self, market, tmp_path):
         rc = main(["stats", "--prices", str(market / "prices.csv"),
                    "--out-dir", str(tmp_path), "-T", "4000"])
@@ -565,9 +576,29 @@ class TestRunPipeline:
             monkeypatch.setattr(np.linalg, name, counted)
         rc = main(["infer", "--prices", str(market / "prices.csv"),
                    "--out-dir", str(tmp_path), "-T", "300", "--stride", "50",
-                   "--method", "ip,nmf,tap,sm", "--seed", "5"])
+                   "--method", "exact,ip,nmf,tap,sm", "--max-iters", "5",
+                   "--seed", "5"])
         assert rc == 0
-        assert calls == {"inv": 3, "cond": 3}  # 3 windows, 3 inverting methods
+        assert calls == {"inv": 3, "cond": 3}  # 3 windows, 4 inverting methods
+
+    def test_singular_covariance_fails_until_ridged(self, tmp_path, capsys):
+        # T=40 < N=60: the covariance is singular to working precision
+        rc = main(["synth", "--out-dir", str(tmp_path), "--n-stocks", "60",
+                   "--n-sectors", "3", "--j-intra", "0.01", "--n-days", "1001",
+                   "--seed", "7"])
+        assert rc == 0
+        base = ["infer", "--prices", str(tmp_path / "prices.csv"), "-T", "40",
+                "--stride", "50", "--method", "nmf,tap"]
+        assert main(base + ["--out-dir", str(tmp_path / "bare")]) == 3
+        err = capsys.readouterr().err
+        assert ("window ending 1990-02-11: covariance matrix is singular "
+                "(cond=1.71e+17); retry with a positive ridge") in err
+        assert main(base + ["--out-dir", str(tmp_path / "ridged"), "--ridge", "1e-3"]) == 0
+        rows = [line.split(",") for line in
+                read_lines(tmp_path / "ridged" / "infer_diagnostics.csv")[1:]]
+        assert len(rows) == 20 * 2
+        assert float(rows[0][5]) == pytest.approx(4304, abs=0.5)
+        assert max(float(row[5]) for row in rows) < 1e5
 
     def test_failure_leaves_partial_marker(self, market, tmp_path):
         # sectors file missing a ticker: the run fails at ingest, a config error

@@ -106,7 +106,7 @@ class TestWindowStats:
         with pytest.raises(ValueError, match="series 0"):
             window_stats(x)
         with pytest.raises(ValueError, match="AAA"):
-            window_stats(x, labels=["AAA", "BBB"])
+            window_stats(x, ["AAA", "BBB"])
 
     def test_correlation_matches_standardized_covariance(self, tmp_path):
         rng = np.random.default_rng(2)
