@@ -21,8 +21,8 @@ from .model import (EnergySplit, IsingParams, SampleStats,
                     params_to_json, third_order_from_samples)
 from .network import (MstResult, ScanPoint, SectorMap, mst_result,
                       spectral_truncation)
-from .panels import (IngestReport, PricePanel, ReturnPanel, WindowSpec,
-                     binarize, load_price_csv, load_sector_csv, log_returns,
+from .panels import (IngestReport, PricePanel, ReturnPanel, binarize,
+                     load_price_csv, load_sector_csv, log_returns,
                      shuffle_window, standardize_window, windows)
 from .stats import (MomentSummary, WindowStats, bootstrap_ci, dft_amplitudes,
                     moment_summary, off_diagonal_summary, window_stats)
@@ -36,7 +36,7 @@ __all__ = [
     "InferenceConfig", "InferenceResult", "IngestReport", "IsingParams",
     "MethodComparison", "MomentSummary", "MstResult", "PricePanel",
     "ReturnPanel", "SampleStats", "ScalingReport", "ScanPoint", "SectorMap",
-    "SubsetScanResult", "WindowSpec", "WindowStats", "binarize",
+    "SubsetScanResult", "WindowStats", "binarize",
     "block_model", "boltzmann_distribution", "bootstrap_ci",
     "compare_methods", "dft_amplitudes", "energy_split", "enumerate_states",
     "exact_moments_small", "fit_power_law", "generate_synthetic", "infer",

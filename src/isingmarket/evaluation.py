@@ -12,7 +12,6 @@ import numpy as np
 
 from .inference import InferenceConfig, infer
 from .model import IsingParams
-from .panels import ReturnPanel
 from .stats import MOMENT_NAMES, _upper_triangle, moment_summary, window_stats
 
 logger = logging.getLogger(__name__)
@@ -131,39 +130,28 @@ def _fit_over_repeats(sizes, per_repeat_values) -> ExponentFit:
     return ExponentFit(float(arr.mean()), se, tuple(alphas), excluded)
 
 
-def _window_matrix(panel: ReturnPanel, end_date: str, window_size: int) -> np.ndarray:
-    try:
-        end = panel.dates.index(end_date)
-    except ValueError:
-        raise ValueError(f"date {end_date!r} not in panel") from None
-    if end + 1 < window_size:
-        raise ValueError(f"window of {window_size} steps does not fit before {end_date}")
-    return panel.values[:, end - window_size + 1 : end + 1]
-
-
-def scaling_exponents(panel: ReturnPanel, end_date: str, window_size: int,
-                      sizes, repeats: int, method="nmf", seed=None,
-                      cfg: InferenceConfig | None = None) -> ScalingReport:
+def scaling_exponents(window: np.ndarray, sizes, repeats: int,
+                      fit=InferenceConfig(), seed=None) -> ScalingReport:
     """Exponent of each parameter-distribution moment against subset size.
 
     For every repeat, a random ticker subset is drawn at each size,
-    parameters are inferred on the window restricted to the subset, and
-    log|moment| is regressed on log size across sizes.  Repeats whose
-    moment vanishes or changes sign are excluded and counted.  `method` is
-    an inference method name, or a callable mapping an (n, T) window to
-    IsingParams for custom parameter sources.  Each repeat's members and
-    fit seeds derive from its own child of SeedSequence(seed).
+    parameters are inferred on the (N, T) window restricted to the subset,
+    and log|moment| is regressed on log size across sizes.  Repeats whose
+    moment vanishes or changes sign are excluded and counted.  `fit` is an
+    InferenceConfig (its seed replaced for each fit), or a callable mapping
+    an (n, T) window to IsingParams for custom parameter sources.  Each
+    repeat's members and fit seeds derive from its own child of
+    SeedSequence(seed).
     """
     sizes = sorted(int(n) for n in sizes)
     if len(set(sizes)) < 3:
         raise ValueError("need at least three distinct subset sizes")
-    if sizes[-1] > panel.n_series:
-        raise ValueError(f"largest size {sizes[-1]} exceeds panel N={panel.n_series}")
+    if sizes[-1] > window.shape[0]:
+        raise ValueError(f"largest size {sizes[-1]} exceeds window N={window.shape[0]}")
     if repeats < 1:
         raise ValueError("need at least one repeat")
-    window = _window_matrix(panel, end_date, window_size)
 
-    run = _fit_fn(method, cfg)
+    run = _fit_fn(fit)
     root = np.random.SeedSequence(seed)
     # h_vals[moment][repeat] is the per-size moment track, likewise j_vals
     h_vals = {name: [[] for _ in range(repeats)] for name in MOMENT_NAMES}
@@ -171,7 +159,7 @@ def scaling_exponents(panel: ReturnPanel, end_date: str, window_size: int,
     for r, child in enumerate(root.spawn(repeats)):
         rng = np.random.default_rng(child)
         for n_sub, fit_seed in zip(sizes, child.spawn(len(sizes))):
-            members = np.sort(rng.choice(panel.n_series, size=n_sub, replace=False))
+            members = np.sort(rng.choice(window.shape[0], size=n_sub, replace=False))
             params = run(window[members], fit_seed)
             h_moments = moment_summary(params.h)
             j_moments = moment_summary(_upper_triangle(params.J))
@@ -186,14 +174,12 @@ def scaling_exponents(panel: ReturnPanel, end_date: str, window_size: int,
     return report
 
 
-def _fit_fn(method, cfg: InferenceConfig | None):
-    """(window, seed) -> IsingParams: a callable `method` ignores the seed;
-    a method name fits with `cfg` under that seed."""
-    if callable(method):
-        return lambda window, seed: method(window)
-    base = replace(cfg if cfg is not None else InferenceConfig(), method=method)
-    return lambda window, seed: infer(window_stats(window),
-                                      replace(base, seed=seed)).params
+def _fit_fn(fit):
+    """(window, seed) -> IsingParams: a callable `fit` ignores the seed; an
+    InferenceConfig fits under that seed."""
+    if callable(fit):
+        return lambda window, seed: fit(window)
+    return lambda window, seed: infer(window_stats(window), replace(fit, seed=seed)).params
 
 
 # ---------------------------------------------------------------------------
@@ -226,33 +212,33 @@ def _extreme_pairs(j: np.ndarray, k: int):
     return top, bottom
 
 
-def subset_coupling_scan(panel: ReturnPanel, end_date: str, window_size: int,
-                         subset, totals, method: str = "nmf", seed=None,
-                         cfg: InferenceConfig | None = None,
-                         n_extreme: int = 10) -> SubsetScanResult:
+def subset_coupling_scan(window: np.ndarray, subset, totals,
+                         fit=InferenceConfig(), seed=None) -> SubsetScanResult:
     """Couplings within a fixed subset as the inference universe grows.
 
     For each total N', the subset is padded with randomly drawn extra
-    tickers up to N', parameters are inferred on the enlarged window, and
-    the subset-by-subset coupling block is extracted.  With
+    tickers up to N', parameters are inferred on the (N, T) window
+    restricted to those members, and the subset-by-subset coupling block
+    is extracted with its ten strongest and weakest pairs.  With
     totals == [len(subset)] no padding happens and the block equals direct
-    inference on the subset alone.  Each total's extra members and fit seed
-    derive from its own child of SeedSequence(seed).
+    inference on the subset alone.  `fit` is as in scaling_exponents.
+    Each total's extra members and fit seed derive from its own child of
+    SeedSequence(seed).
     """
+    n = window.shape[0]
     subset = tuple(int(i) for i in subset)
     if len(set(subset)) != len(subset):
         raise ValueError("subset has duplicate members")
-    if any(i < 0 or i >= panel.n_series for i in subset):
+    if any(i < 0 or i >= n for i in subset):
         raise ValueError("subset index out of range")
     totals = sorted(int(t) for t in totals)
     if totals and totals[0] < len(subset):
         raise ValueError("totals must be at least the subset size")
-    if totals and totals[-1] > panel.n_series:
-        raise ValueError(f"total {totals[-1]} exceeds panel N={panel.n_series}")
-    window = _window_matrix(panel, end_date, window_size)
-    run = _fit_fn(method, cfg)
+    if totals and totals[-1] > n:
+        raise ValueError(f"total {totals[-1]} exceeds window N={n}")
+    run = _fit_fn(fit)
 
-    others = np.array([i for i in range(panel.n_series) if i not in subset])
+    others = np.array([i for i in range(n) if i not in subset])
     root = np.random.SeedSequence(seed)
     entries = []
     for total, child in zip(totals, root.spawn(len(totals))):
@@ -265,7 +251,7 @@ def subset_coupling_scan(panel: ReturnPanel, end_date: str, window_size: int,
         pos = {m: k for k, m in enumerate(members)}
         idx = np.array([pos[i] for i in subset])
         block = params.J[np.ix_(idx, idx)]
-        top, bottom = _extreme_pairs(block, n_extreme)
+        top, bottom = _extreme_pairs(block, 10)
         vals = _upper_triangle(block)
         entries.append(SubsetScanEntry(total, tuple(int(i) for i in members), block,
                                        top, bottom, float(vals.mean()),

@@ -41,7 +41,7 @@ class InferenceConfig:
     learning-rate and Monte Carlo settings."""
 
     method: str = "nmf"
-    diagonal_trick: bool | None = None  # None: on for nmf/tap
+    diagonal_trick: bool = True  # nmf/tap only; exact always uses it
     eta_h: float = 0.1
     eta_j: float = 0.1
     eta_decay: float = 0.99  # per-iteration geometric decay
@@ -71,12 +71,6 @@ class InferenceConfig:
                 raise ValueError(f"{name} must be at least {low}")
         if self.exact_max_n > ENUMERATION_HARD_CAP:
             raise ValueError(f"exact_max_n must be at most {ENUMERATION_HARD_CAP}")
-
-    @property
-    def use_diagonal_trick(self) -> bool:
-        if self.diagonal_trick is None:
-            return self.method in ("nmf", "tap")
-        return self.diagonal_trick
 
 
 @dataclass
@@ -131,11 +125,11 @@ def infer_nmf(stats: WindowStats, cfg: InferenceConfig) -> InferenceResult:
     m = _check_means(stats)
     cinv, cond = stats.inverse(cfg.ridge)
     j_full = _nmf_matrix(m, cinv)
-    j_for_fields = j_full if cfg.use_diagonal_trick else _zero_diag(j_full)
+    j_for_fields = j_full if cfg.diagonal_trick else _zero_diag(j_full)
     h = _fields(m, j_for_fields)
     return _finish(_zero_diag(j_full), h, "nmf", stats,
                    {"cond_cov": cond, "ridge": cfg.ridge,
-                    "diagonal_trick": cfg.use_diagonal_trick})
+                    "diagonal_trick": cfg.diagonal_trick})
 
 
 def infer_tap(stats: WindowStats, cfg: InferenceConfig) -> InferenceResult:
@@ -164,7 +158,7 @@ def infer_tap(stats: WindowStats, cfg: InferenceConfig) -> InferenceResult:
     if n_fallback:
         logger.info("TAP: %d pairs fell back to the mean-field coupling", n_fallback)
 
-    if cfg.use_diagonal_trick:
+    if cfg.diagonal_trick:
         h = _fields(m, _nmf_matrix(m, cinv))
     else:
         h_nmf = _fields(m, _zero_diag(_nmf_matrix(m, cinv)))
@@ -172,7 +166,7 @@ def infer_tap(stats: WindowStats, cfg: InferenceConfig) -> InferenceResult:
     return _finish(j_tap, h, "tap", stats,
                    {"cond_cov": cond, "ridge": cfg.ridge,
                     "tap_fallbacks": n_fallback,
-                    "diagonal_trick": cfg.use_diagonal_trick})
+                    "diagonal_trick": cfg.diagonal_trick})
 
 
 def _pair_couplings(stats: WindowStats) -> np.ndarray:

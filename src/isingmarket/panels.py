@@ -97,21 +97,6 @@ class ReturnPanel:
         return len(self.dates)
 
 
-@dataclass(frozen=True)
-class WindowSpec:
-    """Trailing-window shape: `window_size` trading days, advanced `stride`
-    days between consecutive windows."""
-
-    window_size: int
-    stride: int = 1
-
-    def __post_init__(self):
-        if self.window_size < 1:
-            raise ValueError("window_size must be >= 1")
-        if self.stride < 1:
-            raise ValueError("stride must be >= 1")
-
-
 @dataclass
 class IngestReport:
     """What the CSV loader kept and why it dropped the rest."""
@@ -194,9 +179,11 @@ def load_sector_csv(path) -> SectorMap:
         header = next(reader, None)
         if not header or [h.strip().lower() for h in header[:3]] != ["ticker", "name", "sector"]:
             raise ValueError(f"{path}: expected header 'ticker,name,sector'")
-        for row in reader:
+        for lineno, row in enumerate(reader, 2):
             if not row or not any(cell.strip() for cell in row):
                 continue
+            if len(row) < 3:
+                raise ValueError(f"{path}: row {lineno} has {len(row)} cells, expected 3")
             ticker, _, sector = (row[0].strip(), row[1].strip(), row[2].strip())
             if not ticker or not sector:
                 raise ValueError(f"{path}: blank ticker or sector in row {row}")
@@ -246,17 +233,19 @@ def standardize_window(window: np.ndarray, tickers=None) -> np.ndarray:
     return (w - mean) / std
 
 
-def windows(r: ReturnPanel, w: WindowSpec):
-    """Iterate trailing windows as (end_date, (N, T) read-only view).
+def windows(r: ReturnPanel, window_size: int, stride: int = 1):
+    """Iterate trailing windows as (last date, (N, T) read-only view).
 
-    The window ending at step t covers columns t-T+1..t; the first window
-    ends at t = T-1 and subsequent windows advance by `stride`.
+    The window ending at step t covers columns t-T+1..t, with T =
+    `window_size`; the first window ends at t = T-1 and subsequent windows
+    advance by `stride`.  Bad sizes raise at the call, not at iteration.
     """
-    t = w.window_size
-    if t > r.n_steps:
-        raise ValueError(f"window_size {t} exceeds series length {r.n_steps}")
-    for end in range(t - 1, r.n_steps, w.stride):
-        yield r.dates[end], r.values[:, end - t + 1 : end + 1]
+    if window_size < 1 or stride < 1:
+        raise ValueError("window_size and stride must be at least 1")
+    if window_size > r.n_steps:
+        raise ValueError(f"window_size {window_size} exceeds series length {r.n_steps}")
+    return ((r.dates[end], r.values[:, end - window_size + 1 : end + 1])
+            for end in range(window_size - 1, r.n_steps, stride))
 
 
 def shuffle_window(window: np.ndarray, seed: int) -> np.ndarray:

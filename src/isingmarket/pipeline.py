@@ -1,7 +1,7 @@
 """
 End-to-end pipeline: ingest, transform, one unit of work per window
 (statistics, inference, network/energy/compare analyses, written as soon as
-they are computed), whole-panel scaling/subset scans, and a reproducibility
+they are computed), last-window scaling/subset scans, and a reproducibility
 manifest.
 
 All outputs are plain CSV/JSON/DOT.  A run is deterministic for a given
@@ -15,7 +15,7 @@ import dataclasses
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,14 +26,14 @@ from .evaluation import compare_methods, scaling_exponents, subset_coupling_scan
 from .inference import InferenceConfig, infer
 from .model import energy_split, params_to_json
 from .network import edges_to_csv, edges_to_dot, window_forests
-from .panels import (RETURN_KINDS, WindowSpec, binarize, load_price_csv,
-                     load_sector_csv, log_returns, standardize_window, windows)
+from .panels import (RETURN_KINDS, binarize, load_price_csv, load_sector_csv,
+                     log_returns, standardize_window, windows)
 from .stats import (dft_amplitudes, eigen_csv_rows, off_diagonal_summary,
                     stats_csv_rows, window_stats)
 
 STAGES = ("stats", "infer", "mst", "cutoff", "scaling", "subset", "energy",
           "compare")
-# stages that fit every window; scaling and subset fit the whole panel instead
+# stages that fit every window; scaling and subset fit the last window instead
 _WINDOW_FIT_STAGES = {"infer", "mst", "cutoff", "energy", "compare"}
 
 
@@ -61,7 +61,7 @@ class RunConfig:
     strict: bool = False
     # inference knobs: InferenceConfig's fields of the same name
     # (diag_trick is its diagonal_trick), defaults included
-    diag_trick: bool | None = InferenceConfig.diagonal_trick
+    diag_trick: bool = InferenceConfig.diagonal_trick
     eta_h: float = InferenceConfig.eta_h
     eta_j: float = InferenceConfig.eta_j
     eta_decay: float = InferenceConfig.eta_decay
@@ -184,7 +184,6 @@ _PARSERS = {
     "int": int,
     "float": float,
     "bool": _parse_bool,
-    "bool | None": _parse_bool,
     "tuple[str, ...]": _split,
     "tuple[int, ...]": lambda text: tuple(int(v) for v in _split(text)),
     "tuple[tuple[str, str], ...]": lambda text: tuple(map(_parse_pair, _split(text))),
@@ -273,9 +272,9 @@ def _window_seed(root_seed: int, index: int, salt: int = 0) -> np.random.SeedSeq
 def run(cfg: RunConfig) -> dict:
     """Execute the configured stages; returns the manifest dictionary.
 
-    On stage failure, partial outputs are kept, a `.partial` marker is
-    written and the manifest records the failure point before the
-    exception propagates.
+    On any failure, an interrupt included, partial outputs are kept, a
+    `.partial` marker is written and the manifest records the failed stage
+    before the exception propagates.
     """
     cfg.validate()
     out = Path(cfg.out_dir)
@@ -290,18 +289,26 @@ def run(cfg: RunConfig) -> dict:
     marker = out / ".partial"
     try:
         _run_stages(cfg, out, manifest)
-    except Exception as err:
-        manifest["failure"] = {"stage": manifest.get("_current_stage"),
-                               "error": f"{type(err).__name__}: {err}"}
-        manifest.pop("_current_stage", None)
-        write_json(out / "manifest.json", manifest)
+    except BaseException:
         marker.touch()
+        write_json(out / "manifest.json", manifest)
         raise
-    manifest.pop("_current_stage", None)
     write_json(out / "manifest.json", manifest)
-    if marker.exists():
-        marker.unlink()
+    marker.unlink(missing_ok=True)
     return manifest
+
+
+@contextmanager
+def _stage(manifest: dict, name: str):
+    """Time one stage into manifest["stages"]; an exception inside it, an
+    interrupt included, is recorded as the run's failure and propagates."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    except BaseException as err:
+        manifest["failure"] = {"stage": name, "error": f"{type(err).__name__}: {err}"}
+        raise
+    manifest["stages"][name] = {"seconds": time.perf_counter() - t0}
 
 
 def _sector_labels(path, tickers) -> list[str]:
@@ -313,85 +320,76 @@ def _sector_labels(path, tickers) -> list[str]:
 
 
 def _run_stages(cfg: RunConfig, out: Path, manifest: dict) -> None:
-    timer = time.perf_counter
-    manifest["_current_stage"] = "ingest"
-    t0 = timer()
-    panel, report = load_price_csv(cfg.prices)
-    labels = _sector_labels(cfg.sectors, panel.tickers) if cfg.sectors else None
-    returns = log_returns(panel)
-    write_json(out / "ingest_report.json",
-               {"n_rows": report.n_rows, "kept": report.kept,
-                "dropped": report.dropped, "n_return_steps": returns.n_steps})
-    manifest["stages"]["ingest"] = {"seconds": timer() - t0}
+    with _stage(manifest, "ingest"):
+        panel, report = load_price_csv(cfg.prices)
+        labels = _sector_labels(cfg.sectors, panel.tickers) if cfg.sectors else None
+        returns = log_returns(panel)
+        write_json(out / "ingest_report.json",
+                   {"n_rows": report.n_rows, "kept": report.kept,
+                    "dropped": report.dropped, "n_return_steps": returns.n_steps})
+        if cfg.window_size > returns.n_steps:
+            raise ConfigError(f"window_size {cfg.window_size} exceeds the "
+                              f"{returns.n_steps}-step return history")
+        n = panel.n_series
+        if "scaling" in cfg.stages and max(cfg.scaling_sizes) > n:
+            raise ConfigError(f"largest scaling size {max(cfg.scaling_sizes)} "
+                              f"exceeds panel N={n}")
+        if "subset" in cfg.stages and not all(0 <= i < n for i in cfg.subset_indices):
+            raise ConfigError(f"subset indices must lie in [0, {n - 1}] for panel N={n}")
+        if "subset" in cfg.stages and max(cfg.subset_totals) > n:
+            raise ConfigError(f"subset total {max(cfg.subset_totals)} exceeds panel N={n}")
+        binary = binarize(returns)
+        items = list(enumerate(windows(binary if cfg.kind == "binary" else returns,
+                                       cfg.window_size, cfg.stride)))
+        manifest["windows"] = len(items)
 
-    spec = WindowSpec(cfg.window_size, cfg.stride)
-    if cfg.window_size > returns.n_steps:
-        raise ConfigError(f"window_size {cfg.window_size} exceeds the "
-                          f"{returns.n_steps}-step return history")
-    n = panel.n_series
-    if "scaling" in cfg.stages and max(cfg.scaling_sizes) > n:
-        raise ConfigError(f"largest scaling size {max(cfg.scaling_sizes)} exceeds panel N={n}")
-    if "subset" in cfg.stages and not all(0 <= i < n for i in cfg.subset_indices):
-        raise ConfigError(f"subset indices must lie in [0, {n - 1}] for panel N={n}")
-    if "subset" in cfg.stages and max(cfg.subset_totals) > n:
-        raise ConfigError(f"subset total {max(cfg.subset_totals)} exceeds panel N={n}")
-    binary = binarize(returns)
-    items = list(enumerate(windows(binary if cfg.kind == "binary" else returns, spec)))
-    manifest["windows"] = len(items)
+    with _stage(manifest, "windows"):
+        if "stats" in cfg.stages:
+            # spectrum of the cross-sectional mean return, raw vs binary
+            write_csv(out / "stats" / "dft_mean_return.csv", "kind,bin,amplitude",
+                      [(kind, k, a) for kind, values in (("raw", returns.values),
+                                                         ("binary", binary.values))
+                       for k, a in enumerate(dft_amplitudes(values.mean(axis=0)))])
+        convergence: list[dict] = []
+        if _needs_inference(cfg):
+            manifest["convergence"] = convergence
+        diag_fields = _COLLATED["diag"][1].split(",")
 
-    manifest["_current_stage"] = "windows"
-    t0 = timer()
-    if "stats" in cfg.stages:
-        # spectrum of the cross-sectional mean return, raw vs binary
-        write_csv(out / "stats" / "dft_mean_return.csv", "kind,bin,amplitude",
-                  [(kind, k, a) for kind, values in (("raw", returns.values),
-                                                     ("binary", binary.values))
-                   for k, a in enumerate(dft_amplitudes(values.mean(axis=0)))])
-    convergence: list[dict] = []
-    if _needs_inference(cfg):
-        manifest["convergence"] = convergence
-    diag_fields = _COLLATED["diag"][1].split(",")
+        def unit(item):
+            idx, (date, block) = item
+            try:
+                return _window_unit(cfg, out, idx, date, block, panel.tickers, labels)
+            except ValueError as err:
+                raise ValueError(f"window ending {date}: {err}") from err
 
-    def unit(item):
-        idx, (date, block) = item
-        try:
-            return _window_unit(cfg, out, idx, date, block, panel.tickers, labels)
-        except ValueError as err:
-            raise ValueError(f"window ending {date}: {err}") from err
+        with ExitStack() as stack:
+            if cfg.jobs > 1:
+                pool = stack.enter_context(ThreadPoolExecutor(max_workers=cfg.jobs))
+                results = pool.map(unit, items)
+            else:
+                results = map(unit, items)
+            files: dict = {}
+            for window_rows in results:
+                for key, rows in window_rows.items():
+                    if key not in files:
+                        rel, header = _COLLATED[key]
+                        files[key] = stack.enter_context(_open_csv(out / rel, header))
+                    if key == "diag":  # the manifest keeps None, the CSV writes ""
+                        convergence.extend(dict(zip(diag_fields, row)) for row in rows)
+                        rows = [["" if v is None else v for v in row] for row in rows]
+                    _append_rows(files[key], rows)
+        if cfg.strict and any(not row["converged"] for row in convergence):
+            raise NonConvergenceError(
+                f"{sum(not r['converged'] for r in convergence)} window/method "
+                "fits did not converge")
 
-    with ExitStack() as stack:
-        if cfg.jobs > 1:
-            pool = stack.enter_context(ThreadPoolExecutor(max_workers=cfg.jobs))
-            results = pool.map(unit, items)
-        else:
-            results = map(unit, items)
-        files: dict = {}
-        for window_rows in results:
-            for key, rows in window_rows.items():
-                if key not in files:
-                    rel, header = _COLLATED[key]
-                    files[key] = stack.enter_context(_open_csv(out / rel, header))
-                if key == "diag":  # the manifest keeps None, the CSV writes ""
-                    convergence.extend(dict(zip(diag_fields, row)) for row in rows)
-                    rows = [["" if v is None else v for v in row] for row in rows]
-                _append_rows(files[key], rows)
-    manifest["stages"]["windows"] = {"seconds": timer() - t0}
-    if cfg.strict and any(not row["converged"] for row in convergence):
-        raise NonConvergenceError(
-            f"{sum(not r['converged'] for r in convergence)} window/method "
-            "fits did not converge")
-
+    window = binary.values[:, -cfg.window_size:]
     if "scaling" in cfg.stages:
-        manifest["_current_stage"] = "scaling"
-        t0 = timer()
-        _write_scaling_outputs(cfg, out, binary)
-        manifest["stages"]["scaling"] = {"seconds": timer() - t0}
-
+        with _stage(manifest, "scaling"):
+            _write_scaling_outputs(cfg, out, window)
     if "subset" in cfg.stages:
-        manifest["_current_stage"] = "subset"
-        t0 = timer()
-        _write_subset_outputs(cfg, out, binary)
-        manifest["stages"]["subset"] = {"seconds": timer() - t0}
+        with _stage(manifest, "subset"):
+            _write_subset_outputs(cfg, out, window)
 
 
 def _needs_inference(cfg: RunConfig) -> bool:
@@ -406,7 +404,7 @@ def _window_unit(cfg: RunConfig, out: Path, idx: int, date: str, block,
     window outlives the call."""
     rows: dict[str, list] = {}
     if not {"stats", *_WINDOW_FIT_STAGES} & set(cfg.stages):
-        return rows  # scaling and subset fit the whole panel instead
+        return rows  # scaling and subset fit the last window instead
     if cfg.kind == "standardized":
         block = standardize_window(block, tickers)
     st = window_stats(block, tickers)
@@ -470,12 +468,10 @@ def _write_scan_csv(path: Path, points) -> None:
               [(p.threshold, p.q_mst, p.disconnected) for p in points])
 
 
-def _write_scaling_outputs(cfg, out, binary) -> None:
+def _write_scaling_outputs(cfg, out, window) -> None:
     method = cfg.methods[0]
-    report = scaling_exponents(
-        binary, binary.dates[-1], cfg.window_size, cfg.scaling_sizes,
-        cfg.scaling_repeats, method=method, seed=cfg.seed,
-        cfg=cfg.inference_config(method, None))
+    report = scaling_exponents(window, cfg.scaling_sizes, cfg.scaling_repeats,
+                               fit=cfg.inference_config(method, None), seed=cfg.seed)
     rows = []
     summary = {}
     for param_name, fits in (("h", report.h), ("J", report.j)):
@@ -492,12 +488,10 @@ def _write_scaling_outputs(cfg, out, binary) -> None:
                 "method": method, "exponents": summary})
 
 
-def _write_subset_outputs(cfg, out, binary) -> None:
+def _write_subset_outputs(cfg, out, window) -> None:
     method = cfg.methods[0]
-    scan = subset_coupling_scan(
-        binary, binary.dates[-1], cfg.window_size, cfg.subset_indices,
-        cfg.subset_totals, method=method, seed=cfg.seed,
-        cfg=cfg.inference_config(method, None))
+    scan = subset_coupling_scan(window, cfg.subset_indices, cfg.subset_totals,
+                                fit=cfg.inference_config(method, None), seed=cfg.seed)
     rows = [(e.total, e.mean, e.std,
              ";".join(f"{i}-{j}" for i, j, _ in e.top_pairs),
              ";".join(f"{i}-{j}" for i, j, _ in e.bottom_pairs))

@@ -53,17 +53,15 @@ class WindowStats:
 def window_stats(window: np.ndarray, tickers=None) -> WindowStats:
     """Compute WindowStats for an (N, T) window.
 
-    Warns when T < N (covariance not positive definite for inversion
-    consumers); raises when any series has zero variance.
+    Raises when any series has zero variance; a singular covariance (for
+    example T < N) is caught where it is inverted, by `inverse`.
     """
     x = np.asarray(window, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("window must be a 2-d (N, T) array")
-    n, t = x.shape
+    t = x.shape[1]
     if t < 2:
         raise ValueError("window needs at least two observations")
-    if t < n:
-        logger.warning("window has T=%d < N=%d; covariance is rank deficient", t, n)
 
     m = x.mean(axis=1)
     xc = x - m[:, None]

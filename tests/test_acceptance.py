@@ -21,7 +21,7 @@ from isingmarket.inference import (InferenceConfig, infer_exact, infer_ip,
 from isingmarket.model import (IsingParams, boltzmann_distribution, energy_split,
                                exact_moments_small, metropolis_sample)
 from isingmarket.network import mst_result, spectral_truncation
-from isingmarket.panels import (PricePanel, ReturnPanel, WindowSpec, binarize,
+from isingmarket.panels import (PricePanel, ReturnPanel, binarize,
                                 log_returns, shuffle_window, windows)
 from isingmarket.stats import window_stats
 from isingmarket.synthetic import (random_model, sample_binary_panel,
@@ -282,9 +282,9 @@ def test_criterion_08_scaling_machinery():
         panel = ReturnPanel(synthetic_tickers(40),
                             tuple(f"d{t:05d}" for t in range(steps)),
                             values, "binary")
-        report = scaling_exponents(panel, panel.dates[-1], 50,
+        report = scaling_exponents(panel.values[:, -50:],
                                    sizes=[10, 20, 40], repeats=5,
-                                   method=lambda w: planted_moments_source(w.shape[0]),
+                                   fit=lambda w: planted_moments_source(w.shape[0]),
                                    seed=21)
         for moment, target in (("mean", -0.75), ("std", 0.5), ("kurt", 0.0)):
             fit = report.h[moment]
@@ -296,8 +296,8 @@ def test_criterion_08_scaling_machinery():
             synthetic_tickers(30), tuple(f"d{t:05d}" for t in range(700)),
             sample_binary_panel(truth, 700, seed=10), "binary")
         subset = list(range(5, 25))  # a fixed subset of 20
-        scan = subset_coupling_scan(bin_panel, bin_panel.dates[-1], 700,
-                                    subset, totals=[20], method="nmf", seed=12)
+        scan = subset_coupling_scan(bin_panel.values[:, -700:],
+                                    subset, totals=[20], seed=12)
         direct = infer_nmf(
             window_stats(bin_panel.values[np.asarray(subset), -700:]),
             InferenceConfig()).params.J
@@ -321,13 +321,12 @@ def test_criterion_09_binarization_pipeline_sanity():
                             100.0 * np.exp(log_prices))
         raw = log_returns(prices)
         binary = binarize(raw)
-        spec = WindowSpec(250, 10)
-        mean_raw = [w.mean() for _, w in windows(raw, spec)]
-        mean_bin = [w.mean() for _, w in windows(binary, spec)]
+        mean_raw = [w.mean() for _, w in windows(raw, 250, 10)]
+        mean_bin = [w.mean() for _, w in windows(binary, 250, 10)]
         corr = np.corrcoef(mean_raw, mean_bin)[0, 1]
         assert corr > 0.8, f"corr={corr:.3f}"
 
-        st = window_stats(next(windows(binary, WindowSpec(250)))[1])
+        st = window_stats(next(windows(binary, 250))[1])
         np.testing.assert_allclose(np.diag(st.covariance), 1.0 - st.means**2,
                                    atol=1e-12)
 

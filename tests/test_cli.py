@@ -29,6 +29,16 @@ def market(tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def singular_market(tmp_path_factory):
+    """60 stocks over 1001 days: at T=40 < N=60 every window's covariance is singular."""
+    root = tmp_path_factory.mktemp("singular")
+    rc = main(["synth", "--out-dir", str(root), "--n-stocks", "60", "--n-sectors", "3",
+               "--j-intra", "0.01", "--n-days", "1001", "--seed", "7"])
+    assert rc == 0
+    return root
+
+
 def read_lines(path):
     return Path(path).read_text().splitlines()
 
@@ -51,6 +61,14 @@ class TestSynthAndIngest:
         lines = read_lines(tmp_path / "returns_binary.csv")
         assert len(lines) == 401  # header + 400 return rows
         assert "kept 12 tickers" in capsys.readouterr().out
+
+    def test_short_sector_row_is_numeric_failure(self, market, tmp_path, capsys):
+        short = tmp_path / "s.csv"
+        short.write_text("ticker,name,sector\nS000,zero,SEC0\nB,b\n")
+        rc = main(["ingest", "--prices", str(market / "prices.csv"),
+                   "--sectors", str(short), "--out-dir", str(tmp_path / "out")])
+        assert rc == 3
+        assert f"{short}: row 3 has 2 cells, expected 3" in capsys.readouterr().err
 
 
 class TestLogLevel:
@@ -632,6 +650,37 @@ class TestRunPipeline:
         assert {tuple(line.split(",")[:2]) for line in diag} == fits
         q = read_lines(out / "mst" / "q_mst.csv")[1:]
         assert {tuple(line.split(",")[:2]) for line in q} == fits
+
+
+    FAILED_STAGES = {
+        "short sectors row": ("ingest", []),
+        "singular covariance": ("windows", ["ingest"]),
+        "interrupt": ("windows", ["ingest"]),
+    }
+
+    @pytest.mark.parametrize("case", FAILED_STAGES, ids=FAILED_STAGES.keys())
+    def test_failure_names_its_stage(self, singular_market, tmp_path, monkeypatch, case):
+        stage, finished = self.FAILED_STAGES[case]
+        out = tmp_path / "out"
+        argv = ["infer", "--prices", str(singular_market / "prices.csv"), "-T", "40",
+                "--stride", "50", "--method", "nmf,tap", "--out-dir", str(out)]
+        if case == "short sectors row":
+            short = tmp_path / "s.csv"
+            short.write_text("ticker,name,sector\nB,b\n")
+            argv += ["--sectors", str(short)]
+        if case == "interrupt":
+            def interrupted(*args, **kwargs):
+                raise KeyboardInterrupt
+
+            monkeypatch.setattr(isingmarket.pipeline, "_window_unit", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                main(argv)
+        else:
+            assert main(argv) == 3
+        assert (out / ".partial").exists()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["failure"]["stage"] == stage
+        assert list(manifest["stages"]) == finished
 
 
 class TestConfigParsing:

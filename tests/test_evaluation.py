@@ -138,9 +138,8 @@ class TestScalingExponents:
         panel = self.make_panel(n=8)
         tracks = []
         for _ in range(2):
-            report = scaling_exponents(panel, panel.dates[-1], 50, sizes=[3, 5, 8],
-                                       repeats=2, method="exact", seed=0,
-                                       cfg=SAMPLED_EXACT)
+            report = scaling_exponents(panel.values[:, -50:], sizes=[3, 5, 8],
+                                       repeats=2, fit=SAMPLED_EXACT, seed=0)
             tracks.append([(fit.alphas, fit.n_excluded)
                            for fits in (report.h, report.j) for fit in fits.values()])
         assert tracks[0] == tracks[1]
@@ -148,9 +147,8 @@ class TestScalingExponents:
     def test_planted_power_laws_recovered(self):
         panel = self.make_panel()
         report = scaling_exponents(
-            panel, panel.dates[-1], window_size=50,
-            sizes=[10, 20, 40], repeats=4,
-            method=lambda window: planted_moment_params(window.shape[0]),
+            panel.values[:, -50:], sizes=[10, 20, 40], repeats=4,
+            fit=lambda window: planted_moment_params(window.shape[0]),
             seed=0)
         assert report.h["mean"].alpha == pytest.approx(-0.75, abs=1e-9)
         assert report.h["std"].alpha == pytest.approx(0.5, abs=1e-9)
@@ -169,17 +167,17 @@ class TestScalingExponents:
             alt = np.resize([1.0, -1.0], n_sub)
             return IsingParams(2.0 + alt, np.zeros((n_sub, n_sub)))
 
-        report = scaling_exponents(panel, panel.dates[-1], 50,
+        report = scaling_exponents(panel.values[:, -50:],
                                    sizes=[10, 20, 40], repeats=3,
-                                   method=flat_std, seed=1)
+                                   fit=flat_std, seed=1)
         assert report.h["std"].alpha == pytest.approx(0.0, abs=1e-9)
 
     def test_inference_method_end_to_end(self):
         truth = random_model(24, 0.2, 0.05, seed=7)
         panel = binary_panel_from(truth, 600, seed=8)
-        report = scaling_exponents(panel, panel.dates[-1], 600,
+        report = scaling_exponents(panel.values[:, -600:],
                                    sizes=[6, 12, 24], repeats=3,
-                                   method="nmf", seed=2)
+                                   seed=2)
         fit = report.h["std"]
         assert np.isfinite(fit.alpha)
         assert len(fit.alphas) + fit.n_excluded == 3
@@ -187,22 +185,15 @@ class TestScalingExponents:
     def test_needs_three_sizes(self):
         panel = self.make_panel()
         with pytest.raises(ValueError, match="three distinct"):
-            scaling_exponents(panel, panel.dates[-1], 50, sizes=[10, 20],
-                              repeats=2, method="nmf")
-
-    def test_unknown_date_rejected(self):
-        panel = self.make_panel()
-        with pytest.raises(ValueError, match="not in panel"):
-            scaling_exponents(panel, "never", 50, sizes=[5, 10, 20], repeats=1,
-                              method="nmf")
+            scaling_exponents(panel.values[:, -50:], sizes=[10, 20], repeats=2)
 
 
 class TestSubsetCouplingScan:
     def test_sampled_fits_reproducible_for_a_seed(self):
         panel = coin_panel(n=8, seed=17)
-        scans = [subset_coupling_scan(panel, panel.dates[-1], 50, [0, 1, 2],
-                                      totals=[3, 5, 8], method="exact", seed=0,
-                                      cfg=SAMPLED_EXACT) for _ in range(2)]
+        scans = [subset_coupling_scan(panel.values[:, -50:], [0, 1, 2],
+                                      totals=[3, 5, 8], fit=SAMPLED_EXACT, seed=0)
+                 for _ in range(2)]
         for a, b in zip(scans[0].entries, scans[1].entries):
             assert a.members == b.members
             np.testing.assert_array_equal(a.couplings, b.couplings)
@@ -211,8 +202,8 @@ class TestSubsetCouplingScan:
         truth = random_model(30, 0.1, 0.08, seed=9)
         panel = binary_panel_from(truth, 700, seed=10)
         subset = list(range(3, 23))  # 20 tickers
-        scan = subset_coupling_scan(panel, panel.dates[-1], 700, subset,
-                                    totals=[20], method="nmf", seed=11)
+        scan = subset_coupling_scan(panel.values[:, -700:], subset,
+                                    totals=[20], seed=11)
         window = panel.values[:, -700:]
         direct = infer_nmf(window_stats(window[np.asarray(subset)]),
                            InferenceConfig()).params.J
@@ -222,11 +213,9 @@ class TestSubsetCouplingScan:
         truth = random_model(10, 0.1, 0.05, seed=12)
         panel = binary_panel_from(truth, 200, seed=13)
         with pytest.raises(ValueError, match="exceeds"):
-            subset_coupling_scan(panel, panel.dates[-1], 200, list(range(5)),
-                                 totals=[11], method="nmf")
+            subset_coupling_scan(panel.values[:, -200:], list(range(5)), totals=[11])
         with pytest.raises(ValueError, match="at least the subset"):
-            subset_coupling_scan(panel, panel.dates[-1], 200, list(range(5)),
-                                 totals=[4], method="nmf")
+            subset_coupling_scan(panel.values[:, -200:], list(range(5)), totals=[4])
 
     def test_block_model_extremes_stable_across_totals(self):
         # strongest subset couplings keep their identity as the universe grows
@@ -234,8 +223,8 @@ class TestSubsetCouplingScan:
                                           j_intra=0.12, j_inter=0.0), seed=14)
         panel = binary_panel_from(params, 1500, seed=15)
         subset = [0, 1, 2, 3, 10, 11, 12, 13, 20, 21, 22, 23]
-        scan = subset_coupling_scan(panel, panel.dates[-1], 1500, subset,
-                                    totals=[12, 20, 30], method="nmf", seed=16)
+        scan = subset_coupling_scan(panel.values[:, -1500:], subset,
+                                    totals=[12, 20, 30], seed=16)
         tops = [{(i, j) for i, j, _ in entry.top_pairs} for entry in scan.entries]
         assert len(tops[0] & tops[-1]) >= 8
         # couplings shrink as more of the system is modeled explicitly

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from isingmarket.panels import (PricePanel, ReturnPanel, WindowSpec, binarize,
+from isingmarket.panels import (PricePanel, ReturnPanel, binarize,
                                 load_price_csv, load_sector_csv, log_returns,
                                 shuffle_window, standardize_window, windows)
 
@@ -38,7 +38,7 @@ class TestLogReturns:
         prices = np.exp(np.cumsum(rng.normal(0, 0.01, size=(2, 5828)), axis=1)) * 100
         r = log_returns(make_prices(prices))
         assert r.n_steps == 5827
-        assert sum(1 for _ in windows(r, WindowSpec(window_size=250))) == 5578
+        assert sum(1 for _ in windows(r, 250)) == 5578
 
     def test_dates_shift_to_later_price(self):
         panel = make_prices([[1.0, 2.0, 3.0]])
@@ -85,7 +85,7 @@ class TestStandardize:
     def test_gaussian_windows_have_unit_moments(self):
         rng = np.random.default_rng(2)
         r = make_returns(rng.normal(2.0, 5.0, size=(3, 400)))
-        for _, block in windows(r, WindowSpec(window_size=100, stride=100)):
+        for _, block in windows(r, 100, stride=100):
             out = standardize_window(block)
             np.testing.assert_allclose(out.mean(axis=1), 0.0, atol=1e-10)
             np.testing.assert_allclose(out.std(axis=1), 1.0, atol=1e-10)
@@ -98,26 +98,26 @@ class TestStandardize:
 class TestWindows:
     def test_counts_and_end_dates(self):
         r = make_returns(np.arange(10.0).reshape(2, 5))
-        got = list(windows(r, WindowSpec(window_size=3)))
+        got = list(windows(r, 3))
         assert len(got) == 3
         assert [d for d, _ in got] == ["d00002", "d00003", "d00004"]
         np.testing.assert_array_equal(got[0][1], r.values[:, 0:3])
 
     def test_single_full_window(self):
         r = make_returns(np.arange(10.0).reshape(2, 5))
-        got = list(windows(r, WindowSpec(window_size=5)))
+        got = list(windows(r, 5))
         assert len(got) == 1
 
     def test_too_long_window_rejected(self):
         r = make_returns(np.arange(10.0).reshape(2, 5))
         with pytest.raises(ValueError):
-            list(windows(r, WindowSpec(window_size=6)))
+            windows(r, 6)
 
     def test_stride_one_reconstructs_tail(self):
         rng = np.random.default_rng(4)
         r = make_returns(rng.normal(size=(3, 40)))
         t = 7
-        tail = np.stack([w[:, -1] for _, w in windows(r, WindowSpec(t))], axis=1)
+        tail = np.stack([w[:, -1] for _, w in windows(r, t)], axis=1)
         np.testing.assert_array_equal(tail, r.values[:, t - 1 :])
 
 
@@ -249,3 +249,9 @@ class TestCsvIngest:
         assert smap.sectors == ("Energy", "Tech")
         with pytest.raises(KeyError):
             smap.labels_for(["ZZZ"])
+
+    def test_short_sector_row_names_its_row(self, tmp_path):
+        path = tmp_path / "sectors.csv"
+        path.write_text("ticker,name,sector\nAAA,Alpha Inc.,Tech\n\nB,b\n")
+        with pytest.raises(ValueError, match=r"sectors\.csv: row 4 has 2 cells, expected 3"):
+            load_sector_csv(path)
