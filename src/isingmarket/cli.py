@@ -30,7 +30,6 @@ from .panels import binarize, load_price_csv, log_returns
 from .pipeline import (ConfigError, NonConvergenceError, RunConfig,
                        _sector_labels, _write_scan_csv, config_from_mapping,
                        parse_config_file, run, write_csv, write_json)
-from .stats import window_stats
 from .synthetic import BlockSpec, generate_synthetic, synthetic_tickers
 
 
@@ -226,7 +225,7 @@ def _cmd_energy(args) -> int:
         raise ConfigError(f"-T/--window-size must lie in [2, {binary.n_steps}], "
                           f"the return history; got {t}")
     rows = [panel.tickers.index(name) for name in params.tickers]
-    means = window_stats(binary.values[rows, -t:]).means
+    means = binary.values[rows, -t:].mean(axis=1)
     split = energy_split(params, means)
     out = Path(args.out_dir or ".")
     write_json(out / "energy.json", {

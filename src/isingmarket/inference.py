@@ -19,7 +19,7 @@ invert, recover the plant) pins this down and is enforced by tests.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -73,14 +73,26 @@ class InferenceConfig:
             raise ValueError(f"exact_max_n must be at most {ENUMERATION_HARD_CAP}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class InferenceResult:
+    """One fit and what it says of itself; the defaults describe a closed-form fit."""
+
     params: IsingParams
     method: str
-    converged: bool
-    iterations: int
-    residual: float | None
-    diagnostics: dict = field(default_factory=dict)
+    converged: bool = True
+    iterations: int = 0
+    residual: float | None = None      # closed form: `moment_residual` measures it
+    cond_cov: float | None = None      # cond of the inverted covariance (+ ridge)
+    tap_fallbacks: int | None = None   # tap: pairs that fell back to the nMF coupling
+    diverged: bool = False
+    residual_history: tuple[float, ...] = ()  # exact: each iteration's residual
+    mc_r_hat_max: float | None = None  # sampled exact: last step's largest R-hat
+
+    @property
+    def diagnostics(self) -> dict:
+        """Read-only dict of the fields after `residual`, kept for its one reader:
+        perfbench/tracer.py calls .get("tap_fallbacks") on it after every fit."""
+        return {f.name: getattr(self, f.name) for f in fields(self)[5:]}
 
 
 def _check_means(stats: WindowStats) -> np.ndarray:
@@ -108,11 +120,9 @@ def _fields(m: np.ndarray, coupling: np.ndarray) -> np.ndarray:
 
 
 def _finish(j_single: np.ndarray, h: np.ndarray, method: str, stats: WindowStats,
-            diagnostics: dict) -> InferenceResult:
+            **record) -> InferenceResult:
     j = _zero_diag((j_single + j_single.T) / 2.0) / 2.0  # calibrate to s'Js energy
-    params = IsingParams(h, j, tickers=stats.tickers)
-    return InferenceResult(params, method, converged=True, iterations=0,
-                           residual=None, diagnostics=diagnostics)
+    return InferenceResult(IsingParams(h, j, tickers=stats.tickers), method, **record)
 
 
 def infer_nmf(stats: WindowStats, cfg: InferenceConfig) -> InferenceResult:
@@ -127,9 +137,7 @@ def infer_nmf(stats: WindowStats, cfg: InferenceConfig) -> InferenceResult:
     j_full = _nmf_matrix(m, cinv)
     j_for_fields = j_full if cfg.diagonal_trick else _zero_diag(j_full)
     h = _fields(m, j_for_fields)
-    return _finish(_zero_diag(j_full), h, "nmf", stats,
-                   {"cond_cov": cond, "ridge": cfg.ridge,
-                    "diagonal_trick": cfg.diagonal_trick})
+    return _finish(_zero_diag(j_full), h, "nmf", stats, cond_cov=cond)
 
 
 def infer_tap(stats: WindowStats, cfg: InferenceConfig) -> InferenceResult:
@@ -139,7 +147,7 @@ def infer_tap(stats: WindowStats, cfg: InferenceConfig) -> InferenceResult:
     x = (-1 + sqrt(1 - 8 m_i m_j (Cinv)_ij)) / (4 m_i m_j), which reduces
     to the mean-field value -(Cinv)_ij as m_i m_j -> 0.  Pairs with a
     negative discriminant fall back to the mean-field coupling and are
-    counted in the diagnostics.  With the diagonal trick on, fields are
+    counted in `tap_fallbacks`.  With the diagonal trick on, fields are
     computed exactly as in infer_nmf; otherwise the TAP correction
     h_i -= m_i (1 - m_i^2) sum_j x_ij^2 is applied to the untricked
     mean-field fields.
@@ -163,10 +171,7 @@ def infer_tap(stats: WindowStats, cfg: InferenceConfig) -> InferenceResult:
     else:
         h_nmf = _fields(m, _zero_diag(_nmf_matrix(m, cinv)))
         h = h_nmf - m * (1.0 - m**2) * (j_tap**2).sum(axis=1)
-    return _finish(j_tap, h, "tap", stats,
-                   {"cond_cov": cond, "ridge": cfg.ridge,
-                    "tap_fallbacks": n_fallback,
-                    "diagonal_trick": cfg.diagonal_trick})
+    return _finish(j_tap, h, "tap", stats, cond_cov=cond, tap_fallbacks=n_fallback)
 
 
 def _pair_couplings(stats: WindowStats) -> np.ndarray:
@@ -197,7 +202,7 @@ def infer_ip(stats: WindowStats, cfg: InferenceConfig) -> InferenceResult:
     alone.  No covariance inverse is needed."""
     m = _check_means(stats)
     j_pair = _pair_couplings(stats)
-    return _finish(j_pair, _fields(m, j_pair), "ip", stats, {})
+    return _finish(j_pair, _fields(m, j_pair), "ip", stats)
 
 
 def infer_sm(stats: WindowStats, cfg: InferenceConfig) -> InferenceResult:
@@ -220,7 +225,7 @@ def infer_sm(stats: WindowStats, cfg: InferenceConfig) -> InferenceResult:
         correction = cov / denom
     j_sm = j_nmf + j_pair - _zero_diag(correction)
     h = _fields(m, j_pair)
-    return _finish(j_sm, h, "sm", stats, {"cond_cov": cond, "ridge": cfg.ridge})
+    return _finish(j_sm, h, "sm", stats, cond_cov=cond)
 
 
 # ---------------------------------------------------------------------------
@@ -270,26 +275,23 @@ def infer_exact(stats: WindowStats, cfg: InferenceConfig) -> InferenceResult:
     starts them from random states and burns in for cfg.mc_burnin sweeps,
     every later step continues the previous step's final states with no
     burn-in.  Each step draws its own child seed, so a fit is deterministic
-    for cfg.seed.  diagnostics["residual_history"] lists each iteration's
-    residual; sampled fits also record the last step's largest per-spin
-    R-hat as diagnostics["mc_r_hat_max"].  Initialized from the
+    for cfg.seed.  `residual_history` lists each iteration's residual;
+    sampled fits also record the last step's largest per-spin R-hat as
+    `mc_r_hat_max`.  `cond_cov` is the start's.  Initialized from the
     mean-field solution (fields via the diagonal trick).  Learning rates
     decay geometrically by cfg.eta_decay per iteration.  A run whose
     residual sits 10x above its running minimum for 50 consecutive
     iterations is aborted as diverged.
     """
     init = infer_nmf(stats, replace(cfg, diagonal_trick=True))
-    h = init.params.h.copy()
-    j = init.params.J.copy()
+    h, j = init.params.h, init.params.J  # each step makes new arrays
 
     ss = _as_seed_sequence(cfg.seed)
     eta_h, eta_j = cfg.eta_h, cfg.eta_j
     best = np.inf
-    residual = np.inf
     bad_streak = 0
     diverged = False
     history: list[float] = []
-    iterations = 0
     chains = None  # the sampled chains, carried from step to step
 
     for iterations in range(1, cfg.max_iters + 1):
@@ -313,18 +315,15 @@ def infer_exact(stats: WindowStats, cfg: InferenceConfig) -> InferenceResult:
         eta_h *= cfg.eta_decay
         eta_j *= cfg.eta_decay
 
-    params = IsingParams(h, j, tickers=stats.tickers)
-    converged = residual < cfg.tol and not diverged
-    diagnostics = {"min_residual": best, "diverged": diverged,
-                   "residual_history": history,
-                   "final_eta_h": eta_h, "final_eta_j": eta_j,
-                   "init": "nmf", "cond_cov": init.diagnostics.get("cond_cov")}
-    if moments.r_hat is not None:
-        diagnostics["mc_r_hat_max"] = float(moments.r_hat.max())
     if diverged:
         logger.warning("exact learning aborted as diverged after %d iterations "
                        "(residual %.3g, best %.3g)", iterations, residual, best)
-    return InferenceResult(params, "exact", converged, iterations, residual, diagnostics)
+    return InferenceResult(
+        IsingParams(h, j, tickers=stats.tickers), "exact",
+        converged=residual < cfg.tol and not diverged, iterations=iterations,
+        residual=residual, cond_cov=init.cond_cov, diverged=diverged,
+        residual_history=tuple(history),
+        mc_r_hat_max=None if moments.r_hat is None else float(moments.r_hat.max()))
 
 
 _DISPATCH = {"exact": infer_exact, "nmf": infer_nmf, "tap": infer_tap,

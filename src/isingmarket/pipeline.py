@@ -221,7 +221,7 @@ def config_from_mapping(mapping: dict) -> RunConfig:
 def _fmt(x) -> str:
     if isinstance(x, float):  # includes numpy floats; repr via the builtin
         return repr(float(x))
-    return str(x)
+    return "" if x is None else str(x)
 
 
 def _append_rows(fh, rows) -> None:
@@ -353,7 +353,7 @@ def _run_stages(cfg: RunConfig, out: Path, manifest: dict) -> None:
         convergence: list[dict] = []
         if _needs_inference(cfg):
             manifest["convergence"] = convergence
-        diag_fields = _COLLATED["diag"][1].split(",")
+        diag_columns = _COLLATED["diag"][1].split(",")
 
         def unit(item):
             idx, (date, block) = item
@@ -374,14 +374,13 @@ def _run_stages(cfg: RunConfig, out: Path, manifest: dict) -> None:
                     if key not in files:
                         rel, header = _COLLATED[key]
                         files[key] = stack.enter_context(_open_csv(out / rel, header))
-                    if key == "diag":  # the manifest keeps None, the CSV writes ""
-                        convergence.extend(dict(zip(diag_fields, row)) for row in rows)
-                        rows = [["" if v is None else v for v in row] for row in rows]
+                    if key == "diag":  # each fit's record: a manifest entry and a CSV row
+                        convergence.extend(rows)
+                        rows = [[record[c] for c in diag_columns] for record in rows]
                     _append_rows(files[key], rows)
-        if cfg.strict and any(not row["converged"] for row in convergence):
-            raise NonConvergenceError(
-                f"{sum(not r['converged'] for r in convergence)} window/method "
-                "fits did not converge")
+        failed = sum(not record["converged"] for record in convergence)
+        if cfg.strict and failed:
+            raise NonConvergenceError(f"{failed} window/method fits did not converge")
 
     window = binary.values[:, -cfg.window_size:]
     if "scaling" in cfg.stages:
@@ -400,8 +399,8 @@ def _window_unit(cfg: RunConfig, out: Path, idx: int, date: str, block,
                  tickers, labels) -> dict[str, list]:
     """Compute one window and write its own files: stats, each method's fit
     and params, trees, scans, energy and comparisons.  Returns the window's
-    rows of the collated CSVs, keyed as in `_COLLATED`; nothing else of the
-    window outlives the call."""
+    rows of the collated CSVs, keyed as in `_COLLATED` (a fit's `diag` row is
+    its record, a dict); nothing else of the window outlives the call."""
     rows: dict[str, list] = {}
     if not {"stats", *_WINDOW_FIT_STAGES} & set(cfg.stages):
         return rows  # scaling and subset fit the last window instead
@@ -432,9 +431,11 @@ def _window_unit(cfg: RunConfig, out: Path, idx: int, date: str, block,
         path = out / "params" / method / f"{date}.json"
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(params_to_json(params) + b"\n")
-        rows.setdefault("diag", []).append(
-            (date, method, bool(res.converged), res.iterations, res.residual,
-             res.diagnostics.get("cond_cov"), res.diagnostics.get("tap_fallbacks")))
+        rows.setdefault("diag", []).append(  # the manifest's `convergence` entry
+            {"date": date, "method": method, "converged": res.converged,
+             "iterations": res.iterations, "residual": res.residual,
+             "cond_cov": res.cond_cov, "tap_fallbacks": res.tap_fallbacks,
+             "diverged": res.diverged, "mc_r_hat_max": res.mc_r_hat_max})
         if "energy" in cfg.stages:
             split = energy_split(params, st.means)
             rows.setdefault("energy", []).append(

@@ -1,12 +1,20 @@
-"""The package's exports and README's library example stay in step with the code."""
+"""The package's exports, README's library example and the benchmark tracer's
+reads stay in step with the code."""
 
+import importlib.util
 import re
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import isingmarket
+from isingmarket.inference import METHODS, InferenceConfig, infer
+from isingmarket.stats import window_stats
 from isingmarket.synthetic import BlockSpec, generate_synthetic
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_every_export_resolves():
@@ -28,3 +36,18 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
     exec(compile(blocks[0], str(README), "exec"), {})
     date, q = capsys.readouterr().out.split()
     assert 0.0 < float(q) <= 1.0
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_tracer_reads_every_fit(method):
+    # perfbench/tracer.py records these facts after every fit of a traced run
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    rng = np.random.default_rng(5)
+    st = window_stats(np.where(rng.random((4, 200)) < 0.5, -1.0, 1.0))
+    facts = tracer.FACTS["infer"](None, infer(st, InferenceConfig(method=method,
+                                                                  max_iters=3)))
+    assert type(facts["tap_fallbacks"]) is int
+    assert type(facts["iterations"]) is int

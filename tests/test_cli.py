@@ -12,7 +12,7 @@ import pytest
 import isingmarket
 from conftest import reference_json
 from isingmarket.cli import build_parser, main
-from isingmarket.model import params_from_json, params_to_json
+from isingmarket.model import IsingParams, params_from_json, params_to_json
 from isingmarket.pipeline import (ConfigError, RunConfig, config_from_mapping,
                                   parse_config_file, run)
 from isingmarket.synthetic import random_model
@@ -418,6 +418,27 @@ class TestAnalysisCommands:
             outputs.append((tmp_path / name / "energy.json").read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_energy_accepts_a_ticker_that_rose_every_day(self, tmp_path):
+        # S000 rises on each of the 29 return days: its binary mean is +1
+        rng = np.random.default_rng(3)
+        steps = np.vstack([np.full(29, 0.01), rng.normal(0.0, 0.01, (2, 29))])
+        prices = 100.0 * np.exp(np.cumsum(np.hstack([np.zeros((3, 1)), steps]), axis=1))
+        path = tmp_path / "prices.csv"
+        path.write_text("date,S000,S001,S002\n" + "".join(
+            f"2001-01-{d + 1:02d}," + ",".join(repr(float(v)) for v in prices[:, d]) + "\n"
+            for d in range(30)))
+        params = IsingParams(np.array([0.2, -0.1, 0.05]), 0.1 * (1.0 - np.eye(3)),
+                             tickers=("S000", "S001", "S002"))
+        (tmp_path / "params.json").write_bytes(params_to_json(params))
+        rc = main(["energy", "--params", str(tmp_path / "params.json"),
+                   "--prices", str(path), "--out-dir", str(tmp_path / "out")])
+        assert rc == 0
+        payload = json.loads((tmp_path / "out" / "energy.json").read_text())
+        means = np.where(steps >= 0.0, 1.0, -1.0).mean(axis=1)
+        assert means[0] == 1.0
+        assert np.isfinite(payload["e_ext"])
+        assert payload["e_ext"] == pytest.approx(-params.h @ means)
+
     def test_energy_needs_every_params_ticker_in_prices(self, market, tmp_path, capsys):
         rows = [line.split(",") for line in read_lines(market / "prices.csv")]
         short = tmp_path / "short.csv"
@@ -651,6 +672,37 @@ class TestRunPipeline:
         q = read_lines(out / "mst" / "q_mst.csv")[1:]
         assert {tuple(line.split(",")[:2]) for line in q} == fits
 
+
+    def test_manifest_convergence_carries_the_fit_record(self, market, tmp_path):
+        # exact_max_n has no flag: a config file forces sampled learning
+        cfgfile = tmp_path / "sampled.cfg"
+        cfgfile.write_text("exact_max_n=0\nmc_chains=20\nmc_sweeps=10\nmc_burnin=10\n"
+                           "max_iters=2\n")
+        entries = {}
+        for method in ("exact", "nmf"):
+            out = tmp_path / method
+            rc = main(["infer", "--prices", str(market / "prices.csv"),
+                       "--config", str(cfgfile), "--out-dir", str(out), "-T", "300",
+                       "--stride", "50", "--method", method, "--seed", "2"])
+            assert rc == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            entries[method] = manifest["convergence"]
+            assert len(entries[method]) == manifest["windows"] == 3
+            diag = read_lines(out / "infer_diagnostics.csv")
+            assert diag[0] == ("date,method,converged,iterations,residual,cond_cov,"
+                               "tap_fallbacks")
+            for entry, line in zip(entries[method], diag[1:]):
+                assert set(entry) == {"date", "method", "converged", "iterations",
+                                      "residual", "cond_cov", "tap_fallbacks",
+                                      "diverged", "mc_r_hat_max"}
+                assert entry["diverged"] is False
+                assert line.split(",")[:4] == [entry["date"], method,
+                                               str(entry["converged"]),
+                                               str(entry["iterations"])]
+        for entry in entries["exact"]:
+            assert entry["iterations"] == 2
+            assert np.isfinite(entry["mc_r_hat_max"])
+        assert [e["mc_r_hat_max"] for e in entries["nmf"]] == [None] * 3
 
     FAILED_STAGES = {
         "short sectors row": ("ingest", []),

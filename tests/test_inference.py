@@ -1,13 +1,13 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from conftest import stats_from_moments, stats_from_params
 from isingmarket import inference
-from isingmarket.inference import (InferenceConfig, infer, infer_exact,
-                                   infer_ip, infer_nmf, infer_sm, infer_tap,
-                                   moment_residual)
+from isingmarket.inference import (InferenceConfig, InferenceResult, infer,
+                                   infer_exact, infer_ip, infer_nmf, infer_sm,
+                                   infer_tap, moment_residual)
 from isingmarket.model import IsingParams, metropolis_sample
 from isingmarket.stats import window_stats
 from isingmarket.synthetic import random_model, sample_binary_panel
@@ -76,7 +76,9 @@ class TestNmf:
         alone, shared = infer(window_stats(panel), cfg), infer(cached, cfg)
         assert shared.params.J.tobytes() == alone.params.J.tobytes()
         assert shared.params.h.tobytes() == alone.params.h.tobytes()
-        assert shared.diagnostics == alone.diagnostics
+        for f in fields(InferenceResult):
+            if f.name != "params":
+                assert getattr(shared, f.name) == getattr(alone, f.name), f.name
 
     def test_singular_covariance_suggests_ridge(self):
         st = stats_from_moments(np.zeros(2), np.ones((2, 2)))
@@ -84,7 +86,8 @@ class TestNmf:
             infer_nmf(st, CFG)
         res = infer_nmf(st, InferenceConfig(ridge=1e-6))
         assert np.all(np.isfinite(res.params.J))
-        assert res.diagnostics["ridge"] == 1e-6
+        # the ridge reached the inverse
+        assert res.cond_cov == np.linalg.cond(st.covariance + 1e-6 * np.eye(2))
 
 
 class TestTap:
@@ -101,7 +104,7 @@ class TestTap:
         params = random_model(6, 0.5, 0.15, seed=2)
         st = stats_from_params(params)
         res = infer_tap(st, CFG)
-        assert res.diagnostics["tap_fallbacks"] == 0
+        assert res.tap_fallbacks == 0
         cinv = np.linalg.inv(st.covariance)
         m = st.means
         for i in range(6):
@@ -116,7 +119,7 @@ class TestTap:
         cov = np.array([[0.19, -0.17], [-0.17, 0.19]])
         st = stats_from_moments(m, cov)
         res = infer_tap(st, CFG)
-        assert res.diagnostics["tap_fallbacks"] == 1
+        assert res.tap_fallbacks == 1
         assert np.all(np.isfinite(res.params.J))
         cinv = np.linalg.inv(cov)
         assert 2 * res.params.J[0, 1] == pytest.approx(-cinv[0, 1])
@@ -251,7 +254,7 @@ class TestExactLearning:
             cfg = InferenceConfig(method="exact", eta_h=0.05, eta_j=0.05,
                                   eta_decay=1.0, tol=1e-10, max_iters=400)
             res = infer_exact(stats_from_params(truth), cfg)
-            hist = np.asarray(res.diagnostics["residual_history"][10:])
+            hist = np.asarray(res.residual_history[10:])
             frac_up = np.mean(np.diff(hist) > 1e-12)
             ok += frac_up == 0.0 and hist[-1] < hist[0]
         assert ok >= 4
@@ -262,7 +265,7 @@ class TestExactLearning:
                               eta_decay=1.0, tol=1e-12, max_iters=5000)
         res = infer_exact(st, cfg)
         assert not res.converged
-        assert res.diagnostics["diverged"]
+        assert res.diverged
         assert res.iterations < 5000
 
     def test_mc_loop_runs_deterministically(self):
@@ -305,12 +308,12 @@ class TestPersistentChains:
             assert kwargs["init"] is previous.final_states
         seeds = [kwargs["seed"] for kwargs, _ in calls]
         assert len({s.spawn_key for s in seeds}) == len(seeds)
-        assert res.diagnostics["mc_r_hat_max"] == calls[-1][1].r_hat.max()
+        assert res.mc_r_hat_max == calls[-1][1].r_hat.max()
 
     def test_enumerated_fit_has_no_r_hat(self):
         st = stats_from_params(random_model(4, 0.2, 0.2, seed=6))
         res = infer_exact(st, replace(MC_CFG, exact_max_n=16))
-        assert "mc_r_hat_max" not in res.diagnostics
+        assert res.mc_r_hat_max is None
 
 class TestDispatchAndInvariants:
     @pytest.mark.parametrize("method", ["nmf", "tap", "ip", "sm"])
