@@ -24,7 +24,7 @@ from .network import (MstResult, ScanPoint, SectorMap, mst_result,
 from .panels import (IngestReport, PricePanel, ReturnPanel, binarize,
                      load_price_csv, load_sector_csv, log_returns,
                      shuffle_window, standardize_window, windows)
-from .stats import (MomentSummary, WindowStats, bootstrap_ci, dft_amplitudes,
+from .stats import (ConfigError, MomentSummary, WindowStats, bootstrap_ci, dft_amplitudes,
                     moment_summary, off_diagonal_summary, window_stats)
 from .synthetic import (BlockSpec, block_model, generate_synthetic,
                         random_model, sample_binary_panel)
@@ -32,7 +32,7 @@ from .synthetic import (BlockSpec, block_model, generate_synthetic,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockSpec", "ComparisonReport", "EnergySplit", "ExponentFit",
+    "BlockSpec", "ComparisonReport", "ConfigError", "EnergySplit", "ExponentFit",
     "InferenceConfig", "InferenceResult", "IngestReport", "IsingParams",
     "MethodComparison", "MomentSummary", "MstResult", "PricePanel",
     "ReturnPanel", "SampleStats", "ScalingReport", "ScanPoint", "SectorMap",

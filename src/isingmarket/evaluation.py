@@ -12,7 +12,7 @@ import numpy as np
 
 from .inference import InferenceConfig, infer
 from .model import IsingParams
-from .stats import MOMENT_NAMES, _upper_triangle, moment_summary, window_stats
+from .stats import MOMENT_NAMES, ConfigError, _upper_triangle, moment_summary, window_stats
 
 logger = logging.getLogger(__name__)
 
@@ -130,6 +130,18 @@ def _fit_over_repeats(sizes, per_repeat_values) -> ExponentFit:
     return ExponentFit(float(arr.mean()), se, tuple(alphas), excluded)
 
 
+def check_scaling(sizes, repeats: int, n: int | None = None) -> None:
+    """Raise ConfigError for scaling-scan settings; `n` is the window's N, if known."""
+    if len(set(sizes)) < 3:
+        raise ConfigError("need at least three distinct subset sizes")
+    if min(sizes) < 2:
+        raise ConfigError("subset sizes must be at least 2")
+    if n is not None and max(sizes) > n:
+        raise ConfigError(f"largest subset size {max(sizes)} exceeds N={n}")
+    if repeats < 1:
+        raise ConfigError("need at least one repeat")
+
+
 def scaling_exponents(window: np.ndarray, sizes, repeats: int,
                       fit=InferenceConfig(), seed=None) -> ScalingReport:
     """Exponent of each parameter-distribution moment against subset size.
@@ -144,13 +156,7 @@ def scaling_exponents(window: np.ndarray, sizes, repeats: int,
     SeedSequence(seed).
     """
     sizes = sorted(int(n) for n in sizes)
-    if len(set(sizes)) < 3:
-        raise ValueError("need at least three distinct subset sizes")
-    if sizes[-1] > window.shape[0]:
-        raise ValueError(f"largest size {sizes[-1]} exceeds window N={window.shape[0]}")
-    if repeats < 1:
-        raise ValueError("need at least one repeat")
-
+    check_scaling(sizes, repeats, window.shape[0])
     run = _fit_fn(fit)
     root = np.random.SeedSequence(seed)
     # h_vals[moment][repeat] is the per-size moment track, likewise j_vals
@@ -212,6 +218,20 @@ def _extreme_pairs(j: np.ndarray, k: int):
     return top, bottom
 
 
+def check_subset(subset, totals, n: int | None = None) -> None:
+    """Raise ConfigError for fixed-subset-scan settings; `n` is the window's N, if known."""
+    if not subset or not totals:
+        raise ConfigError("need a non-empty subset and totals")
+    if len(set(subset)) < len(subset):
+        raise ConfigError("subset has duplicate members")
+    if min(totals) < len(subset):
+        raise ConfigError("totals must be at least the subset size")
+    if n is not None and not all(0 <= i < n for i in subset):
+        raise ConfigError(f"subset indices must lie in [0, {n - 1}] for N={n}")
+    if n is not None and max(totals) > n:
+        raise ConfigError(f"total {max(totals)} exceeds N={n}")
+
+
 def subset_coupling_scan(window: np.ndarray, subset, totals,
                          fit=InferenceConfig(), seed=None) -> SubsetScanResult:
     """Couplings within a fixed subset as the inference universe grows.
@@ -227,15 +247,8 @@ def subset_coupling_scan(window: np.ndarray, subset, totals,
     """
     n = window.shape[0]
     subset = tuple(int(i) for i in subset)
-    if len(set(subset)) != len(subset):
-        raise ValueError("subset has duplicate members")
-    if any(i < 0 or i >= n for i in subset):
-        raise ValueError("subset index out of range")
     totals = sorted(int(t) for t in totals)
-    if totals and totals[0] < len(subset):
-        raise ValueError("totals must be at least the subset size")
-    if totals and totals[-1] > n:
-        raise ValueError(f"total {totals[-1]} exceeds window N={n}")
+    check_subset(subset, totals, n)
     run = _fit_fn(fit)
 
     others = np.array([i for i in range(n) if i not in subset])

@@ -25,7 +25,7 @@ import numpy as np
 
 from .model import (ENUMERATION_HARD_CAP, IsingParams, SampleStats, exact_moments_small,
                     metropolis_sample)
-from .stats import WindowStats
+from .stats import ConfigError, WindowStats
 
 logger = logging.getLogger(__name__)
 
@@ -38,7 +38,7 @@ _TAP_MEAN_PRODUCT_FLOOR = 1e-8
 @dataclass(frozen=True)
 class InferenceConfig:
     """Knobs for all inference routes; closed-form methods ignore the
-    learning-rate and Monte Carlo settings."""
+    learning-rate and Monte Carlo settings.  A bad knob raises ConfigError."""
 
     method: str = "nmf"
     diagonal_trick: bool = True  # nmf/tap only; exact always uses it
@@ -56,21 +56,21 @@ class InferenceConfig:
 
     def __post_init__(self):
         if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
+            raise ConfigError(f"unknown method {self.method!r}; choose from {METHODS}")
         if not (self.eta_h > 0 and self.eta_j > 0):
-            raise ValueError("learning rates must be positive")
+            raise ConfigError("learning rates must be positive")
         if not 0 < self.eta_decay <= 1:
-            raise ValueError("eta_decay must be in (0, 1]")
+            raise ConfigError("eta_decay must be in (0, 1]")
         if not self.tol > 0:
-            raise ValueError("tolerance must be positive")
+            raise ConfigError("tolerance must be positive")
         if not self.ridge >= 0:
-            raise ValueError("ridge must be nonnegative")
+            raise ConfigError("ridge must be nonnegative")
         for name, low in (("max_iters", 1), ("mc_sweeps", 1), ("mc_chains", 1),
                           ("mc_burnin", 0), ("exact_max_n", 0)):
             if getattr(self, name) < low:
-                raise ValueError(f"{name} must be at least {low}")
+                raise ConfigError(f"{name} must be at least {low}")
         if self.exact_max_n > ENUMERATION_HARD_CAP:
-            raise ValueError(f"exact_max_n must be at most {ENUMERATION_HARD_CAP}")
+            raise ConfigError(f"exact_max_n must be at most {ENUMERATION_HARD_CAP}")
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import orjson
 
+from .stats import ConfigError
+
 ENUMERATION_HARD_CAP = 20  # 2^N states; above this exact sums are refused
 STATE_TRACKING_MAX_N = 16  # sampled state counts keep 2^N bins
 THIRD_ORDER_MAX_N = 128  # O(N^3 T) cost guard
@@ -161,8 +163,6 @@ def _simulate(params: IsingParams, n_chains: int, n_sweeps: int, n_burnin: int,
     entries continues chains from those states (e.g. the final_states of
     an earlier sample), drawing nothing for the start.
     """
-    if n_burnin < 0 or n_chains < 1:
-        raise ValueError("need n_burnin >= 0 and at least one chain")
     n = params.n
     if not isinstance(init, str):
         # a C-ordered copy: the caller's states stay, and `flat` below is a view
@@ -204,6 +204,26 @@ def _simulate(params: IsingParams, n_chains: int, n_sweeps: int, n_burnin: int,
     return out
 
 
+def check_seed(seed) -> None:
+    """Reject a negative integer seed, which numpy's SeedSequence refuses."""
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+
+
+def _check_sampling(n_sweeps: int, n_burnin: int, n_chains: int, seed) -> None:
+    """The settings every `_simulate` caller checks before its first sweep."""
+    if n_sweeps < 1:
+        raise ConfigError("need at least one sweep")
+    if n_burnin < 0 or n_chains < 1:
+        raise ConfigError("need n_burnin >= 0 and at least one chain")
+    check_seed(seed)
+
+
+def _check_third_order(n: int, max_n: int = THIRD_ORDER_MAX_N) -> None:
+    if n > max_n:
+        raise ConfigError(f"third-order tensor limited to N <= {max_n} (got {n})")
+
+
 def metropolis_sample(params: IsingParams, n_sweeps: int, n_burnin: int = 1000,
                       n_chains: int = 10, seed=None, with_third_order: bool = False,
                       track_states: bool = False, init="random") -> SampleStats:
@@ -215,11 +235,12 @@ def metropolis_sample(params: IsingParams, n_sweeps: int, n_burnin: int = 1000,
     `_simulate` for the init choices; the returned final_states can be
     passed back as init to continue the same chains.
     """
-    if n_sweeps < 1:
-        raise ValueError("need at least one sweep")
+    _check_sampling(n_sweeps, n_burnin, n_chains, seed)
     n = params.n
     if track_states and n > STATE_TRACKING_MAX_N:
-        raise ValueError(f"state tracking limited to N <= {STATE_TRACKING_MAX_N}")
+        raise ConfigError(f"state tracking limited to N <= {STATE_TRACKING_MAX_N} (got {n})")
+    if with_third_order:
+        _check_third_order(n)
     rng = np.random.default_rng(seed)
     configs = _simulate(params, n_chains, n_sweeps, n_burnin, rng, init=init)
     flat = configs.reshape(-1, n).astype(np.float64)
@@ -278,8 +299,7 @@ def third_order_from_samples(samples: np.ndarray,
     if x.ndim != 2:
         raise ValueError("samples must be (n_samples, N)")
     count, n = x.shape
-    if n > max_n:
-        raise ValueError(f"third-order tensor limited to N <= {max_n} (got {n})")
+    _check_third_order(n, max_n)
     xc = x - x.mean(axis=0)
     tensor = np.empty((n, n, n))
     for k in range(n):
@@ -373,6 +393,8 @@ def params_to_json(params: IsingParams) -> bytes:
 
 def params_from_json(text: str | bytes) -> IsingParams:
     obj = orjson.loads(text)
+    if not isinstance(obj, dict) or not isinstance(obj.get("tickers"), (list, type(None))):
+        raise ValueError("parameter JSON must be an object whose tickers are a list or null")
     tickers = tuple(obj["tickers"]) if obj.get("tickers") else None
     h, j = (np.asarray(obj[key], dtype=float) for key in ("h", "J"))
     if h.shape == j.shape == (0,):  # N = 0 is written as "J": []

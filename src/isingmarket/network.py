@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .stats import _upper_triangle
+from .stats import ConfigError, _upper_triangle
 
 
 @dataclass(frozen=True)
@@ -26,10 +26,10 @@ class SectorMap:
         object.__setattr__(self, "sectors", tuple(sorted(set(self.mapping.values()))))
 
     def labels_for(self, tickers) -> list[str]:
-        """Sector label per ticker; unknown tickers are an error."""
+        """Sector label per ticker; a ticker without one is a ConfigError."""
         missing = [t for t in tickers if t not in self.mapping]
         if missing:
-            raise KeyError(f"tickers without sector assignment: {missing}")
+            raise ConfigError(f"tickers without sector assignment: {missing}")
         return [self.mapping[t] for t in tickers]
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .network import SectorMap
-from .stats import _series_label
+from .stats import ConfigError, _series_label
 
 logger = logging.getLogger(__name__)
 
@@ -241,9 +241,9 @@ def windows(r: ReturnPanel, window_size: int, stride: int = 1):
     advance by `stride`.  Bad sizes raise at the call, not at iteration.
     """
     if window_size < 1 or stride < 1:
-        raise ValueError("window_size and stride must be at least 1")
+        raise ConfigError("window_size and stride must be at least 1")
     if window_size > r.n_steps:
-        raise ValueError(f"window_size {window_size} exceeds series length {r.n_steps}")
+        raise ConfigError(f"window_size {window_size} exceeds series length {r.n_steps}")
     return ((r.dates[end], r.values[:, end - window_size + 1 : end + 1])
             for end in range(window_size - 1, r.n_steps, stride))
 

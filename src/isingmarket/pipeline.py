@@ -22,23 +22,20 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .evaluation import compare_methods, scaling_exponents, subset_coupling_scan
+from .evaluation import (check_scaling, check_subset, compare_methods,
+                         scaling_exponents, subset_coupling_scan)
 from .inference import InferenceConfig, infer
-from .model import energy_split, params_to_json
+from .model import check_seed, energy_split, params_to_json
 from .network import edges_to_csv, edges_to_dot, window_forests
 from .panels import (RETURN_KINDS, binarize, load_price_csv, load_sector_csv,
                      log_returns, standardize_window, windows)
-from .stats import (dft_amplitudes, eigen_csv_rows, off_diagonal_summary,
+from .stats import (ConfigError, dft_amplitudes, eigen_csv_rows, off_diagonal_summary,
                     stats_csv_rows, window_stats)
 
 STAGES = ("stats", "infer", "mst", "cutoff", "scaling", "subset", "energy",
           "compare")
 # stages that fit every window; scaling and subset fit the last window instead
 _WINDOW_FIT_STAGES = {"infer", "mst", "cutoff", "energy", "compare"}
-
-
-class ConfigError(Exception):
-    """Bad run configuration; maps to exit code 2."""
 
 
 class NonConvergenceError(Exception):
@@ -84,13 +81,15 @@ class RunConfig:
     subset_totals: tuple[int, ...] = ()
 
     def validate(self):
-        if self.window_size < 2:
-            raise ConfigError("window_size must be at least 2")
-        for key in ("stride", "jobs", "eigen_top_k", "cutoff_points", "scaling_repeats"):
-            if getattr(self, key) < 1:
-                raise ConfigError(f"{key} must be at least 1")
+        for key, low in (("window_size", 2), ("stride", 1), ("jobs", 1), ("eigen_top_k", 1),
+                         ("cutoff_points", 1)):
+            if getattr(self, key) < low:
+                raise ConfigError(f"{key} must be at least {low}")
+        check_seed(self.seed)
         if self.kind not in RETURN_KINDS:
             raise ConfigError(f"unknown transform kind {self.kind!r}")
+        if not self.stages:
+            raise ConfigError(f"no stages selected; choose from {STAGES}")
         unknown = set(self.stages) - set(STAGES)
         if unknown:
             raise ConfigError(f"unknown stages {sorted(unknown)}; choose from {STAGES}")
@@ -98,14 +97,10 @@ class RunConfig:
         if repeated:
             raise ConfigError(f"methods repeated: {repeated}")
         for method in self.methods:
-            try:
-                self.inference_config(method, None)
-            except ValueError as err:
-                raise ConfigError(str(err)) from err
-        if not Path(self.prices).is_file():
-            raise ConfigError(f"prices file {self.prices!r} is not a file")
-        if self.sectors is not None and not Path(self.sectors).is_file():
-            raise ConfigError(f"sectors file {self.sectors!r} is not a file")
+            self.inference_config(method, None)
+        for key in ("prices", "sectors"):
+            if (path := getattr(self, key)) is not None and not Path(path).is_file():
+                raise ConfigError(f"{key} file {path!r} is not a file")
         fit_stages = (_WINDOW_FIT_STAGES | {"scaling", "subset"}) & set(self.stages)
         if fit_stages and self.kind != "binary":
             raise ConfigError("inference-based stages require kind=binary")
@@ -123,17 +118,9 @@ class RunConfig:
         if not 0 < self.boot_level < 1:
             raise ConfigError("boot_level must lie in (0, 1)")
         if "scaling" in self.stages:
-            if len(set(self.scaling_sizes)) < 3:
-                raise ConfigError("scaling stage needs at least three subset sizes")
-            if min(self.scaling_sizes) < 2:
-                raise ConfigError("scaling sizes must be at least 2")
+            check_scaling(self.scaling_sizes, self.scaling_repeats)
         if "subset" in self.stages:
-            if not self.subset_indices or not self.subset_totals:
-                raise ConfigError("subset stage needs subset_indices and subset_totals")
-            if len(set(self.subset_indices)) < len(self.subset_indices):
-                raise ConfigError("subset_indices has duplicate members")
-            if min(self.subset_totals) < len(self.subset_indices):
-                raise ConfigError("subset_totals must be at least the subset size")
+            check_subset(self.subset_indices, self.subset_totals)
 
     def inference_config(self, method: str, seed) -> InferenceConfig:
         """InferenceConfig for `method`: every field the two classes share."""
@@ -144,9 +131,13 @@ class RunConfig:
 
 
 def parse_config_file(path) -> dict:
-    """key=value text config; '#' starts a comment, blank lines ignored."""
+    """key=value UTF-8 text config; '#' starts a comment, blank lines ignored."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path} is not UTF-8 text ({err})") from err
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -311,36 +302,22 @@ def _stage(manifest: dict, name: str):
     manifest["stages"][name] = {"seconds": time.perf_counter() - t0}
 
 
-def _sector_labels(path, tickers) -> list[str]:
-    """Sector label per ticker from a sectors CSV; a ticker it lacks is a ConfigError."""
-    try:
-        return load_sector_csv(path).labels_for(tickers)
-    except KeyError as err:
-        raise ConfigError(err.args[0]) from err
-
-
 def _run_stages(cfg: RunConfig, out: Path, manifest: dict) -> None:
     with _stage(manifest, "ingest"):
         panel, report = load_price_csv(cfg.prices)
-        labels = _sector_labels(cfg.sectors, panel.tickers) if cfg.sectors else None
+        labels = (load_sector_csv(cfg.sectors).labels_for(panel.tickers)
+                  if cfg.sectors else None)
         returns = log_returns(panel)
         write_json(out / "ingest_report.json",
                    {"n_rows": report.n_rows, "kept": report.kept,
                     "dropped": report.dropped, "n_return_steps": returns.n_steps})
-        if cfg.window_size > returns.n_steps:
-            raise ConfigError(f"window_size {cfg.window_size} exceeds the "
-                              f"{returns.n_steps}-step return history")
-        n = panel.n_series
-        if "scaling" in cfg.stages and max(cfg.scaling_sizes) > n:
-            raise ConfigError(f"largest scaling size {max(cfg.scaling_sizes)} "
-                              f"exceeds panel N={n}")
-        if "subset" in cfg.stages and not all(0 <= i < n for i in cfg.subset_indices):
-            raise ConfigError(f"subset indices must lie in [0, {n - 1}] for panel N={n}")
-        if "subset" in cfg.stages and max(cfg.subset_totals) > n:
-            raise ConfigError(f"subset total {max(cfg.subset_totals)} exceeds panel N={n}")
         binary = binarize(returns)
         items = list(enumerate(windows(binary if cfg.kind == "binary" else returns,
                                        cfg.window_size, cfg.stride)))
+        if "scaling" in cfg.stages:
+            check_scaling(cfg.scaling_sizes, cfg.scaling_repeats, panel.n_series)
+        if "subset" in cfg.stages:
+            check_subset(cfg.subset_indices, cfg.subset_totals, panel.n_series)
         manifest["windows"] = len(items)
 
     with _stage(manifest, "windows"):
@@ -351,7 +328,7 @@ def _run_stages(cfg: RunConfig, out: Path, manifest: dict) -> None:
                                                          ("binary", binary.values))
                        for k, a in enumerate(dft_amplitudes(values.mean(axis=0)))])
         convergence: list[dict] = []
-        if _needs_inference(cfg):
+        if _WINDOW_FIT_STAGES & set(cfg.stages):
             manifest["convergence"] = convergence
         diag_columns = _COLLATED["diag"][1].split(",")
 
@@ -391,10 +368,6 @@ def _run_stages(cfg: RunConfig, out: Path, manifest: dict) -> None:
             _write_subset_outputs(cfg, out, window)
 
 
-def _needs_inference(cfg: RunConfig) -> bool:
-    return bool(_WINDOW_FIT_STAGES & set(cfg.stages))
-
-
 def _window_unit(cfg: RunConfig, out: Path, idx: int, date: str, block,
                  tickers, labels) -> dict[str, list]:
     """Compute one window and write its own files: stats, each method's fit
@@ -421,7 +394,7 @@ def _window_unit(cfg: RunConfig, out: Path, idx: int, date: str, block,
             for name, m in (("cov", st.covariance), ("corr", corr)):
                 write_json(out / "stats" / "matrices" / f"{date}_{name}.json",
                            {"tickers": list(tickers), "matrix": m.tolist()})
-    if not _needs_inference(cfg):  # validate() ensures kind == "binary" past here
+    if not _WINDOW_FIT_STAGES & set(cfg.stages):  # validate() ensures kind == "binary" past here
         return rows
     fits = {}
     for m_i, method in enumerate(cfg.methods):

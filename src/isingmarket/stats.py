@@ -15,6 +15,10 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 
+class ConfigError(ValueError):
+    """A setting no run can use, raised before any work by the function that reads it."""
+
+
 def _series_label(tickers, i: int) -> str:
     """Name of series i in an error message: its ticker, else `series i`."""
     return str(tickers[i]) if tickers is not None else f"series {i}"

@@ -7,11 +7,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 
-from .model import IsingParams, _simulate, params_to_json
+from .model import IsingParams, _check_sampling, _simulate, params_to_json
 from .network import SectorMap
+from .stats import ConfigError
 
 PRICE_STEP = 0.01  # log-return magnitude; cosmetic, sign carries the signal
 
@@ -28,9 +30,9 @@ class BlockSpec:
 
     def __post_init__(self):
         if self.n_stocks < 2 or self.n_sectors < 1:
-            raise ValueError("need at least two stocks and one sector")
+            raise ConfigError("need at least two stocks and one sector")
         if self.n_stocks % self.n_sectors:
-            raise ValueError("n_stocks must divide evenly into n_sectors blocks")
+            raise ConfigError("n_stocks must divide evenly into n_sectors blocks")
 
 
 def synthetic_tickers(n: int) -> tuple[str, ...]:
@@ -72,6 +74,7 @@ def sample_binary_panel(params: IsingParams, n_steps: int, seed=None,
     n_burnin + 1 sweeps from a random start, so the days are independent
     draws, as the model's inference assumes.
     """
+    _check_sampling(1, n_burnin, n_steps, seed)
     configs = _simulate(params, n_chains=n_steps, n_sweeps=1, n_burnin=n_burnin,
                         rng=np.random.default_rng(seed))
     return configs[:, 0].T.astype(np.float64)
@@ -112,11 +115,16 @@ def generate_synthetic(out_prices, out_truth, n_days: int,
 
     `model` is either planted parameters or a BlockSpec (in which case a
     sector CSV can be written too).  Binarizing the log returns of the
-    emitted prices recovers exactly the sampled spin panel.
+    emitted prices recovers exactly the sampled spin panel.  Settings are
+    checked (ConfigError) before the output directories are made.
     """
     if n_days < 2:
-        raise ValueError("need at least two price days")
-    sector_map = None
+        raise ConfigError("need at least two price days")
+    _check_sampling(1, n_burnin, n_days - 1, seed)
+    if out_sectors is not None and not isinstance(model, BlockSpec):
+        raise ConfigError("sector output requested but model has no sectors")
+    for path in filter(None, (out_prices, out_truth, out_sectors)):
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
     if isinstance(model, BlockSpec):
         ss = np.random.SeedSequence(seed).spawn(2)
         params, sector_map = block_model(model, seed=ss[0])
@@ -134,8 +142,6 @@ def generate_synthetic(out_prices, out_truth, n_days: int,
     with open(out_truth, "wb") as fh:
         fh.write(params_to_json(params))
     if out_sectors is not None:
-        if sector_map is None:
-            raise ValueError("sector output requested but model has no sectors")
         with open(out_sectors, "w") as fh:
             fh.write(sectors_to_csv(sector_map))
     return params

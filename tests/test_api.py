@@ -1,5 +1,5 @@
-"""The package's exports, README's library example and the benchmark tracer's
-reads stay in step with the code."""
+"""The package's exports, README's library example, the benchmark tracer's
+reads and the settings checks stay in step with the code."""
 
 import importlib.util
 import re
@@ -9,9 +9,12 @@ import numpy as np
 import pytest
 
 import isingmarket
+from isingmarket import evaluation, model, pipeline, synthetic
 from isingmarket.inference import METHODS, InferenceConfig, infer
-from isingmarket.stats import window_stats
-from isingmarket.synthetic import BlockSpec, generate_synthetic
+from isingmarket.network import SectorMap
+from isingmarket.panels import ReturnPanel, windows
+from isingmarket.stats import ConfigError, window_stats
+from isingmarket.synthetic import BlockSpec, generate_synthetic, random_model
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -51,3 +54,70 @@ def test_tracer_reads_every_fit(method):
                                                                   max_iters=3)))
     assert type(facts["tap_fallbacks"]) is int
     assert type(facts["iterations"]) is int
+
+
+def test_config_error_is_one_value_error():
+    assert issubclass(ConfigError, ValueError)
+    assert isingmarket.ConfigError is pipeline.ConfigError is ConfigError
+
+
+_PANEL = ReturnPanel(("A", "B"), ("d1", "d2", "d3"), np.ones((2, 3)), "binary")
+_WIDE = {n: random_model(n, 0.1, 0.1, seed=0) for n in (2, 17, 129)}
+
+# each library check of a setting, called with a value it refuses
+SETTINGS = {
+    "InferenceConfig eta_h": lambda out: InferenceConfig(eta_h=-1.0),
+    "InferenceConfig exact_max_n": lambda out: InferenceConfig(exact_max_n=21),
+    "BlockSpec split": lambda out: BlockSpec(10, 3, 0.1),
+    "BlockSpec size": lambda out: BlockSpec(1, 1, 0.1),
+    "generate_synthetic n_days": lambda out: generate_synthetic(
+        out / "p.csv", out / "t.json", n_days=1, model=_WIDE[2]),
+    "generate_synthetic seed": lambda out: generate_synthetic(
+        out / "p.csv", out / "t.json", n_days=5, model=BlockSpec(4, 2, 0.1), seed=-1),
+    "generate_synthetic burnin": lambda out: generate_synthetic(
+        out / "p.csv", out / "t.json", n_days=5, model=_WIDE[2], n_burnin=-1),
+    "generate_synthetic sectors": lambda out: generate_synthetic(
+        out / "p.csv", out / "t.json", n_days=5, model=_WIDE[2], out_sectors=out / "s.csv"),
+    "windows size": lambda out: windows(_PANEL, 0),
+    "windows stride": lambda out: windows(_PANEL, 2, stride=0),
+    "windows too long": lambda out: windows(_PANEL, 4),
+    "metropolis_sample sweeps": lambda out: model.metropolis_sample(_WIDE[2], 0),
+    "metropolis_sample burnin": lambda out: model.metropolis_sample(_WIDE[2], 5, n_burnin=-1),
+    "metropolis_sample chains": lambda out: model.metropolis_sample(_WIDE[2], 5, n_chains=0),
+    "metropolis_sample seed": lambda out: model.metropolis_sample(_WIDE[2], 5, seed=-1),
+    "metropolis_sample track_states": lambda out: model.metropolis_sample(
+        _WIDE[17], 5, track_states=True),
+    "metropolis_sample third order": lambda out: model.metropolis_sample(
+        _WIDE[129], 5, with_third_order=True),
+    "third_order_from_samples": lambda out: model.third_order_from_samples(np.ones((3, 129))),
+    "sample_binary_panel steps": lambda out: synthetic.sample_binary_panel(_WIDE[2], 0),
+    "sample_binary_panel seed": lambda out: synthetic.sample_binary_panel(_WIDE[2], 5, seed=-1),
+    "check_scaling sizes": lambda out: evaluation.check_scaling([2, 3, 3], 1),
+    "check_scaling size 1": lambda out: evaluation.check_scaling([1, 2, 3], 1),
+    "check_scaling repeats": lambda out: evaluation.check_scaling([2, 3, 4], 0),
+    "check_scaling above N": lambda out: evaluation.check_scaling([2, 3, 4], 1, n=3),
+    "check_subset empty": lambda out: evaluation.check_subset([], [3]),
+    "check_subset duplicates": lambda out: evaluation.check_subset([0, 0], [3]),
+    "check_subset totals": lambda out: evaluation.check_subset([0, 1, 2], [2]),
+    "check_subset index": lambda out: evaluation.check_subset([0, 3], [3], n=3),
+    "check_subset total above N": lambda out: evaluation.check_subset([0, 1], [4], n=3),
+    "scaling_exponents": lambda out: evaluation.scaling_exponents(np.ones((3, 9)),
+                                                                  [2, 3, 4], 0),
+    "subset_coupling_scan": lambda out: evaluation.subset_coupling_scan(np.ones((3, 9)),
+                                                                        [0, 0], [3]),
+    "SectorMap.labels_for": lambda out: SectorMap({"A": "X"}).labels_for(["A", "B"]),
+    "RunConfig stages": lambda out: pipeline.RunConfig(__file__, str(out), stages=()).validate(),
+    "RunConfig seed": lambda out: pipeline.RunConfig(__file__, str(out), seed=-1).validate(),
+}
+
+
+@pytest.mark.parametrize("call", SETTINGS.values(), ids=SETTINGS.keys())
+def test_bad_setting_raises_config_error_before_any_work(call, tmp_path, monkeypatch):
+    def no_sweeps(*args, **kwargs):
+        raise AssertionError("sampled before rejecting the settings")
+
+    monkeypatch.setattr(model, "_simulate", no_sweeps)
+    monkeypatch.setattr(synthetic, "_simulate", no_sweeps)
+    with pytest.raises(ConfigError):
+        call(tmp_path / "out")
+    assert not (tmp_path / "out").exists()

@@ -355,8 +355,9 @@ class TestAnalysisCommands:
 
     @pytest.mark.parametrize("flags,n", [
         (["--sweeps", "0"], None), (["--burnin", "-1"], None), (["--chains", "0"], None),
-        (["--track-states"], 17), (["--third-order"], 129),
-    ], ids=["--sweeps 0", "--burnin -1", "--chains 0", "--track-states", "--third-order"])
+        (["--track-states"], 17), (["--third-order"], 129), (["--seed", "-1"], None),
+    ], ids=["--sweeps 0", "--burnin -1", "--chains 0", "--track-states", "--third-order",
+            "--seed -1"])
     def test_sample_bad_settings_are_config_errors(self, market, tmp_path, monkeypatch,
                                                    flags, n):
         params = market / "truth.json"
@@ -516,8 +517,12 @@ class TestAnalysisCommands:
 
     @pytest.mark.parametrize("data", [b'{"tickers": null, "h": [0.1, 0.2], "J": [[0.0, ',
                                       b'{"tickers": null, "h": [NaN], "J": [[0.0]]}',
-                                      b'{"tickers": ["\xff"], "h": [0.0], "J": [[0.0]]}'],
-                             ids=["truncated", "NaN", "non-UTF-8"])
+                                      b'{"tickers": ["\xff"], "h": [0.0], "J": [[0.0]]}',
+                                      b'[1, 2]',
+                                      b'{"tickers": "AB", "h": [0.0, 0.0], '
+                                      b'"J": [[0.0, 0.0], [0.0, 0.0]]}'],
+                             ids=["truncated", "NaN", "non-UTF-8", "not an object",
+                                  "string tickers"])
     def test_unreadable_params_are_numeric_failures(self, tmp_path, capsys, data):
         params = tmp_path / "bad.json"
         params.write_bytes(data)
@@ -772,6 +777,16 @@ class TestConfigParsing:
         assert rc == 2
         assert not (tmp_path / "out" / "stats").exists()
 
+    def test_config_file_not_utf8_is_config_error(self, market, tmp_path, capsys):
+        cfgfile = tmp_path / "latin1.cfg"
+        cfgfile.write_bytes(b"tol=1e-3\xff\n")
+        rc = main(["infer", "--prices", str(market / "prices.csv"), "--config",
+                   str(cfgfile), "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"config error: {cfgfile} is not UTF-8 text" in err
+        assert not (tmp_path / "out").exists()
+
     def test_direct_runconfig_validation(self, market):
         cfg = RunConfig(prices=str(market / "prices.csv"), out_dir="o",
                         stages=("mst",), kind="binary")
@@ -807,6 +822,10 @@ class TestConfigParsing:
         ("synth", ["--n-days", "1"], ""),
         ("synth", ["--n-stocks", "1"], ""),
         ("synth", ["--n-stocks", "10", "--n-sectors", "3"], ""),
+        ("infer", ["--seed", "-1"], ""),
+        ("run", [], "seed=-1"),
+        ("synth", ["--seed", "-1", "--n-days", "3"], ""),
+        ("run", [], "stages="),
     ]
 
     @pytest.mark.parametrize(

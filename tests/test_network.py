@@ -5,6 +5,7 @@ from conftest import brute_force_max_tree_weight, cutoff_scan, weights_from_edge
 from isingmarket.network import (SectorMap, _forest_edges, _prim, edges_to_csv,
                                  edges_to_dot, mst_result, spectral_truncation,
                                  window_forests)
+from isingmarket.stats import ConfigError
 
 
 def chain_edges(n):
@@ -303,7 +304,7 @@ class TestForestAndOutputs:
     def test_sector_map_validation(self):
         smap = SectorMap({"AAA": "Tech", "BBB": "Energy"})
         assert smap.sectors == ("Energy", "Tech")
-        with pytest.raises(KeyError):
+        with pytest.raises(ConfigError, match=r"\['XYZ'\]"):
             smap.labels_for(["AAA", "XYZ"])
         with pytest.raises(ValueError):
             SectorMap({})

@@ -4,6 +4,7 @@ import pytest
 from isingmarket.panels import (PricePanel, ReturnPanel, binarize,
                                 load_price_csv, load_sector_csv, log_returns,
                                 shuffle_window, standardize_window, windows)
+from isingmarket.stats import ConfigError
 
 
 def make_prices(values):
@@ -247,7 +248,7 @@ class TestCsvIngest:
         smap = load_sector_csv(path)
         assert smap.labels_for(["BBB", "AAA"]) == ["Energy", "Tech"]
         assert smap.sectors == ("Energy", "Tech")
-        with pytest.raises(KeyError):
+        with pytest.raises(ConfigError, match="ZZZ"):
             smap.labels_for(["ZZZ"])
 
     def test_short_sector_row_names_its_row(self, tmp_path):
