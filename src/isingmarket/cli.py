@@ -24,8 +24,9 @@ import numpy as np
 from . import __version__
 from .evaluation import compare_methods
 from .model import energy_split, metropolis_sample, params_from_json
-from .network import edges_to_csv, edges_to_dot, mst_result, window_forests
-from .panels import binarize, load_price_csv, load_sector_csv, log_returns
+from .network import (check_cutoff_points, edges_to_csv, edges_to_dot, mst_result,
+                      window_forests)
+from .panels import binarize, check_file, load_price_csv, load_sector_csv, log_returns
 from .pipeline import (ConfigError, NonConvergenceError, RunConfig, _write_scan_csv,
                        config_from_mapping, parse_config_file, run, write_csv, write_json)
 from .synthetic import BlockSpec, generate_synthetic, synthetic_tickers
@@ -183,8 +184,7 @@ def _cmd_cutoff(args) -> int:
     labels = load_sector_csv(args.sectors).labels_for(params.tickers)
     out = Path(args.out_dir or ".")
     points = RunConfig.cutoff_points if args.cutoff_points is None else args.cutoff_points
-    if points < 1:
-        raise ConfigError("cutoff_points must be at least 1")
+    check_cutoff_points(points)
     _, pts, pts_e = window_forests([params.J], labels, mst=False, cutoff_points=points,
                                    direction=args.direction)[0]
     _write_scan_csv(out / "coupling_scan.csv", pts)
@@ -358,9 +358,8 @@ def main(argv=None) -> int:
                     and not getattr(args, companion)):
                 raise ConfigError(f"{command} --{flag} needs --{companion}")
         for dest in _INPUT_FILES:
-            path = getattr(args, dest, None)
-            if path is not None and not Path(path).is_file():
-                raise ConfigError(f"--{dest} file {path!r} is not a file")
+            if (path := getattr(args, dest, None)) is not None:
+                check_file(f"--{dest}", path)
         return args.fn(args)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

@@ -29,6 +29,7 @@ from .stats import ConfigError
 ENUMERATION_HARD_CAP = 20  # 2^N states; above this exact sums are refused
 STATE_TRACKING_MAX_N = 16  # sampled state counts keep 2^N bins
 THIRD_ORDER_MAX_N = 128  # O(N^3 T) cost guard
+_BLOCK_VALUES = 1 << 16  # recorded spins cast to float64 at a time (0.5 MB)
 
 
 @dataclass(frozen=True)
@@ -234,19 +235,45 @@ def metropolis_sample(params: IsingParams, n_sweeps: int, n_burnin: int = 1000,
     samples total).  Deterministic for a given seed and init.  See
     `_simulate` for the init choices; the returned final_states can be
     passed back as init to continue the same chains.
+
+    Memory: the int8 state record (chains x sweeps x N bytes), the
+    (chains, N, N) float64 per-chain pair moments behind se_pairs, and one
+    float64 block of at most 64k recorded spins (0.5 MB) at a time.  Only
+    with_third_order casts the whole record to a float64 sample matrix.
     """
     _check_sampling(n_sweeps, n_burnin, n_chains, seed)
     n = params.n
+    if n == 0:
+        raise ValueError("a model with no spins has nothing to sample")
     if track_states and n > STATE_TRACKING_MAX_N:
         raise ConfigError(f"state tracking limited to N <= {STATE_TRACKING_MAX_N} (got {n})")
     if with_third_order:
         _check_third_order(n)
     rng = np.random.default_rng(seed)
     configs = _simulate(params, n_chains, n_sweeps, n_burnin, rng, init=init)
-    flat = configs.reshape(-1, n).astype(np.float64)
-    count = flat.shape[0]
-    means = flat.mean(axis=0)
-    pair = flat.T @ flat / count
+    count = n_chains * n_sweeps
+    sums, pair = np.zeros(n), np.zeros((n, n))
+    chain_pairs = np.zeros((n_chains, n, n)) if n_chains > 1 else None
+    counts = np.zeros(2**n, dtype=np.int64) if track_states else None
+    # Read the int8 record in float64 blocks of at most _BLOCK_VALUES values:
+    # whole chains, or sweeps of one chain when a chain holds more.  Every
+    # sum is of +-1 entries, so it is an exact integer and the totals (and
+    # the batched matmul against the einsum "cti,ctj->cij") are bit-identical
+    # to those of one float64 copy of the record.
+    chains = max(1, _BLOCK_VALUES // (n_sweeps * n))
+    sweeps = min(n_sweeps, _BLOCK_VALUES // n)
+    for c in range(0, n_chains, chains):
+        for t in range(0, n_sweeps, sweeps):
+            block = configs[c:c + chains, t:t + sweeps].astype(np.float64)
+            flat = block.reshape(-1, n)
+            sums += flat.sum(axis=0)
+            pair += flat.T @ flat
+            if chain_pairs is not None:
+                chain_pairs[c:c + chains] += block.transpose(0, 2, 1) @ block
+            if counts is not None:
+                counts += np.bincount(encode_states(flat), minlength=2**n)
+    means = sums / count
+    pair = pair / count
     pair = (pair + pair.T) / 2.0
     np.fill_diagonal(pair, 1.0)
 
@@ -255,15 +282,11 @@ def metropolis_sample(params: IsingParams, n_sweeps: int, n_burnin: int = 1000,
     se_means = se_pairs = r_hat = None
     if n_chains > 1:
         se_means = chain_means.std(axis=0, ddof=1) / math.sqrt(n_chains)
-        cf = flat.reshape(configs.shape)
-        # +-1 entries: every partial sum is an exact integer, so the batched
-        # matmul is bit-identical to the einsum "cti,ctj->cij"
-        chain_pairs = (cf.transpose(0, 2, 1) @ cf) / configs.shape[1]
+        chain_pairs /= n_sweeps
         se_pairs = chain_pairs.std(axis=0, ddof=1) / math.sqrt(n_chains)
         r_hat = _gelman_rubin(chain_means, n_sweeps)
 
-    third = third_order_from_samples(flat) if with_third_order else None
-    counts = np.bincount(encode_states(flat), minlength=2**n) if track_states else None
+    third = third_order_from_samples(configs.reshape(-1, n)) if with_third_order else None
 
     settings = {"kind": "metropolis", "n_sweeps": n_sweeps, "n_burnin": n_burnin,
                 "n_chains": n_chains, "seed": seed,

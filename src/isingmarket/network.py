@@ -212,6 +212,12 @@ def _interior_grid(values: np.ndarray, n_points: int) -> list[float]:
     return list(np.linspace(lo, hi, n_points + 2)[1:-1])
 
 
+def check_cutoff_points(points: int) -> None:
+    """A cutoff scan has at least one threshold (`window_forests` reads 0 as no scan)."""
+    if points < 1:
+        raise ConfigError("cutoff_points must be at least 1")
+
+
 def window_forests(js, labels, mst: bool, cutoff_points: int,
                    direction: str = "discard_above") -> list[tuple]:
     """Every tree of a window's coupling matrices, built in one batched pass.

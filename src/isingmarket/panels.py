@@ -9,6 +9,7 @@ import csv
 import logging
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -233,6 +234,17 @@ def standardize_window(window: np.ndarray, tickers=None) -> np.ndarray:
     return (w - mean) / std
 
 
+def check_file(name: str, path) -> None:
+    """An input path that names no file is a setting error, found before any read."""
+    if not Path(path).is_file():
+        raise ConfigError(f"{name} file {path!r} is not a file")
+
+
+def check_stride(stride: int) -> None:
+    if stride < 1:
+        raise ConfigError("stride must be at least 1")
+
+
 def windows(r: ReturnPanel, window_size: int, stride: int = 1):
     """Iterate trailing windows as (last date, (N, T) read-only view).
 
@@ -240,8 +252,9 @@ def windows(r: ReturnPanel, window_size: int, stride: int = 1):
     `window_size`; the first window ends at t = T-1 and subsequent windows
     advance by `stride`.  Bad sizes raise at the call, not at iteration.
     """
-    if window_size < 1 or stride < 1:
-        raise ConfigError("window_size and stride must be at least 1")
+    if window_size < 1:
+        raise ConfigError("window_size must be at least 1")
+    check_stride(stride)
     if window_size > r.n_steps:
         raise ConfigError(f"window_size {window_size} exceeds series length {r.n_steps}")
     return ((r.dates[end], r.values[:, end - window_size + 1 : end + 1])

@@ -26,11 +26,11 @@ from .evaluation import (check_scaling, check_subset, compare_methods,
                          scaling_exponents, subset_coupling_scan)
 from .inference import InferenceConfig, infer
 from .model import check_seed, energy_split, params_to_json
-from .network import edges_to_csv, edges_to_dot, window_forests
-from .panels import (RETURN_KINDS, binarize, load_price_csv, load_sector_csv,
-                     log_returns, standardize_window, windows)
-from .stats import (ConfigError, dft_amplitudes, eigen_csv_rows, off_diagonal_summary,
-                    stats_csv_rows, window_stats)
+from .network import check_cutoff_points, edges_to_csv, edges_to_dot, window_forests
+from .panels import (RETURN_KINDS, binarize, check_file, check_stride, load_price_csv,
+                     load_sector_csv, log_returns, standardize_window, windows)
+from .stats import (ConfigError, check_bootstrap, dft_amplitudes, eigen_csv_rows,
+                    off_diagonal_summary, stats_csv_rows, window_stats)
 
 STAGES = ("stats", "infer", "mst", "cutoff", "scaling", "subset", "energy",
           "compare")
@@ -81,10 +81,12 @@ class RunConfig:
     subset_totals: tuple[int, ...] = ()
 
     def validate(self):
-        for key, low in (("window_size", 2), ("stride", 1), ("jobs", 1), ("eigen_top_k", 1),
-                         ("cutoff_points", 1)):
+        for key, low in (("window_size", 2), ("jobs", 1), ("eigen_top_k", 1)):
             if getattr(self, key) < low:
                 raise ConfigError(f"{key} must be at least {low}")
+        check_stride(self.stride)
+        check_cutoff_points(self.cutoff_points)
+        check_bootstrap(self.n_boot, self.boot_level)
         check_seed(self.seed)
         if self.kind not in RETURN_KINDS:
             raise ConfigError(f"unknown transform kind {self.kind!r}")
@@ -99,8 +101,8 @@ class RunConfig:
         for method in self.methods:
             self.inference_config(method, None)
         for key in ("prices", "sectors"):
-            if (path := getattr(self, key)) is not None and not Path(path).is_file():
-                raise ConfigError(f"{key} file {path!r} is not a file")
+            if (path := getattr(self, key)) is not None:
+                check_file(key, path)
         fit_stages = (_WINDOW_FIT_STAGES | {"scaling", "subset"}) & set(self.stages)
         if fit_stages and self.kind != "binary":
             raise ConfigError("inference-based stages require kind=binary")
@@ -113,10 +115,6 @@ class RunConfig:
         for a, b in self.compare_pairs:
             if a not in self.methods or b not in self.methods:
                 raise ConfigError(f"compare pair {a}:{b} not covered by methods")
-        if self.n_boot != 0 and self.n_boot < 100:
-            raise ConfigError("n_boot must be 0 (no bootstrap) or at least 100")
-        if not 0 < self.boot_level < 1:
-            raise ConfigError("boot_level must lie in (0, 1)")
         if "scaling" in self.stages:
             check_scaling(self.scaling_sizes, self.scaling_repeats)
         if "subset" in self.stages:
@@ -403,7 +401,9 @@ def _window_unit(cfg: RunConfig, out: Path, idx: int, date: str, block,
         fits[method] = params = res.params
         path = out / "params" / method / f"{date}.json"
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(params_to_json(params) + b"\n")
+        with open(path, "wb") as fh:  # appending the newline would copy the document
+            fh.write(params_to_json(params))
+            fh.write(b"\n")
         rows.setdefault("diag", []).append(  # the manifest's `convergence` entry
             {"date": date, "method": method, "converged": res.converged,
              "iterations": res.iterations, "residual": res.residual,

@@ -141,9 +141,18 @@ class MomentSummary:
     ci_level: float | None = None
 
 
+def check_bootstrap(n_boot: int, level: float) -> None:
+    """n_boot is 0 (no bootstrap) or at least 100 resamples; level lies in (0, 1)."""
+    if n_boot != 0 and n_boot < 100:
+        raise ConfigError("n_boot must be 0 (no bootstrap) or at least 100")
+    if not 0.0 < level < 1.0:
+        raise ConfigError(f"bootstrap level must lie in (0, 1), got {level}")
+
+
 def moment_summary(values, n_boot: int = 0, level: float = 0.95,
                    seed: int | None = None) -> MomentSummary:
     """Summarize a collection of finite values; bootstrap CIs when n_boot > 0."""
+    check_bootstrap(n_boot, level)
     v = _finite_values(values)
     point = {name: float(_moments(v[None, :], name)[0]) for name in MOMENT_NAMES}
     degenerate = point["std"] == 0.0
@@ -187,13 +196,12 @@ def bootstrap_ci(values, statistic: str, n_resamples: int, level: float = 0.95,
     same generator and the redraw count logged, so the kept resamples are
     those of a one-at-a-time draw.
     """
+    if n_resamples == 0:
+        raise ConfigError("bootstrap_ci needs n_resamples > 0")
+    check_bootstrap(n_resamples, level)
     v = _finite_values(values)
-    if n_resamples < 100:
-        raise ValueError("use at least 100 bootstrap resamples")
     if statistic not in MOMENT_NAMES:
         raise ValueError(f"unknown statistic {statistic!r}")
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must lie in (0, 1), got {level}")
     rng = np.random.default_rng(seed)
     block = max(1, _BLOCK_VALUES // v.size)
     out = np.empty(n_resamples)

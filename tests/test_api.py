@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 import isingmarket
-from isingmarket import evaluation, model, pipeline, synthetic
+from isingmarket import cli, evaluation, model, pipeline, synthetic
 from isingmarket.inference import METHODS, InferenceConfig, infer
 from isingmarket.network import SectorMap
 from isingmarket.panels import ReturnPanel, windows
-from isingmarket.stats import ConfigError, window_stats
+from isingmarket.stats import ConfigError, bootstrap_ci, moment_summary, window_stats
 from isingmarket.synthetic import BlockSpec, generate_synthetic, random_model
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -120,4 +120,42 @@ def test_bad_setting_raises_config_error_before_any_work(call, tmp_path, monkeyp
     monkeypatch.setattr(synthetic, "_simulate", no_sweeps)
     with pytest.raises(ConfigError):
         call(tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+def _cutoff_one_shot(tmp_path):
+    params = random_model(4, 0.1, 0.1, seed=0)
+    (tmp_path / "p.json").write_bytes(model.params_to_json(params))
+    (tmp_path / "s.csv").write_text("ticker,name,sector\n" + "".join(
+        f"{t},{t},X\n" for t in params.tickers))
+    return cli.main(["cutoff", "--params", str(tmp_path / "p.json"), "--sectors",
+                     str(tmp_path / "s.csv"), "--out-dir", str(tmp_path / "out"),
+                     "--cutoff-points", "0"])
+
+
+# each rule that RunConfig.validate checks before ingest and another caller
+# checks where it reads the value: (the RunConfig setting, the other caller)
+SHARED_RULES = {
+    "n_boot": (("n_boot", 50), lambda tmp: moment_summary([1.0, 2.0, 4.0], n_boot=50)),
+    "boot_level": (("boot_level", 1.0),
+                   lambda tmp: bootstrap_ci([1.0, 2.0, 4.0], "mean", 100, level=1.0)),
+    "stride": (("stride", 0), lambda tmp: windows(_PANEL, 2, stride=0)),
+    "cutoff_points": (("cutoff_points", 0), _cutoff_one_shot),
+    "prices file": (("prices", "absent.csv"),
+                    lambda tmp: cli.main(["ingest", "--prices", "absent.csv"])),
+}
+
+
+@pytest.mark.parametrize("rule", SHARED_RULES)
+def test_rule_of_two_callers_is_one_check(rule, tmp_path, capsys):
+    (key, value), other = SHARED_RULES[rule]
+    settings = {"prices": __file__, "out_dir": str(tmp_path / "out"), key: value}
+    with pytest.raises(ConfigError) as first:
+        pipeline.RunConfig(**settings).validate()
+    try:
+        assert other(tmp_path) == 2  # the CLI maps the error to exit 2
+        second = capsys.readouterr().err
+    except ConfigError as err:
+        second = str(err)
+    assert str(first.value) in second
     assert not (tmp_path / "out").exists()

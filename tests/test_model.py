@@ -1,11 +1,13 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import hamiltonian, reference_json, third_order_tensor
+from isingmarket import model
 from isingmarket.model import (IsingParams, _floats_json, _gelman_rubin, _simulate,
                                boltzmann_distribution,
                                encode_states, energy_split, enumerate_states,
@@ -463,6 +465,59 @@ class TestStepOracle:
                 if value is not None:
                     assert have.dtype == value.dtype, (name, key)
                     assert have.tobytes() == value.tobytes(), (name, key)
+
+
+class TestMomentBlocks:
+    """The moments, read from the int8 record block by block, are those of
+    one float64 copy of it, whatever the shape of the last block."""
+
+    SHAPES = {  # (n, n_sweeps, n_chains, block values or None for the default)
+        "chains not a multiple of the block": (24, 100, 500, None),  # 27 chains a block
+        "small block, chains not a multiple": (5, 4, 13, 64),        # 3 chains a block
+        "chain longer than the block": (5, 30, 4, 64),               # 12 sweeps a block
+        "one chain": (6, 40, 1, 64),                                 # 10 sweeps a block
+        "one sweep": (6, 1, 9, 16),                                  # 2 chains a block
+        "record below one block": (4, 5, 3, None),
+    }
+
+    @pytest.mark.parametrize("n,n_sweeps,n_chains,block", SHAPES.values(), ids=SHAPES.keys())
+    def test_matches_float64_reference(self, monkeypatch, n, n_sweeps, n_chains, block):
+        if block is not None:
+            monkeypatch.setattr(model, "_BLOCK_VALUES", block)
+        params = random_model(n, 0.4, 0.3, seed=n)
+        states = _simulate(params, n_chains, n_sweeps, 3, np.random.default_rng(n_chains))
+        got = metropolis_sample(params, n_sweeps, 3, n_chains, seed=n_chains,
+                                with_third_order=True, track_states=n <= 16)
+        want = moments_of(states)
+        flat = states.reshape(-1, n).astype(np.float64)
+        want["third_order"] = third_order_from_samples(flat)
+        if n <= 16:
+            want["state_counts"] = np.bincount(encode_states(flat), minlength=2**n)
+        for key, value in want.items():
+            have = getattr(got, key)
+            assert (have is None) == (value is None), key
+            if value is not None:
+                assert have.dtype == value.dtype, key
+                assert have.tobytes() == value.tobytes(), key
+
+    def test_model_without_spins_rejected(self):
+        # an N = 0 params file reads back; sampling it used to fail inside numpy
+        with pytest.raises(ValueError, match="no spins"):
+            metropolis_sample(IsingParams(np.zeros(0), np.zeros((0, 0))), 5, seed=0)
+
+    def test_traced_peak_below_a_float64_copy_of_the_record(self):
+        # the int8 record is 1.2 MB and a float64 copy of it 9.6 MB; the
+        # per-chain pair moments and their deviations from the mean take
+        # 2.3 MB each
+        params = random_model(24, 0.1, 0.05, seed=1)
+        metropolis_sample(params, 2, 0, 2, seed=0)  # first-call allocations
+        tracemalloc.start()
+        try:
+            metropolis_sample(params, n_sweeps=100, n_burnin=10, n_chains=500, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 def ferromagnet(n, coupling):
