@@ -34,6 +34,12 @@ METHODS = ("exact", "nmf", "tap", "ip", "sm")
 # below this |m_i m_j| the TAP quadratic is numerically the nMF limit
 _TAP_MEAN_PRODUCT_FLOOR = 1e-8
 
+# A sampled fit stops once every moment gap is within this many standard
+# errors of the window's own finite-T moments.  On the 24-spin mc_learn
+# benchmark windows (T=500, seeds 401-411) every gap after one learning step
+# was at most 0.54 of its standard error, so z = 1 stops them all there.
+DATA_FLOOR_Z = 1.0
+
 
 @dataclass(frozen=True)
 class InferenceConfig:
@@ -79,14 +85,17 @@ class InferenceResult:
 
     params: IsingParams
     method: str
-    converged: bool = True
+    stop_reason: str | None = None     # exact: tol, data_floor, max_iters or diverged
     iterations: int = 0
     residual: float | None = None      # closed form: `moment_residual` measures it
     cond_cov: float | None = None      # cond of the inverted covariance (+ ridge)
     tap_fallbacks: int | None = None   # tap: pairs that fell back to the nMF coupling
-    diverged: bool = False
     residual_history: tuple[float, ...] = ()  # exact: each iteration's residual
     mc_r_hat_max: float | None = None  # sampled exact: last step's largest R-hat
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason in (None, "tol", "data_floor")
 
     @property
     def diagnostics(self) -> dict:
@@ -253,21 +262,48 @@ def _model_moments(params: IsingParams, cfg: InferenceConfig, seed,
                              init="random" if fresh else chains)
 
 
-def _moment_gap(stats: WindowStats, moments: SampleStats):
-    """Data minus model means, data minus model pair moments (diagonal zeroed)
-    and the largest absolute entry of either."""
-    m = stats.means
-    pair_data = stats.covariance + np.outer(m, m)
-    pair_data = (pair_data + pair_data.T) / 2.0
-    np.fill_diagonal(pair_data, 1.0)
-    gap_m = m - moments.means
-    gap_p = (pair_data - moments.pair_moments) * ~np.eye(m.size, dtype=bool)
-    return gap_m, gap_p, float(max(np.abs(gap_m).max(), np.abs(gap_p).max()))
+@dataclass(frozen=True)
+class _Targets:
+    """A window's moments as learning targets, computed once per fit: the means,
+    the pair moments <s_i s_j> (unit diagonal) and, for a window of known
+    length T, DATA_FLOOR_Z data standard errors of each, sqrt((1 - m_i^2)/T)
+    and sqrt((1 - <s_i s_j>^2)/T)."""
+
+    means: np.ndarray
+    pairs: np.ndarray
+    floor_means: np.ndarray | None
+    floor_pairs: np.ndarray | None
+
+    @classmethod
+    def of(cls, stats: WindowStats) -> "_Targets":
+        m = stats.means
+        pairs = stats.covariance + np.outer(m, m)
+        pairs = (pairs + pairs.T) / 2.0
+        np.fill_diagonal(pairs, 1.0)
+        if stats.n_obs is None:
+            return cls(m, pairs, None, None)
+        se = [np.sqrt(np.maximum(1.0 - x**2, 0.0) / stats.n_obs) for x in (m, pairs)]
+        return cls(m, pairs, DATA_FLOOR_Z * se[0], DATA_FLOOR_Z * se[1])
+
+    def gap(self, moments: SampleStats):
+        """Data minus model means, data minus model pair moments (diagonal
+        zeroed) and the largest absolute entry of either."""
+        gap_m = self.means - moments.means
+        gap_p = self.pairs - moments.pair_moments
+        np.fill_diagonal(gap_p, 0.0)
+        return gap_m, gap_p, float(max(np.abs(gap_m).max(), np.abs(gap_p).max()))
+
+    def within_floor(self, gap_m: np.ndarray, gap_p: np.ndarray) -> bool:
+        """Every gap within its floor; never for a window of unknown length."""
+        return (self.floor_means is not None
+                and bool(np.all(np.abs(gap_m) <= self.floor_means))
+                and bool(np.all(np.abs(gap_p) <= self.floor_pairs)))
 
 
 def infer_exact(stats: WindowStats, cfg: InferenceConfig) -> InferenceResult:
     """Iterative learning: nudge (h, J) along the gap between data moments and
-    model moments until the largest gap falls below cfg.tol.
+    model moments until the fit stops, and return the last parameters whose
+    moments were measured, so `residual` and `mc_r_hat_max` describe them.
 
     Model moments come from exhaustive enumeration for N <= cfg.exact_max_n
     and from Metropolis sampling otherwise.  The sampled chains persist
@@ -275,22 +311,34 @@ def infer_exact(stats: WindowStats, cfg: InferenceConfig) -> InferenceResult:
     starts them from random states and burns in for cfg.mc_burnin sweeps,
     every later step continues the previous step's final states with no
     burn-in.  Each step draws its own child seed, so a fit is deterministic
-    for cfg.seed.  `residual_history` lists each iteration's residual;
-    sampled fits also record the last step's largest per-spin R-hat as
-    `mc_r_hat_max`.  `cond_cov` is the start's.  Initialized from the
-    mean-field solution (fields via the diagonal trick).  Learning rates
-    decay geometrically by cfg.eta_decay per iteration.  A run whose
-    residual sits 10x above its running minimum for 50 consecutive
-    iterations is aborted as diverged.
+    for cfg.seed.  Initialized from the mean-field solution (fields via the
+    diagonal trick).  Learning rates decay geometrically by cfg.eta_decay
+    per iteration.
+
+    `stop_reason` says why the fit stopped:
+    - `tol`: the largest moment gap fell below cfg.tol;
+    - `data_floor`: a sampled fit (N > cfg.exact_max_n) on a window of known
+      length T has every mean gap within DATA_FLOOR_Z * sqrt((1 - m_i^2)/T)
+      and every pair gap within DATA_FLOOR_Z * sqrt((1 - <s_i s_j>^2)/T),
+      the finite-T error of the data moments themselves.  Checked from the
+      second iteration on, so the result carries at least one learning step;
+    - `diverged`: the residual sat 10x above its running minimum for 50
+      consecutive iterations;
+    - `max_iters`: cfg.max_iters iterations ran.
+    The fit counts as converged for `tol` and `data_floor`.
+    `residual_history` lists each iteration's residual; sampled fits also
+    record the last step's largest per-spin R-hat as `mc_r_hat_max`.
+    `cond_cov` is the start's.
     """
     init = infer_nmf(stats, replace(cfg, diagonal_trick=True))
     h, j = init.params.h, init.params.J  # each step makes new arrays
+    targets = _Targets.of(stats)
+    sampled = stats.means.size > cfg.exact_max_n
 
     ss = _as_seed_sequence(cfg.seed)
     eta_h, eta_j = cfg.eta_h, cfg.eta_j
     best = np.inf
     bad_streak = 0
-    diverged = False
     history: list[float] = []
     chains = None  # the sampled chains, carried from step to step
 
@@ -298,31 +346,33 @@ def infer_exact(stats: WindowStats, cfg: InferenceConfig) -> InferenceResult:
         params = IsingParams(h, j, tickers=stats.tickers)
         moments = _model_moments(params, cfg, seed=ss.spawn(1)[0], chains=chains)
         chains = moments.final_states
-        gap_m, gap_p, residual = _moment_gap(stats, moments)
+        gap_m, gap_p, residual = targets.gap(moments)
         history.append(residual)
         best = min(best, residual)
+        bad_streak = bad_streak + 1 if residual > 10.0 * best else 0
         if residual < cfg.tol:
-            break
-        if residual > 10.0 * best:
-            bad_streak += 1
-            if bad_streak >= 50:
-                diverged = True
-                break
+            stop = "tol"
+        elif sampled and iterations > 1 and targets.within_floor(gap_m, gap_p):
+            stop = "data_floor"
+        elif bad_streak >= 50:
+            stop = "diverged"
+        elif iterations == cfg.max_iters:
+            stop = "max_iters"
         else:
-            bad_streak = 0
+            stop = None
+        if stop is not None:
+            break
         h = h + eta_h * gap_m
         j = j + eta_j * gap_p
         eta_h *= cfg.eta_decay
         eta_j *= cfg.eta_decay
 
-    if diverged:
+    if stop == "diverged":
         logger.warning("exact learning aborted as diverged after %d iterations "
                        "(residual %.3g, best %.3g)", iterations, residual, best)
     return InferenceResult(
-        IsingParams(h, j, tickers=stats.tickers), "exact",
-        converged=residual < cfg.tol and not diverged, iterations=iterations,
-        residual=residual, cond_cov=init.cond_cov, diverged=diverged,
-        residual_history=tuple(history),
+        params, "exact", stop_reason=stop, iterations=iterations, residual=residual,
+        cond_cov=init.cond_cov, residual_history=tuple(history),
         mc_r_hat_max=None if moments.r_hat is None else float(moments.r_hat.max()))
 
 
@@ -340,4 +390,4 @@ def moment_residual(params: IsingParams, stats: WindowStats,
                     cfg: InferenceConfig) -> float:
     """Max-abs gap between data moments and the model moments of `params`."""
     moments = _model_moments(params, cfg, seed=_as_seed_sequence(cfg.seed))
-    return _moment_gap(stats, moments)[2]
+    return _Targets.of(stats).gap(moments)[2]

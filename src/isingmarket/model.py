@@ -225,6 +225,39 @@ def _check_third_order(n: int, max_n: int = THIRD_ORDER_MAX_N) -> None:
         raise ConfigError(f"third-order tensor limited to N <= {max_n} (got {n})")
 
 
+def _record_moments(configs: np.ndarray, track_states: bool):
+    """Spin sums, pair sums, per-chain pair sums (None for one chain) and,
+    with track_states, state counts of an (n_chains, n_sweeps, N) int8 record.
+
+    The record is read in float64 blocks of at most _BLOCK_VALUES values,
+    each cast into one reused buffer: whole chains, or sweeps of one chain
+    when a chain holds more.  Every sum is of +-1 entries, so it is an exact
+    integer and the totals (and the batched matmul against the einsum
+    "cti,ctj->cij") are bit-identical to those of one float64 copy of the
+    record.  The buffer is freed on return, before the caller's next arrays.
+    """
+    n_chains, n_sweeps, n = configs.shape
+    sums, pair = np.zeros(n), np.zeros((n, n))
+    chain_pairs = np.zeros((n_chains, n, n)) if n_chains > 1 else None
+    counts = np.zeros(2**n, dtype=np.int64) if track_states else None
+    chains = max(1, _BLOCK_VALUES // (n_sweeps * n))
+    sweeps = min(n_sweeps, _BLOCK_VALUES // n)
+    buf = np.empty(min(chains, n_chains) * sweeps * n)
+    for c in range(0, n_chains, chains):
+        for t in range(0, n_sweeps, sweeps):
+            part = configs[c:c + chains, t:t + sweeps]
+            block = buf[:part.size].reshape(part.shape)
+            block[...] = part
+            flat = block.reshape(-1, n)
+            sums += flat.sum(axis=0)
+            pair += flat.T @ flat
+            if chain_pairs is not None:
+                chain_pairs[c:c + chains] += block.transpose(0, 2, 1) @ block
+            if counts is not None:
+                counts += np.bincount(encode_states(flat), minlength=2**n)
+    return sums, pair, chain_pairs, counts
+
+
 def metropolis_sample(params: IsingParams, n_sweeps: int, n_burnin: int = 1000,
                       n_chains: int = 10, seed=None, with_third_order: bool = False,
                       track_states: bool = False, init="random") -> SampleStats:
@@ -237,9 +270,10 @@ def metropolis_sample(params: IsingParams, n_sweeps: int, n_burnin: int = 1000,
     passed back as init to continue the same chains.
 
     Memory: the int8 state record (chains x sweeps x N bytes), the
-    (chains, N, N) float64 per-chain pair moments behind se_pairs, and one
-    float64 block of at most 64k recorded spins (0.5 MB) at a time.  Only
-    with_third_order casts the whole record to a float64 sample matrix.
+    (chains, N, N) float64 per-chain pair moments behind se_pairs (their
+    spread is taken in place), and one float64 block of at most 64k
+    recorded spins (0.5 MB).  Only with_third_order casts the whole record
+    to a float64 sample matrix.
     """
     _check_sampling(n_sweeps, n_burnin, n_chains, seed)
     n = params.n
@@ -252,26 +286,7 @@ def metropolis_sample(params: IsingParams, n_sweeps: int, n_burnin: int = 1000,
     rng = np.random.default_rng(seed)
     configs = _simulate(params, n_chains, n_sweeps, n_burnin, rng, init=init)
     count = n_chains * n_sweeps
-    sums, pair = np.zeros(n), np.zeros((n, n))
-    chain_pairs = np.zeros((n_chains, n, n)) if n_chains > 1 else None
-    counts = np.zeros(2**n, dtype=np.int64) if track_states else None
-    # Read the int8 record in float64 blocks of at most _BLOCK_VALUES values:
-    # whole chains, or sweeps of one chain when a chain holds more.  Every
-    # sum is of +-1 entries, so it is an exact integer and the totals (and
-    # the batched matmul against the einsum "cti,ctj->cij") are bit-identical
-    # to those of one float64 copy of the record.
-    chains = max(1, _BLOCK_VALUES // (n_sweeps * n))
-    sweeps = min(n_sweeps, _BLOCK_VALUES // n)
-    for c in range(0, n_chains, chains):
-        for t in range(0, n_sweeps, sweeps):
-            block = configs[c:c + chains, t:t + sweeps].astype(np.float64)
-            flat = block.reshape(-1, n)
-            sums += flat.sum(axis=0)
-            pair += flat.T @ flat
-            if chain_pairs is not None:
-                chain_pairs[c:c + chains] += block.transpose(0, 2, 1) @ block
-            if counts is not None:
-                counts += np.bincount(encode_states(flat), minlength=2**n)
+    sums, pair, chain_pairs, counts = _record_moments(configs, track_states)
     means = sums / count
     pair = pair / count
     pair = (pair + pair.T) / 2.0
@@ -283,7 +298,7 @@ def metropolis_sample(params: IsingParams, n_sweeps: int, n_burnin: int = 1000,
     if n_chains > 1:
         se_means = chain_means.std(axis=0, ddof=1) / math.sqrt(n_chains)
         chain_pairs /= n_sweeps
-        se_pairs = chain_pairs.std(axis=0, ddof=1) / math.sqrt(n_chains)
+        se_pairs = _std_in_place(chain_pairs) / math.sqrt(n_chains)
         r_hat = _gelman_rubin(chain_means, n_sweeps)
 
     third = third_order_from_samples(configs.reshape(-1, n)) if with_third_order else None
@@ -293,6 +308,19 @@ def metropolis_sample(params: IsingParams, n_sweeps: int, n_burnin: int = 1000,
                 "init": init if isinstance(init, str) else "states"}
     return SampleStats(means, pair, count, settings, third, counts, se_means, se_pairs,
                        r_hat, configs[:, -1, :].copy())
+
+
+def _std_in_place(x: np.ndarray) -> np.ndarray:
+    """`x.std(axis=0, ddof=1)` bit for bit, in numpy's order of operations
+    (sum, divide, subtract, square, sum, divide, sqrt), but with the
+    deviations written over `x` instead of into a copy of it."""
+    mean = x.sum(axis=0, keepdims=True)
+    mean /= x.shape[0]
+    x -= mean
+    np.square(x, out=x)
+    var = x.sum(axis=0)
+    var /= x.shape[0] - 1
+    return np.sqrt(var, out=var)
 
 
 def _gelman_rubin(chain_means: np.ndarray, n_sweeps: int) -> np.ndarray | None:

@@ -408,7 +408,7 @@ def _window_unit(cfg: RunConfig, out: Path, idx: int, date: str, block,
             {"date": date, "method": method, "converged": res.converged,
              "iterations": res.iterations, "residual": res.residual,
              "cond_cov": res.cond_cov, "tap_fallbacks": res.tap_fallbacks,
-             "diverged": res.diverged, "mc_r_hat_max": res.mc_r_hat_max})
+             "stop_reason": res.stop_reason, "mc_r_hat_max": res.mc_r_hat_max})
         if "energy" in cfg.stages:
             split = energy_split(params, st.means)
             rows.setdefault("energy", []).append(

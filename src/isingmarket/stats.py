@@ -26,11 +26,14 @@ def _series_label(tickers, i: int) -> str:
 
 @dataclass(frozen=True)
 class WindowStats:
-    """One window's means, population (1/T) covariance and tickers: every fit's input."""
+    """One window's means, population (1/T) covariance, tickers and length T:
+    every fit's input.  `n_obs` is None for moments known exactly (no finite-T
+    error), as when they are computed from a model."""
 
     means: np.ndarray          # (N,)
     covariance: np.ndarray     # (N, N)
     tickers: tuple[str, ...] | None = None
+    n_obs: int | None = None   # T, the observations behind the moments
     # ridge -> (inverse, cond).  A WindowStats lives inside one window's unit
     # of work, so the cache is never shared between worker threads.
     _inverses: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -70,7 +73,7 @@ def window_stats(window: np.ndarray, tickers=None) -> WindowStats:
     m = x.mean(axis=1)
     xc = x - m[:, None]
     cov = (xc @ xc.T) / t
-    st = WindowStats(m, (cov + cov.T) / 2.0, tickers)
+    st = WindowStats(m, (cov + cov.T) / 2.0, tickers, n_obs=t)
     dead = np.flatnonzero(np.diag(st.covariance) <= 0.0)
     if dead.size:
         raise ValueError(f"{st.label(dead[0])} has zero variance in this window")

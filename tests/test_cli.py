@@ -699,8 +699,8 @@ class TestRunPipeline:
             for entry, line in zip(entries[method], diag[1:]):
                 assert set(entry) == {"date", "method", "converged", "iterations",
                                       "residual", "cond_cov", "tap_fallbacks",
-                                      "diverged", "mc_r_hat_max"}
-                assert entry["diverged"] is False
+                                      "stop_reason", "mc_r_hat_max"}
+                assert entry["stop_reason"] != "diverged"
                 assert line.split(",")[:4] == [entry["date"], method,
                                                str(entry["converged"]),
                                                str(entry["iterations"])]
@@ -708,6 +708,24 @@ class TestRunPipeline:
             assert entry["iterations"] == 2
             assert np.isfinite(entry["mc_r_hat_max"])
         assert [e["mc_r_hat_max"] for e in entries["nmf"]] == [None] * 3
+        assert [e["stop_reason"] for e in entries["nmf"]] == [None] * 3
+
+    def test_strict_accepts_floor_stops_and_refuses_max_iters(self, market, tmp_path):
+        # sampled learning on the 12-stock market: at T=300 one learning
+        # step brings every moment within the data floor
+        cfgfile = tmp_path / "sampled.cfg"
+        cfgfile.write_text("exact_max_n=0\nmc_chains=200\nmc_sweeps=20\nmc_burnin=20\n")
+        base = ["infer", "--prices", str(market / "prices.csv"), "--config", str(cfgfile),
+                "-T", "300", "--stride", "50", "--method", "exact", "--seed", "2",
+                "--tol", "1e-6", "--strict"]
+        codes, reasons = {}, {}
+        for max_iters in ("12", "1"):
+            out = tmp_path / max_iters
+            codes[max_iters] = main(base + ["--out-dir", str(out), "--max-iters", max_iters])
+            manifest = json.loads((out / "manifest.json").read_text())
+            reasons[max_iters] = {e["stop_reason"] for e in manifest["convergence"]}
+        assert codes == {"12": 0, "1": 4}
+        assert reasons == {"12": {"data_floor"}, "1": {"max_iters"}}
 
     FAILED_STAGES = {
         "short sectors row": ("ingest", []),

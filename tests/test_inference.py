@@ -9,8 +9,8 @@ from isingmarket.inference import (InferenceConfig, InferenceResult, infer,
                                    infer_exact, infer_ip, infer_nmf, infer_sm,
                                    infer_tap, moment_residual)
 from isingmarket.model import IsingParams, metropolis_sample
-from isingmarket.stats import window_stats
-from isingmarket.synthetic import random_model, sample_binary_panel
+from isingmarket.stats import WindowStats, window_stats
+from isingmarket.synthetic import BlockSpec, block_model, random_model, sample_binary_panel
 
 CFG = InferenceConfig()
 
@@ -265,8 +265,9 @@ class TestExactLearning:
                               eta_decay=1.0, tol=1e-12, max_iters=5000)
         res = infer_exact(st, cfg)
         assert not res.converged
-        assert res.diverged
+        assert res.stop_reason == "diverged"
         assert res.iterations < 5000
+        assert res.residual == res.residual_history[-1]
 
     def test_mc_loop_runs_deterministically(self):
         truth = random_model(3, 0.2, 0.2, seed=9)
@@ -281,6 +282,89 @@ class TestExactLearning:
         other = infer_exact(st, replace(cfg, seed=22))
         assert other.params.J.tobytes() != a.params.J.tobytes()
 
+
+def planted_window(n_obs, seed, n=24):
+    """Window stats of a T-day panel drawn from mc_learn's planted 3-sector model."""
+    truth, _ = block_model(BlockSpec(n, 3, 0.04, h_scale=0.05), seed=seed)
+    panel = sample_binary_panel(truth, n_obs, seed=seed + 1, n_burnin=200)
+    return truth, window_stats(panel, truth.tickers)
+
+
+def without_length(st):
+    """The same moments with no window length: no data floor."""
+    return WindowStats(st.means, st.covariance, st.tickers)
+
+
+# sampled learning at N=24 on a small budget
+FLOOR_CFG = InferenceConfig(method="exact", mc_chains=200, mc_sweeps=50, mc_burnin=50,
+                            tol=1e-4, max_iters=6, seed=5)
+
+
+class TestStopReasons:
+    def test_tol_on_an_enumerated_planted_model(self):
+        truth = random_model(5, 0.3, 0.2, seed=7)
+        cfg = InferenceConfig(method="exact", eta_h=0.2, eta_j=0.2, eta_decay=1.0,
+                              tol=1e-6, max_iters=5000)
+        res = infer_exact(stats_from_params(truth), cfg)
+        assert res.stop_reason == "tol" and res.converged
+        assert res.residual < cfg.tol
+
+    def test_max_iters_returns_the_parameters_it_measured(self):
+        # the residual belongs to the returned parameters: no update is
+        # applied after the last measured step
+        st = stats_from_params(random_model(5, 0.3, 0.2, seed=7))
+        cfg = InferenceConfig(method="exact", tol=1e-9, max_iters=3)
+        res = infer_exact(st, cfg)
+        assert res.stop_reason == "max_iters" and not res.converged
+        assert res.iterations == len(res.residual_history) == 3
+        assert moment_residual(res.params, st, cfg) == res.residual
+
+    def test_enumerated_fit_ignores_the_data_floor(self):
+        truth = random_model(6, 0.2, 0.1, seed=3)
+        st = window_stats(sample_binary_panel(truth, 500, seed=4), truth.tickers)
+        res = infer_exact(st, InferenceConfig(method="exact", tol=1e-9, max_iters=5))
+        assert res.stop_reason == "max_iters"
+
+    def test_data_floor_on_a_sampled_planted_window(self):
+        _, st = planted_window(500, seed=11)
+        assert st.n_obs == 500
+        res = infer_exact(st, FLOOR_CFG)
+        assert res.stop_reason == "data_floor" and res.converged
+        # checked only after one learning step, and measured on the result
+        assert res.iterations == 2
+        assert res.residual == res.residual_history[-1] > FLOOR_CFG.tol
+        assert res.mc_r_hat_max is not None
+
+    def test_no_data_floor_without_a_window_length(self):
+        _, st = planted_window(500, seed=11)
+        res = infer_exact(without_length(st), replace(FLOOR_CFG, max_iters=3))
+        assert res.stop_reason == "max_iters" and not res.converged
+        assert res.iterations == 3
+
+    def test_floor_is_data_floor_z_standard_errors(self, monkeypatch):
+        # with z = 0 no sampled gap is ever within the floor
+        _, st = planted_window(500, seed=11)
+        monkeypatch.setattr(inference, "DATA_FLOOR_Z", 0.0)
+        res = infer_exact(st, replace(FLOOR_CFG, max_iters=3))
+        assert res.stop_reason == "max_iters"
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("n_obs", [500, 2000])
+    def test_floor_stop_loses_no_accuracy_against_twelve_steps(self, n_obs):
+        # mc_learn's budget: 500 chains x 100 sweeps, 12 iterations
+        cfg = InferenceConfig(method="exact", mc_chains=500, mc_sweeps=100,
+                              mc_burnin=100, tol=1e-4, max_iters=12, seed=1)
+        floor, full = [], []
+        for seed in (21, 22, 23):
+            truth, st = planted_window(n_obs, seed)
+            iu = np.triu_indices(truth.n, 1)
+            stopped = infer_exact(st, cfg)
+            ran = infer_exact(without_length(st), cfg)
+            assert stopped.stop_reason == "data_floor"
+            assert ran.stop_reason == "max_iters" and ran.iterations == 12
+            for res, out in ((stopped, floor), (ran, full)):
+                out.append(np.sqrt(np.mean((res.params.J[iu] - truth.J[iu]) ** 2)))
+        assert np.mean(floor) - np.mean(full) <= np.std(full, ddof=1)
 
 
 MC_CFG = InferenceConfig(method="exact", exact_max_n=0, mc_chains=40, mc_sweeps=10,

@@ -506,18 +506,26 @@ class TestMomentBlocks:
             metropolis_sample(IsingParams(np.zeros(0), np.zeros((0, 0))), 5, seed=0)
 
     def test_traced_peak_below_a_float64_copy_of_the_record(self):
-        # the int8 record is 1.2 MB and a float64 copy of it 9.6 MB; the
-        # per-chain pair moments and their deviations from the mean take
-        # 2.3 MB each
-        params = random_model(24, 0.1, 0.05, seed=1)
-        metropolis_sample(params, 2, 0, 2, seed=0)  # first-call allocations
-        tracemalloc.start()
-        try:
-            metropolis_sample(params, n_sweeps=100, n_burnin=10, n_chains=500, seed=3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8e6
+        # the int8 record is 1.2 MB and a float64 copy of it 9.6 MB
+        assert traced_sample_peak() < 8e6
+
+    def test_traced_peak_holds_one_pair_moment_array(self):
+        # the per-chain pair moments take 2.3 MB; their spread is taken in
+        # place, and one float64 block buffer (0.5 MB) serves every block.
+        # Before, a copy of the deviations made the peak 6.25 MB
+        assert traced_sample_peak() < 6.25e6 - 2e6
+
+
+def traced_sample_peak():
+    """tracemalloc peak of one N=24, 500-chain, 100-sweep metropolis_sample call."""
+    params = random_model(24, 0.1, 0.05, seed=1)
+    metropolis_sample(params, 2, 0, 2, seed=0)  # first-call allocations
+    tracemalloc.start()
+    try:
+        metropolis_sample(params, n_sweeps=100, n_burnin=10, n_chains=500, seed=3)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def ferromagnet(n, coupling):

@@ -9,8 +9,8 @@ from isingmarket import stats as stats_module
 from isingmarket.panels import standardize_window
 from isingmarket.pipeline import RunConfig, run
 from isingmarket.model import third_order_from_samples
-from isingmarket.stats import (bootstrap_ci, dft_amplitudes, eigen_csv_rows,
-                               moment_summary, off_diagonal_summary,
+from isingmarket.stats import (WindowStats, bootstrap_ci, dft_amplitudes,
+                               eigen_csv_rows, moment_summary, off_diagonal_summary,
                                off_diagonal_values, stats_csv_rows, window_stats)
 
 
@@ -53,6 +53,11 @@ class TestWindowStats:
         moments = stage_moments(x)
         assert moments["skew"][0] == 0.0
         assert moments["kurt"][0] == -2.0
+
+    def test_window_knows_its_length(self):
+        st = window_stats(np.array([[1.0, -1.0, 1.0], [1.0, 1.0, -1.0]]))
+        assert st.n_obs == 3
+        assert WindowStats(st.means, st.covariance).n_obs is None
 
     @pytest.mark.parametrize("t", [2, 7, 250, 1001])
     def test_binary_series_closed_forms(self, t):
