@@ -21,8 +21,7 @@ from .model import (EnergySplit, IsingParams, SampleStats,
                     params_to_json, third_order_from_samples)
 from .network import (MstResult, ScanPoint, SectorMap, mst_result,
                       spectral_truncation)
-from .panels import (IngestReport, PricePanel, ReturnPanel, binarize,
-                     load_price_csv, load_sector_csv, log_returns,
+from .panels import (Panel, binarize, load_price_csv, load_sector_csv, log_returns,
                      shuffle_window, standardize_window, windows)
 from .stats import (ConfigError, MomentSummary, WindowStats, bootstrap_ci, dft_amplitudes,
                     moment_summary, off_diagonal_summary, window_stats)
@@ -33,10 +32,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlockSpec", "ComparisonReport", "ConfigError", "EnergySplit", "ExponentFit",
-    "InferenceConfig", "InferenceResult", "IngestReport", "IsingParams",
-    "MethodComparison", "MomentSummary", "MstResult", "PricePanel",
-    "ReturnPanel", "SampleStats", "ScalingReport", "ScanPoint", "SectorMap",
-    "SubsetScanResult", "WindowStats", "binarize",
+    "InferenceConfig", "InferenceResult", "IsingParams", "MethodComparison",
+    "MomentSummary", "MstResult", "Panel", "SampleStats", "ScalingReport",
+    "ScanPoint", "SectorMap", "SubsetScanResult", "WindowStats", "binarize",
     "block_model", "boltzmann_distribution", "bootstrap_ci",
     "compare_methods", "dft_amplitudes", "energy_split", "enumerate_states",
     "exact_moments_small", "fit_power_law", "generate_synthetic", "infer",

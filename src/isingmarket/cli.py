@@ -87,10 +87,9 @@ def _run_pipeline(args, stages: str | None) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_ingest(args) -> int:
-    panel, report = load_price_csv(args.prices)
+    panel, dropped = load_price_csv(args.prices)
     out = Path(args.out_dir or ".")
-    payload = {"n_rows": report.n_rows, "kept": report.kept,
-               "dropped": report.dropped,
+    payload = {"n_rows": panel.n_days, "kept": list(panel.tickers), "dropped": dropped,
                "n_tickers": panel.n_series, "n_days": panel.n_days}
     if args.sectors:
         labels = load_sector_csv(args.sectors).labels_for(panel.tickers)
@@ -103,9 +102,9 @@ def _cmd_ingest(args) -> int:
         write_csv(out / f"returns_{args.emit_returns}.csv",
                   "date," + ",".join(panel.tickers),
                   [(returns.dates[t], *returns.values[:, t])
-                   for t in range(returns.n_steps)])
+                   for t in range(returns.n_days)])
     print(f"kept {panel.n_series} tickers x {panel.n_days} days; "
-          f"dropped {len(report.dropped)}")
+          f"dropped {len(dropped)}")
     return 0
 
 
@@ -186,7 +185,7 @@ def _cmd_cutoff(args) -> int:
     points = RunConfig.cutoff_points if args.cutoff_points is None else args.cutoff_points
     check_cutoff_points(points)
     _, pts, pts_e = window_forests([params.J], labels, mst=False, cutoff_points=points,
-                                   direction=args.direction)[0]
+                                   direction=args.direction or "discard_above")[0]
     _write_scan_csv(out / "coupling_scan.csv", pts)
     _write_scan_csv(out / "eigen_scan.csv", pts_e)
     print(f"wrote scans over {len(pts)} coupling and {len(pts_e)} eigen thresholds")
@@ -202,9 +201,9 @@ def _cmd_energy(args) -> int:
     if missing:
         raise ConfigError(f"tickers missing from {args.prices}: {missing}")
     binary = binarize(log_returns(panel))
-    t = binary.n_steps if args.window_size is None else args.window_size
-    if not 2 <= t <= binary.n_steps:
-        raise ConfigError(f"-T/--window-size must lie in [2, {binary.n_steps}], "
+    t = binary.n_days if args.window_size is None else args.window_size
+    if not 2 <= t <= binary.n_days:
+        raise ConfigError(f"-T/--window-size must lie in [2, {binary.n_days}], "
                           f"the return history; got {t}")
     rows = [panel.tickers.index(name) for name in params.tickers]
     means = binary.values[rows, -t:].mean(axis=1)
@@ -300,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pipeline_flags(p)
     p.add_argument("--params")
     p.add_argument("--direction", choices=["discard_above", "discard_below"],
-                   default="discard_above")
+                   help="one-shot mode only (default discard_above)")
     p.add_argument("--cutoff-points", type=int, dest="cutoff_points")
     p.set_defaults(fn=_cmd_cutoff)
 
@@ -343,8 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
 _INPUT_FILES = ("config", "prices", "sectors", "params", "truth", "a", "b")
 # (command, flag, companion): the one-shot mode that `flag` selects needs `companion`
 _ONE_SHOT_NEEDS = (("mst", "params", "sectors"), ("cutoff", "params", "sectors"),
-                   ("energy", "params", "prices"), ("compare", "a", "b"),
-                   ("compare", "b", "a"))
+                   ("cutoff", "direction", "params"), ("energy", "params", "prices"),
+                   ("compare", "a", "b"), ("compare", "b", "a"))
 
 
 def main(argv=None) -> int:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import orjson
@@ -86,7 +86,6 @@ class SampleStats:
     means: np.ndarray           # (N,)
     pair_moments: np.ndarray    # (N, N), diag 1
     sample_count: int
-    settings: dict = field(default_factory=dict)
     third_order: np.ndarray | None = None
     state_counts: np.ndarray | None = None
     se_means: np.ndarray | None = None
@@ -123,7 +122,11 @@ def encode_states(s: np.ndarray) -> np.ndarray:
 
 def boltzmann_distribution(params: IsingParams) -> np.ndarray:
     """Exact state probabilities exp(-H)/Z over the enumerate_states ordering."""
-    s = enumerate_states(params.n)
+    return _boltzmann(params, enumerate_states(params.n))
+
+
+def _boltzmann(params: IsingParams, s: np.ndarray) -> np.ndarray:
+    """exp(-H)/Z over the rows of `s`, every state of the model."""
     g = s @ params.h + np.einsum("si,si->s", s @ params.J, s)
     g -= g.max()  # stabilize before exponentiation
     p = np.exp(g)
@@ -140,12 +143,12 @@ def exact_moments_small(params: IsingParams, max_n: int = 16) -> SampleStats:
     if n > min(max_n, ENUMERATION_HARD_CAP):
         raise ValueError(f"exact enumeration limited to N <= {min(max_n, ENUMERATION_HARD_CAP)}")
     s = enumerate_states(n)
-    p = boltzmann_distribution(params)
+    p = _boltzmann(params, s)
     means = p @ s
     pair = (s * p[:, None]).T @ s
     pair = (pair + pair.T) / 2.0
     np.fill_diagonal(pair, 1.0)
-    return SampleStats(means, pair, sample_count=2**n, settings={"kind": "exact"})
+    return SampleStats(means, pair, sample_count=2**n)
 
 
 def _simulate(params: IsingParams, n_chains: int, n_sweeps: int, n_burnin: int,
@@ -303,11 +306,8 @@ def metropolis_sample(params: IsingParams, n_sweeps: int, n_burnin: int = 1000,
 
     third = third_order_from_samples(configs.reshape(-1, n)) if with_third_order else None
 
-    settings = {"kind": "metropolis", "n_sweeps": n_sweeps, "n_burnin": n_burnin,
-                "n_chains": n_chains, "seed": seed,
-                "init": init if isinstance(init, str) else "states"}
-    return SampleStats(means, pair, count, settings, third, counts, se_means, se_pairs,
-                       r_hat, configs[:, -1, :].copy())
+    return SampleStats(means, pair, count, third, counts, se_means, se_pairs, r_hat,
+                       configs[:, -1, :].copy())
 
 
 def _std_in_place(x: np.ndarray) -> np.ndarray:

@@ -8,7 +8,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -18,44 +18,49 @@ from .stats import ConfigError, _series_label
 
 logger = logging.getLogger(__name__)
 
-RETURN_KINDS = ("raw", "standardized", "binary")
-
-
-def _locked(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.flags.writeable = False
-    return a
+RETURN_KINDS = ("raw", "standardized", "binary")  # the run's `kind` setting
+PANEL_KINDS = ("price", "raw", "binary")
 
 
 @dataclass(frozen=True)
-class PricePanel:
-    """N ticker series of strictly positive closing prices over L trading days.
+class Panel:
+    """N labelled series over L dates, of one kind: `price` (closing prices,
+    strictly positive), `raw` (log returns) or `binary` (their signs,
+    exactly -1 or +1).
 
     Dates are opaque identifiers that must sort ascending as strings
     (ISO dates do).  Panels are rectangular; incomplete tickers are
-    rejected at load time, never imputed.
+    rejected at load time, never imputed.  The value matrix is read-only
+    and is not copied when it is already a C-contiguous float64 array.
     """
 
     tickers: tuple[str, ...]
     dates: tuple[str, ...]
-    prices: np.ndarray  # (N, L)
+    values: np.ndarray  # (N, L)
+    kind: str
 
     def __post_init__(self):
-        prices = np.asarray(self.prices, dtype=np.float64)
-        if prices.ndim != 2 or prices.shape != (len(self.tickers), len(self.dates)):
-            raise ValueError(
-                f"price matrix shape {prices.shape} does not match "
-                f"{len(self.tickers)} tickers x {len(self.dates)} dates"
-            )
-        if not np.all(np.isfinite(prices)) or np.any(prices <= 0.0):
-            raise ValueError("prices must be finite and strictly positive")
-        if len(set(self.tickers)) != len(self.tickers):
+        if self.kind not in PANEL_KINDS:
+            raise ValueError(f"unknown panel kind {self.kind!r}; choose from {PANEL_KINDS}")
+        tickers, dates = tuple(self.tickers), tuple(self.dates)
+        values = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
+        if values.ndim != 2 or values.shape != (len(tickers), len(dates)):
+            raise ValueError(f"{self.kind} matrix shape {values.shape} does not match "
+                             f"{len(tickers)} tickers x {len(dates)} dates")
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{self.kind} values must be finite")
+        if len(set(tickers)) != len(tickers):
             raise ValueError("duplicate tickers")
-        if any(a >= b for a, b in zip(self.dates, self.dates[1:])):
+        if any(a >= b for a, b in zip(dates, dates[1:])):
             raise ValueError("dates must be strictly increasing")
-        object.__setattr__(self, "tickers", tuple(self.tickers))
-        object.__setattr__(self, "dates", tuple(self.dates))
-        object.__setattr__(self, "prices", _locked(prices))
+        if self.kind == "price" and np.any(values <= 0.0):
+            raise ValueError("prices must be strictly positive")
+        if self.kind == "binary" and not np.all(np.abs(values) == 1.0):
+            raise ValueError("binary returns must be exactly -1 or +1")
+        values.flags.writeable = False
+        object.__setattr__(self, "tickers", tickers)
+        object.__setattr__(self, "dates", dates)
+        object.__setattr__(self, "values", values)
 
     @property
     def n_series(self) -> int:
@@ -64,47 +69,6 @@ class PricePanel:
     @property
     def n_days(self) -> int:
         return len(self.dates)
-
-
-@dataclass(frozen=True)
-class ReturnPanel:
-    """N return series of length L-1, one of the kinds in RETURN_KINDS."""
-
-    tickers: tuple[str, ...]
-    dates: tuple[str, ...]
-    values: np.ndarray  # (N, L-1)
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in RETURN_KINDS:
-            raise ValueError(f"unknown return kind {self.kind!r}")
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 2 or values.shape != (len(self.tickers), len(self.dates)):
-            raise ValueError("value matrix shape does not match labels")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("returns must be finite")
-        if self.kind == "binary" and not np.all(np.abs(values) == 1.0):
-            raise ValueError("binary returns must be exactly -1 or +1")
-        object.__setattr__(self, "tickers", tuple(self.tickers))
-        object.__setattr__(self, "dates", tuple(self.dates))
-        object.__setattr__(self, "values", _locked(values))
-
-    @property
-    def n_series(self) -> int:
-        return len(self.tickers)
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.dates)
-
-
-@dataclass
-class IngestReport:
-    """What the CSV loader kept and why it dropped the rest."""
-
-    n_rows: int = 0
-    kept: list[str] = field(default_factory=list)
-    dropped: dict[str, str] = field(default_factory=dict)
 
 
 def _price(cell: str) -> float:
@@ -116,15 +80,15 @@ def _price(cell: str) -> float:
         return math.nan
 
 
-def load_price_csv(path) -> tuple[PricePanel, IngestReport]:
+def load_price_csv(path) -> tuple[Panel, dict[str, str]]:
     """Load a `date,TICKER1,TICKER2,...` CSV of closing prices.
 
     Tickers with any missing, non-numeric or non-positive cell are dropped
-    (recorded in the report) rather than imputed.
+    rather than imputed.
 
     Returns
     -------
-    (PricePanel, IngestReport)
+    (price Panel of the kept tickers over every row, {dropped ticker: reason})
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -147,7 +111,6 @@ def load_price_csv(path) -> tuple[PricePanel, IngestReport]:
     if len(dates) < 2:
         raise ValueError(f"{path}: need at least two price rows")
 
-    report = IngestReport(n_rows=len(dates))
     values = np.stack(rows, axis=1)  # (N, L)
     del rows
     missing = ~np.isfinite(values)
@@ -166,10 +129,7 @@ def load_price_csv(path) -> tuple[PricePanel, IngestReport]:
         raise ValueError(f"{path}: every ticker was rejected: {bad}")
     for t, reason in bad.items():
         logger.warning("dropping %s: %s", t, reason)
-    report.kept = [tickers[j] for j in keep]
-    report.dropped = bad
-    panel = PricePanel(tuple(report.kept), tuple(dates), values[keep])
-    return panel, report
+    return Panel([tickers[j] for j in keep], dates, values[keep], "price"), bad
 
 
 def load_sector_csv(path) -> SectorMap:
@@ -194,28 +154,30 @@ def load_sector_csv(path) -> SectorMap:
     return SectorMap(mapping)
 
 
-def log_returns(prices: PricePanel) -> ReturnPanel:
+def log_returns(prices: Panel) -> Panel:
     """Convert a price panel to log returns ln(S(t+1)/S(t)).
 
     Output has L-1 steps; step t carries the date of the later price.
     """
-    values = np.diff(np.log(prices.prices), axis=1)
-    return ReturnPanel(prices.tickers, prices.dates[1:], values, "raw")
+    if prices.kind != "price":
+        raise ValueError(f"log_returns needs a price panel, got a {prices.kind} one")
+    values = np.diff(np.log(prices.values), axis=1)
+    return Panel(prices.tickers, prices.dates[1:], values, "raw")
 
 
-def binarize(r: ReturnPanel) -> ReturnPanel:
+def binarize(r: Panel) -> Panel:
     """Map returns to their sign, +1 for gains and -1 for losses.
 
     Exact zeros map to +1 (documented tie-break; their frequency is logged).
-    Accepts raw or already-binary input; idempotent on the latter.
+    Accepts raw or already-binary returns; idempotent on the latter.
     """
-    if r.kind == "standardized":
-        raise ValueError("binarize standardized returns from the raw panel instead")
+    if r.kind == "price":
+        raise ValueError("binarize needs returns; take log_returns of the prices first")
     n_zero = int(np.count_nonzero(r.values == 0.0))
     if n_zero:
         logger.info("binarize: %d exact-zero returns mapped to +1", n_zero)
     values = np.where(r.values >= 0.0, 1.0, -1.0)
-    return ReturnPanel(r.tickers, r.dates, values, "binary")
+    return Panel(r.tickers, r.dates, values, "binary")
 
 
 def standardize_window(window: np.ndarray, tickers=None) -> np.ndarray:
@@ -245,7 +207,7 @@ def check_stride(stride: int) -> None:
         raise ConfigError("stride must be at least 1")
 
 
-def windows(r: ReturnPanel, window_size: int, stride: int = 1):
+def windows(r: Panel, window_size: int, stride: int = 1):
     """Iterate trailing windows as (last date, (N, T) read-only view).
 
     The window ending at step t covers columns t-T+1..t, with T =
@@ -255,10 +217,10 @@ def windows(r: ReturnPanel, window_size: int, stride: int = 1):
     if window_size < 1:
         raise ConfigError("window_size must be at least 1")
     check_stride(stride)
-    if window_size > r.n_steps:
-        raise ConfigError(f"window_size {window_size} exceeds series length {r.n_steps}")
+    if window_size > r.n_days:
+        raise ConfigError(f"window_size {window_size} exceeds series length {r.n_days}")
     return ((r.dates[end], r.values[:, end - window_size + 1 : end + 1])
-            for end in range(window_size - 1, r.n_steps, stride))
+            for end in range(window_size - 1, r.n_days, stride))
 
 
 def shuffle_window(window: np.ndarray, seed: int) -> np.ndarray:

@@ -42,8 +42,10 @@ class NonConvergenceError(Exception):
     """Strict mode: some window failed to converge; maps to exit code 4."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
+    """Every setting of a run, checked when the config is made."""
+
     prices: str
     out_dir: str
     sectors: str | None = None
@@ -80,7 +82,7 @@ class RunConfig:
     subset_indices: tuple[int, ...] = ()
     subset_totals: tuple[int, ...] = ()
 
-    def validate(self):
+    def __post_init__(self):
         for key, low in (("window_size", 2), ("jobs", 1), ("eigen_top_k", 1)):
             if getattr(self, key) < low:
                 raise ConfigError(f"{key} must be at least {low}")
@@ -198,9 +200,7 @@ def config_from_mapping(mapping: dict) -> RunConfig:
     missing = {"prices", "out_dir"} - set(kwargs)
     if missing:
         raise ConfigError(f"missing required config keys: {sorted(missing)}")
-    cfg = RunConfig(**kwargs)
-    cfg.validate()
-    return cfg
+    return RunConfig(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +265,6 @@ def run(cfg: RunConfig) -> dict:
     `.partial` marker is written and the manifest records the failed stage
     before the exception propagates.
     """
-    cfg.validate()
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest: dict = {
@@ -302,13 +301,13 @@ def _stage(manifest: dict, name: str):
 
 def _run_stages(cfg: RunConfig, out: Path, manifest: dict) -> None:
     with _stage(manifest, "ingest"):
-        panel, report = load_price_csv(cfg.prices)
+        panel, dropped = load_price_csv(cfg.prices)
         labels = (load_sector_csv(cfg.sectors).labels_for(panel.tickers)
                   if cfg.sectors else None)
         returns = log_returns(panel)
         write_json(out / "ingest_report.json",
-                   {"n_rows": report.n_rows, "kept": report.kept,
-                    "dropped": report.dropped, "n_return_steps": returns.n_steps})
+                   {"n_rows": panel.n_days, "kept": list(panel.tickers),
+                    "dropped": dropped, "n_return_steps": returns.n_days})
         binary = binarize(returns)
         items = list(enumerate(windows(binary if cfg.kind == "binary" else returns,
                                        cfg.window_size, cfg.stride)))
@@ -392,7 +391,7 @@ def _window_unit(cfg: RunConfig, out: Path, idx: int, date: str, block,
             for name, m in (("cov", st.covariance), ("corr", corr)):
                 write_json(out / "stats" / "matrices" / f"{date}_{name}.json",
                            {"tickers": list(tickers), "matrix": m.tolist()})
-    if not _WINDOW_FIT_STAGES & set(cfg.stages):  # validate() ensures kind == "binary" past here
+    if not _WINDOW_FIT_STAGES & set(cfg.stages):  # RunConfig ensures kind == "binary" past here
         return rows
     fits = {}
     for m_i, method in enumerate(cfg.methods):

@@ -138,7 +138,6 @@ class MomentSummary:
     std: float
     skew: float
     kurt: float
-    n_values: int
     degenerate: bool = False
     ci: dict[str, tuple[float, float]] | None = None
     ci_level: float | None = None
@@ -165,7 +164,7 @@ def moment_summary(values, n_boot: int = 0, level: float = 0.95,
         rng_seed = np.random.SeedSequence(seed).spawn(len(stats))
         ci = {name: bootstrap_ci(v, name, n_boot, level, seed=s)
               for name, s in zip(stats, rng_seed)}
-    return MomentSummary(**point, n_values=v.size, degenerate=degenerate, ci=ci,
+    return MomentSummary(**point, degenerate=degenerate, ci=ci,
                          ci_level=level if n_boot else None)
 
 

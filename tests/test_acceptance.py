@@ -21,8 +21,7 @@ from isingmarket.inference import (InferenceConfig, infer_exact, infer_ip,
 from isingmarket.model import (IsingParams, boltzmann_distribution, energy_split,
                                exact_moments_small, metropolis_sample)
 from isingmarket.network import mst_result, spectral_truncation
-from isingmarket.panels import (PricePanel, ReturnPanel, binarize,
-                                log_returns, shuffle_window, windows)
+from isingmarket.panels import Panel, binarize, log_returns, shuffle_window, windows
 from isingmarket.stats import window_stats
 from isingmarket.synthetic import (random_model, sample_binary_panel,
                                    synthetic_tickers)
@@ -279,9 +278,8 @@ def test_criterion_08_scaling_machinery():
         rng = np.random.default_rng(8)
         steps = 60
         values = np.sign(rng.normal(size=(40, steps)))
-        panel = ReturnPanel(synthetic_tickers(40),
-                            tuple(f"d{t:05d}" for t in range(steps)),
-                            values, "binary")
+        panel = Panel(synthetic_tickers(40), tuple(f"d{t:05d}" for t in range(steps)),
+                      values, "binary")
         report = scaling_exponents(panel.values[:, -50:],
                                    sizes=[10, 20, 40], repeats=5,
                                    fit=lambda w: planted_moments_source(w.shape[0]),
@@ -292,7 +290,7 @@ def test_criterion_08_scaling_machinery():
             assert abs(fit.alpha - target) <= tol, (moment, fit.alpha)
 
         truth = random_model(30, 0.1, 0.08, seed=9)
-        bin_panel = ReturnPanel(
+        bin_panel = Panel(
             synthetic_tickers(30), tuple(f"d{t:05d}" for t in range(700)),
             sample_binary_panel(truth, 700, seed=10), "binary")
         subset = list(range(5, 25))  # a fixed subset of 20
@@ -316,9 +314,9 @@ def test_criterion_09_binarization_pipeline_sanity():
         r = drift + 0.01 * rng.standard_normal((n, days - 1))
         log_prices = np.cumsum(np.concatenate([np.zeros((n, 1)), r], axis=1),
                                axis=1)
-        prices = PricePanel(synthetic_tickers(n),
-                            tuple(f"d{k:05d}" for k in range(days)),
-                            100.0 * np.exp(log_prices))
+        prices = Panel(synthetic_tickers(n),
+                       tuple(f"d{k:05d}" for k in range(days)),
+                       100.0 * np.exp(log_prices), "price")
         raw = log_returns(prices)
         binary = binarize(raw)
         mean_raw = [w.mean() for _, w in windows(raw, 250, 10)]

@@ -12,7 +12,7 @@ import isingmarket
 from isingmarket import cli, evaluation, model, pipeline, synthetic
 from isingmarket.inference import METHODS, InferenceConfig, infer
 from isingmarket.network import SectorMap
-from isingmarket.panels import ReturnPanel, windows
+from isingmarket.panels import Panel, windows
 from isingmarket.stats import ConfigError, bootstrap_ci, moment_summary, window_stats
 from isingmarket.synthetic import BlockSpec, generate_synthetic, random_model
 
@@ -61,7 +61,7 @@ def test_config_error_is_one_value_error():
     assert isingmarket.ConfigError is pipeline.ConfigError is ConfigError
 
 
-_PANEL = ReturnPanel(("A", "B"), ("d1", "d2", "d3"), np.ones((2, 3)), "binary")
+_PANEL = Panel(("A", "B"), ("d1", "d2", "d3"), np.ones((2, 3)), "binary")
 _WIDE = {n: random_model(n, 0.1, 0.1, seed=0) for n in (2, 17, 129)}
 
 # each library check of a setting, called with a value it refuses
@@ -106,8 +106,8 @@ SETTINGS = {
     "subset_coupling_scan": lambda out: evaluation.subset_coupling_scan(np.ones((3, 9)),
                                                                         [0, 0], [3]),
     "SectorMap.labels_for": lambda out: SectorMap({"A": "X"}).labels_for(["A", "B"]),
-    "RunConfig stages": lambda out: pipeline.RunConfig(__file__, str(out), stages=()).validate(),
-    "RunConfig seed": lambda out: pipeline.RunConfig(__file__, str(out), seed=-1).validate(),
+    "RunConfig stages": lambda out: pipeline.RunConfig(__file__, str(out), stages=()),
+    "RunConfig seed": lambda out: pipeline.RunConfig(__file__, str(out), seed=-1),
 }
 
 
@@ -133,7 +133,7 @@ def _cutoff_one_shot(tmp_path):
                      "--cutoff-points", "0"])
 
 
-# each rule that RunConfig.validate checks before ingest and another caller
+# each rule that RunConfig checks before ingest and another caller
 # checks where it reads the value: (the RunConfig setting, the other caller)
 SHARED_RULES = {
     "n_boot": (("n_boot", 50), lambda tmp: moment_summary([1.0, 2.0, 4.0], n_boot=50)),
@@ -151,7 +151,7 @@ def test_rule_of_two_callers_is_one_check(rule, tmp_path, capsys):
     (key, value), other = SHARED_RULES[rule]
     settings = {"prices": __file__, "out_dir": str(tmp_path / "out"), key: value}
     with pytest.raises(ConfigError) as first:
-        pipeline.RunConfig(**settings).validate()
+        pipeline.RunConfig(**settings)
     try:
         assert other(tmp_path) == 2  # the CLI maps the error to exit 2
         second = capsys.readouterr().err

@@ -62,6 +62,26 @@ class TestSynthAndIngest:
         assert len(lines) == 401  # header + 400 return rows
         assert "kept 12 tickers" in capsys.readouterr().out
 
+    # five price rows; BBB's blank cell drops it
+    DROP_ONE = ("date,AAA,BBB,CCC\n2001-01-01,10.0,5.0,3.0\n2001-01-02,10.5,,3.1\n"
+                "2001-01-03,10.1,5.1,3.2\n2001-01-04,10.4,5.2,3.1\n"
+                "2001-01-05,10.2,5.0,3.0\n")
+
+    def test_both_ingest_reports_pinned(self, tmp_path):
+        prices, sectors = tmp_path / "p.csv", tmp_path / "s.csv"
+        prices.write_text(self.DROP_ONE)
+        sectors.write_text("ticker,name,sector\nAAA,a,X\nBBB,b,X\nCCC,c,Y\n")
+        kept = {"n_rows": 5, "kept": ["AAA", "CCC"],
+                "dropped": {"BBB": "missing or non-numeric price on 2001-01-02"}}
+        assert main(["ingest", "--prices", str(prices), "--sectors", str(sectors),
+                     "--out-dir", str(tmp_path / "ingest")]) == 0
+        assert json.loads((tmp_path / "ingest" / "ingest_report.json").read_text()) == {
+            **kept, "n_tickers": 2, "n_days": 5, "sectors": {"AAA": "X", "CCC": "Y"}}
+        assert main(["run", "--prices", str(prices), "--out-dir", str(tmp_path / "run"),
+                     "-T", "4"]) == 0
+        assert json.loads((tmp_path / "run" / "ingest_report.json").read_text()) == {
+            **kept, "n_return_steps": 4}
+
     def test_short_sector_row_is_numeric_failure(self, market, tmp_path, capsys):
         short = tmp_path / "s.csv"
         short.write_text("ticker,name,sector\nS000,zero,SEC0\nB,b\n")
@@ -515,6 +535,24 @@ class TestAnalysisCommands:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_cutoff_direction_is_one_shot_only(self, market, tmp_path, capsys):
+        rc = main(["cutoff", "--prices", str(market / "prices.csv"),
+                   "--sectors", str(market / "sectors.csv"), "--direction", "discard_below",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "config error: cutoff --direction needs --params" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        # one-shot: no --direction scans discard_above
+        scans = {}
+        for direction in (None, "discard_above", "discard_below"):
+            out = tmp_path / str(direction)
+            flags = ["--direction", direction] if direction else []
+            assert main(["cutoff", "--params", str(market / "truth.json"),
+                         "--sectors", str(market / "sectors.csv"),
+                         "--out-dir", str(out), *flags]) == 0
+            scans[direction] = (out / "coupling_scan.csv").read_text()
+        assert scans[None] == scans["discard_above"] != scans["discard_below"]
+
     @pytest.mark.parametrize("data", [b'{"tickers": null, "h": [0.1, 0.2], "J": [[0.0, ',
                                       b'{"tickers": null, "h": [NaN], "J": [[0.0]]}',
                                       b'{"tickers": ["\xff"], "h": [0.0], "J": [[0.0]]}',
@@ -806,10 +844,9 @@ class TestConfigParsing:
         assert not (tmp_path / "out").exists()
 
     def test_direct_runconfig_validation(self, market):
-        cfg = RunConfig(prices=str(market / "prices.csv"), out_dir="o",
-                        stages=("mst",), kind="binary")
         with pytest.raises(ConfigError, match="sectors"):
-            cfg.validate()
+            RunConfig(prices=str(market / "prices.csv"), out_dir="o",
+                      stages=("mst",), kind="binary")
 
     BAD_VALUES = [
         ("infer", ["--eta-h", "-1"], ""),

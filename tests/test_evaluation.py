@@ -6,7 +6,7 @@ from isingmarket.evaluation import (compare_methods, fit_power_law, nrmse,
                                     subset_coupling_scan)
 from isingmarket.inference import InferenceConfig, infer_nmf
 from isingmarket.model import IsingParams
-from isingmarket.panels import ReturnPanel
+from isingmarket.panels import Panel
 from isingmarket.stats import window_stats
 from isingmarket.synthetic import (BlockSpec, block_model, random_model,
                                    sample_binary_panel, synthetic_tickers)
@@ -16,7 +16,7 @@ def binary_panel_from(params, n_steps, seed):
     values = sample_binary_panel(params, n_steps, seed=seed, n_burnin=200)
     tickers = params.tickers or synthetic_tickers(params.n)
     dates = tuple(f"d{t:05d}" for t in range(n_steps))
-    return ReturnPanel(tickers, dates, values, "binary")
+    return Panel(tickers, dates, values, "binary")
 
 
 class TestNrmse:
@@ -122,7 +122,7 @@ def planted_moment_params(n_sub: int) -> IsingParams:
 def coin_panel(n=40, steps=60, seed=6):
     values = np.sign(np.random.default_rng(seed).normal(size=(n, steps)))
     dates = tuple(f"d{t:05d}" for t in range(steps))
-    return ReturnPanel(synthetic_tickers(n), dates, values, "binary")
+    return Panel(synthetic_tickers(n), dates, values, "binary")
 
 
 # Boltzmann learning that samples at every subset size, on a small budget

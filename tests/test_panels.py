@@ -1,26 +1,21 @@
 import numpy as np
 import pytest
 
-from isingmarket.panels import (PricePanel, ReturnPanel, binarize,
-                                load_price_csv, load_sector_csv, log_returns,
-                                shuffle_window, standardize_window, windows)
+from isingmarket.panels import (Panel, binarize, load_price_csv, load_sector_csv,
+                                log_returns, shuffle_window, standardize_window, windows)
 from isingmarket.stats import ConfigError
 
 
+def make_panel(values, kind="raw"):
+    values = np.asarray(values, dtype=float)
+    n, length = values.shape
+    tickers = tuple(f"T{i}" for i in range(n))
+    dates = tuple(f"d{t:05d}" for t in range(length))
+    return Panel(tickers, dates, values, kind)
+
+
 def make_prices(values):
-    values = np.asarray(values, dtype=float)
-    n, length = values.shape
-    tickers = tuple(f"T{i}" for i in range(n))
-    dates = tuple(f"d{t:05d}" for t in range(length))
-    return PricePanel(tickers, dates, values)
-
-
-def make_returns(values, kind="raw"):
-    values = np.asarray(values, dtype=float)
-    n, length = values.shape
-    tickers = tuple(f"T{i}" for i in range(n))
-    dates = tuple(f"d{t:05d}" for t in range(length))
-    return ReturnPanel(tickers, dates, values, kind)
+    return make_panel(values, "price")
 
 
 class TestLogReturns:
@@ -38,7 +33,7 @@ class TestLogReturns:
         rng = np.random.default_rng(0)
         prices = np.exp(np.cumsum(rng.normal(0, 0.01, size=(2, 5828)), axis=1)) * 100
         r = log_returns(make_prices(prices))
-        assert r.n_steps == 5827
+        assert r.n_days == 5827
         assert sum(1 for _ in windows(r, 250)) == 5578
 
     def test_dates_shift_to_later_price(self):
@@ -49,28 +44,23 @@ class TestLogReturns:
 
 class TestBinarize:
     def test_sign_with_zero_rule(self):
-        r = make_returns([[0.02, -0.01, 0.0]])
+        r = make_panel([[0.02, -0.01, 0.0]])
         np.testing.assert_array_equal(binarize(r).values, [[1.0, -1.0, 1.0]])
 
     def test_all_negative(self):
-        r = make_returns([[-0.1, -0.2, -0.3]])
+        r = make_panel([[-0.1, -0.2, -0.3]])
         np.testing.assert_array_equal(binarize(r).values, [[-1.0, -1.0, -1.0]])
 
     def test_idempotent_on_binary(self):
-        r = binarize(make_returns([[0.5, -0.5, 0.1, -0.1]]))
+        r = binarize(make_panel([[0.5, -0.5, 0.1, -0.1]]))
         again = binarize(r)
         np.testing.assert_array_equal(again.values, r.values)
 
     def test_sign_agrees_with_input(self):
         rng = np.random.default_rng(1)
-        r = make_returns(rng.normal(size=(4, 100)))
+        r = make_panel(rng.normal(size=(4, 100)))
         b = binarize(r)
         assert np.all(b.values * r.values >= 0.0)
-
-    def test_rejects_standardized(self):
-        r = make_returns([[1.0, -1.0, 0.5, -0.5]], kind="standardized")
-        with pytest.raises(ValueError):
-            binarize(r)
 
 
 class TestStandardize:
@@ -85,7 +75,7 @@ class TestStandardize:
 
     def test_gaussian_windows_have_unit_moments(self):
         rng = np.random.default_rng(2)
-        r = make_returns(rng.normal(2.0, 5.0, size=(3, 400)))
+        r = make_panel(rng.normal(2.0, 5.0, size=(3, 400)))
         for _, block in windows(r, 100, stride=100):
             out = standardize_window(block)
             np.testing.assert_allclose(out.mean(axis=1), 0.0, atol=1e-10)
@@ -98,25 +88,25 @@ class TestStandardize:
 
 class TestWindows:
     def test_counts_and_end_dates(self):
-        r = make_returns(np.arange(10.0).reshape(2, 5))
+        r = make_panel(np.arange(10.0).reshape(2, 5))
         got = list(windows(r, 3))
         assert len(got) == 3
         assert [d for d, _ in got] == ["d00002", "d00003", "d00004"]
         np.testing.assert_array_equal(got[0][1], r.values[:, 0:3])
 
     def test_single_full_window(self):
-        r = make_returns(np.arange(10.0).reshape(2, 5))
+        r = make_panel(np.arange(10.0).reshape(2, 5))
         got = list(windows(r, 5))
         assert len(got) == 1
 
     def test_too_long_window_rejected(self):
-        r = make_returns(np.arange(10.0).reshape(2, 5))
+        r = make_panel(np.arange(10.0).reshape(2, 5))
         with pytest.raises(ValueError):
             windows(r, 6)
 
     def test_stride_one_reconstructs_tail(self):
         rng = np.random.default_rng(4)
-        r = make_returns(rng.normal(size=(3, 40)))
+        r = make_panel(rng.normal(size=(3, 40)))
         t = 7
         tail = np.stack([w[:, -1] for _, w in windows(r, t)], axis=1)
         np.testing.assert_array_equal(tail, r.values[:, t - 1 :])
@@ -171,16 +161,51 @@ class TestPanelValidation:
 
     def test_dates_must_increase(self):
         with pytest.raises(ValueError, match="increasing"):
-            PricePanel(("A",), ("d2", "d1"), np.array([[1.0, 2.0]]))
+            Panel(("A",), ("d2", "d1"), np.array([[1.0, 2.0]]), "price")
 
     def test_binary_kind_enforced(self):
         with pytest.raises(ValueError, match="binary"):
-            make_returns([[0.5, 1.0]], kind="binary")
+            make_panel([[0.5, 1.0]], kind="binary")
 
     def test_values_read_only(self):
-        r = make_returns([[1.0, 2.0]])
+        r = make_panel([[1.0, 2.0]])
         with pytest.raises(ValueError):
             r.values[0, 0] = 9.0
+
+    def test_contiguous_float_matrix_is_not_copied(self):
+        values = np.array([[1.0, 2.0], [3.0, 4.0]])
+        assert make_prices(values).values is values
+
+    # per kind: a matrix it accepts, and one it rejects for its kind alone
+    KIND_VALUES = {
+        "price": ([[1.0, 2.0]], [[1.0, 0.0]], "positive"),
+        "raw": ([[0.5, -0.5]], None, None),
+        "binary": ([[1.0, -1.0]], [[1.0, 0.5]], "binary"),
+    }
+
+    @pytest.mark.parametrize("kind", KIND_VALUES)
+    def test_each_kind_checks_its_values_and_its_use(self, kind):
+        good, bad, reason = self.KIND_VALUES[kind]
+        panel = make_panel(good, kind)
+        assert panel.kind == kind and panel.n_series == 1 and panel.n_days == 2
+        with pytest.raises(ValueError, match="finite"):
+            make_panel([[1.0, np.nan]], kind)
+        if bad is not None:
+            with pytest.raises(ValueError, match=reason):
+                make_panel(bad, kind)
+        # log returns are taken of prices only; signs of returns only
+        if kind == "price":
+            assert log_returns(panel).kind == "raw"
+            with pytest.raises(ValueError, match="log_returns of the prices"):
+                binarize(panel)
+        else:
+            assert binarize(panel).kind == "binary"
+            with pytest.raises(ValueError, match="needs a price panel"):
+                log_returns(panel)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="standardized"):
+            make_panel([[1.0, -1.0]], "standardized")
 
 
 class TestCsvIngest:
@@ -192,11 +217,12 @@ class TestCsvIngest:
             "2001-01-02,10.5,-5.0,2.0,3.1\n"
             "2001-01-03,10.2,5.1,2.1,3.2\n"
         )
-        panel, report = load_price_csv(path)
+        panel, dropped = load_price_csv(path)
         assert panel.tickers == ("AAA", "DDD")
-        assert set(report.dropped) == {"BBB", "CCC"}
-        assert "non-positive" in report.dropped["BBB"]
-        assert report.n_rows == 3
+        assert panel.kind == "price"
+        assert set(dropped) == {"BBB", "CCC"}
+        assert "non-positive" in dropped["BBB"]
+        assert panel.n_days == 3
 
     def test_cell_rules(self, tmp_path):
         path = tmp_path / "prices.csv"
@@ -207,9 +233,9 @@ class TestCsvIngest:
             "2001-01-01," + ",".join("3.0" for _ in cells) + ",1.5\n"
             "2001-01-02," + ",".join(cells.values()) + ",0.1\n"
             "2001-01-03," + ",".join("3.0" for _ in cells) + ",2e3\n")
-        panel, report = load_price_csv(path)
+        panel, dropped = load_price_csv(path)
         assert panel.tickers == ("PAD", "OK")
-        assert report.dropped == {
+        assert dropped == {
             **{t: "missing or non-numeric price on 2001-01-02"
                for t in ("BLK", "ABC", "INF", "NIN", "NAN")},
             "ZER": "non-positive price on 2001-01-02",
@@ -217,7 +243,7 @@ class TestCsvIngest:
         }
         expected = [[float(c) for c in ("3.0", " 12.5 ", "3.0")],
                     [float(c) for c in ("1.5", "0.1", "2e3")]]
-        assert panel.prices.tobytes() == np.array(expected).tobytes()
+        assert panel.values.tobytes() == np.array(expected).tobytes()
 
     def test_first_bad_cell_names_the_reason(self, tmp_path):
         path = tmp_path / "prices.csv"
@@ -226,8 +252,8 @@ class TestCsvIngest:
             "2001-01-01,1.0,1.0,1.0\n"
             "2001-01-02,-2.0,,1.0\n"
             "2001-01-03,,0,1.0\n")
-        _, report = load_price_csv(path)
-        assert report.dropped == {"EARLY": "non-positive price on 2001-01-02",
+        _, dropped = load_price_csv(path)
+        assert dropped == {"EARLY": "non-positive price on 2001-01-02",
                                   "LATE": "missing or non-numeric price on 2001-01-02"}
 
     def test_all_bad_is_an_error(self, tmp_path):

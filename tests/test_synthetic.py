@@ -62,8 +62,8 @@ class TestGenerateSynthetic:
         truth_path = tmp_path / "truth.json"
         generate_synthetic(prices_path, truth_path, n_days=301, model=truth,
                            seed=4)
-        panel, report = load_price_csv(prices_path)
-        assert not report.dropped
+        panel, dropped = load_price_csv(prices_path)
+        assert not dropped
         assert panel.n_days == 301
         binary = binarize(log_returns(panel))
         # the emitted prices encode exactly the sampled spin panel
