@@ -1,10 +1,10 @@
 """
 Command-line interface.
 
-Subcommands either orchestrate the windowed pipeline (stats, infer, mst,
-cutoff, scaling, subset-scan, energy, compare, run) or operate one-shot on
-parameter/price files (ingest, synth, sample, and the --params modes of
-mst/cutoff/energy/compare).
+The pipeline subcommands (stats, infer, mst, cutoff, scaling, subset-scan,
+energy, compare, run) orchestrate the windowed pipeline and take every
+run-setting flag.  ingest, synth, sample and the one-shot modes of
+mst/cutoff/energy/compare (--params, or --a/--b) operate on one file.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure,
 4 non-convergence under --strict.
@@ -17,6 +17,7 @@ import dataclasses
 import json
 import logging
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -47,39 +48,32 @@ def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--prices", help="price CSV (date,TICKER1,...)")
     p.add_argument("--sectors", help="sector CSV (ticker,name,sector)")
     p.add_argument("--kind", choices=["raw", "standardized", "binary"])
-    p.add_argument("-T", "--window-size", type=int, dest="window_size")
+    p.add_argument("-T", "--window-size", type=int)
     p.add_argument("--stride", type=int)
-    p.add_argument("--method", dest="methods",
-                   help="comma-separated inference methods")
-    p.add_argument("--diag-trick", dest="diag_trick", choices=["on", "off"])
-    p.add_argument("--eta-h", type=float, dest="eta_h")
-    p.add_argument("--eta-j", type=float, dest="eta_j")
-    p.add_argument("--max-iters", type=int, dest="max_iters")
+    p.add_argument("--method", dest="methods", help="comma-separated inference methods")
+    p.add_argument("--diag-trick", choices=["on", "off"])
+    p.add_argument("--eta-h", type=float)
+    p.add_argument("--eta-j", type=float)
+    p.add_argument("--max-iters", type=int)
     p.add_argument("--tol", type=float)
     p.add_argument("--ridge", type=float)
-    p.add_argument("--mc-sweeps", type=int, dest="mc_sweeps")
-    p.add_argument("--mc-chains", type=int, dest="mc_chains")
-    p.add_argument("--mc-burnin", type=int, dest="mc_burnin")
+    p.add_argument("--mc-sweeps", type=int)
+    p.add_argument("--mc-chains", type=int)
+    p.add_argument("--mc-burnin", type=int)
     p.add_argument("--strict", action="store_true", default=None)
+    p.add_argument("--n-boot", type=int)
+    p.add_argument("--emit-matrices", action="store_true", default=None)
+    p.add_argument("--eigen-top", type=int, dest="eigen_top_k")
+    p.add_argument("--cutoff-points", type=int)
+    p.add_argument("--sizes", dest="scaling_sizes", help="comma-separated subset sizes")
+    p.add_argument("--repeats", type=int, dest="scaling_repeats")
+    p.add_argument("--subset", dest="subset_indices", help="comma-separated panel indices")
+    p.add_argument("--totals", dest="subset_totals", help="comma-separated universe sizes")
+    p.add_argument("--pairs", dest="compare_pairs",
+                   help="pipeline mode: comma list like nmf:exact,tap:nmf")
 
 
-def _pipeline_mapping(args, stages: str | None) -> dict:
-    """Config file entries, overridden by every flag whose dest names a
-    RunConfig field, overridden by the subcommand's stages."""
-    mapping = parse_config_file(args.config) if args.config else {}
-    fields = {f.name for f in dataclasses.fields(RunConfig)}
-    mapping.update((k, v) for k, v in vars(args).items()
-                   if k in fields and v is not None)
-    if stages is not None:
-        mapping["stages"] = stages
-    return mapping
-
-
-def _run_pipeline(args, stages: str | None) -> int:
-    cfg = config_from_mapping(_pipeline_mapping(args, stages))
-    manifest = run(cfg)
-    print(f"wrote {cfg.out_dir} ({manifest['windows']} windows)")
-    return 0
+_FIELDS = frozenset(f.name for f in dataclasses.fields(RunConfig))
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +153,6 @@ def _load_params(path, joined: str):
 
 
 def _cmd_mst(args) -> int:
-    if not args.params:
-        return _run_pipeline(args, "mst")
     params = _load_params(args.params, "sectors")
     labels = load_sector_csv(args.sectors).labels_for(params.tickers)
     tree = mst_result(params.J, labels)
@@ -168,17 +160,12 @@ def _cmd_mst(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     (out / "mst.csv").write_text(edges_to_csv(tree.edges, params.tickers, labels))
     (out / "mst.dot").write_text(edges_to_dot(tree.edges, params.tickers, labels))
-    write_json(out / "mst_summary.json",
-               {"q_mst": tree.q_mst,
-                "clusters": tree.cluster_sizes,
-                "disconnected": tree.disconnected})
+    write_json(out / "mst_summary.json", {"q_mst": tree.q_mst, "clusters": tree.cluster_sizes})
     print(f"Q_mst = {tree.q_mst:.4f}")
     return 0
 
 
 def _cmd_cutoff(args) -> int:
-    if not args.params:
-        return _run_pipeline(args, "cutoff")
     params = _load_params(args.params, "sectors")
     labels = load_sector_csv(args.sectors).labels_for(params.tickers)
     out = Path(args.out_dir or ".")
@@ -193,8 +180,6 @@ def _cmd_cutoff(args) -> int:
 
 
 def _cmd_energy(args) -> int:
-    if not args.params:
-        return _run_pipeline(args, "energy")
     params = _load_params(args.params, "prices")
     panel, _ = load_price_csv(args.prices)
     missing = [name for name in params.tickers if name not in panel.tickers]
@@ -222,8 +207,6 @@ def _cmd_energy(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    if not args.a:
-        return _run_pipeline(args, "compare")
     a, b = (params_from_json(Path(path).read_bytes()) for path in (args.a, args.b))
     cmp = compare_methods(a, b)
     payload = {"h": {"nrmse": cmp.h.nrmse, "pearson": cmp.h.pearson},
@@ -234,9 +217,55 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# Parser assembly
-# ---------------------------------------------------------------------------
+# one-shot mode flags: setting any of them turns a pipeline subcommand one-shot
+_MODE_FLAGS = {
+    "params": {"help": "one-shot mode: parameter JSON with tickers"},
+    "direction": {"choices": ["discard_above", "discard_below"],
+                  "help": "one-shot mode only (default discard_above)"},
+    "a": {"help": "one-shot mode: candidate parameter JSON"},
+    "b": {"help": "one-shot mode: reference parameter JSON"},
+}
+# name, stages (None: the config's), help, and the one-shot mode or None:
+# (mode flags, handler, the RunConfig keys the handler reads)
+_PIPELINE_COMMANDS = (
+    ("stats", "stats", "per-window moments, spectra and summaries", None),
+    ("infer", "infer", "per-window parameter inference", None),
+    ("mst", "mst", "maximum spanning tree and sector clustering",
+     (("params",), _cmd_mst, {"sectors", "out_dir"})),
+    ("cutoff", "cutoff", "coupling/eigenvalue threshold scans",
+     (("params", "direction"), _cmd_cutoff, {"sectors", "out_dir", "cutoff_points"})),
+    ("scaling", "scaling", "moment scaling exponents with subset size", None),
+    ("subset-scan", "subset", "fixed-subset couplings vs universe size", None),
+    ("energy", "energy", "external/internal energy decomposition",
+     (("params",), _cmd_energy, {"prices", "out_dir", "window_size"})),
+    ("compare", "compare", "agreement between two parameter sets",
+     (("a", "b"), _cmd_compare, {"out_dir"})),
+    ("run", None, "full configured pipeline", None),
+)
+
+
+def _pipeline_command(args, stages: str | None, one_shot) -> int:
+    """The one-shot handler when a mode flag is set, refusing --config and every
+    key it does not read.  Otherwise the pipeline, on the config file's entries
+    overridden by every flag whose dest names a RunConfig field, overridden by
+    the subcommand's stages."""
+    modes, handler, reads = one_shot or ((), None, set())
+    flags = {k: v for k, v in vars(args).items() if k in _FIELDS and v is not None}
+    if mode := next((flag for flag in modes if getattr(args, flag)), None):
+        unread = ["config"] * bool(args.config) + sorted(set(flags) - reads)
+        if unread:
+            raise ConfigError(f"{args.command} --{mode} reads only the keys "
+                              f"{sorted(reads)}; drop {unread}")
+        return handler(args)
+    mapping = parse_config_file(args.config) if args.config else {}
+    mapping.update(flags)
+    if stages is not None:
+        mapping["stages"] = stages
+    cfg = config_from_mapping(mapping)
+    manifest = run(cfg)
+    print(f"wrote {cfg.out_dir} ({manifest['windows']} windows)")
+    return 0
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -263,21 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", help="sample from an existing parameter JSON instead")
     p.set_defaults(fn=_cmd_synth)
 
-    for name, stages, extra in (
-        ("stats", "stats", "per-window moments, spectra and summaries"),
-        ("infer", "infer", "per-window parameter inference"),
-        ("run", None, "full configured pipeline"),
-    ):
-        p = sub.add_parser(name, help=extra)
-        _add_common(p)
-        _add_pipeline_flags(p)
-        if name == "stats":
-            p.add_argument("--n-boot", type=int, dest="n_boot")
-            p.add_argument("--emit-matrices", action="store_true",
-                           default=None, dest="emit_matrices")
-            p.add_argument("--eigen-top", type=int, dest="eigen_top_k")
-        p.set_defaults(fn=lambda a, s=stages: _run_pipeline(a, s))
-
     p = sub.add_parser("sample", help="Monte Carlo moments of a parameter file")
     _add_common(p)
     p.add_argument("--params", required=True)
@@ -288,53 +302,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--track-states", action="store_true")
     p.set_defaults(fn=_cmd_sample)
 
-    p = sub.add_parser("mst", help="maximum spanning tree and sector clustering")
-    _add_common(p)
-    _add_pipeline_flags(p)
-    p.add_argument("--params", help="one-shot mode: parameter JSON with tickers")
-    p.set_defaults(fn=_cmd_mst)
-
-    p = sub.add_parser("cutoff", help="coupling/eigenvalue threshold scans")
-    _add_common(p)
-    _add_pipeline_flags(p)
-    p.add_argument("--params")
-    p.add_argument("--direction", choices=["discard_above", "discard_below"],
-                   help="one-shot mode only (default discard_above)")
-    p.add_argument("--cutoff-points", type=int, dest="cutoff_points")
-    p.set_defaults(fn=_cmd_cutoff)
-
-    p = sub.add_parser("scaling", help="moment scaling exponents with subset size")
-    _add_common(p)
-    _add_pipeline_flags(p)
-    p.add_argument("--sizes", dest="scaling_sizes", required=True,
-                   help="comma-separated subset sizes")
-    p.add_argument("--repeats", type=int, dest="scaling_repeats")
-    p.set_defaults(fn=lambda a: _run_pipeline(a, "scaling"))
-
-    p = sub.add_parser("subset-scan", help="fixed-subset couplings vs universe size")
-    _add_common(p)
-    _add_pipeline_flags(p)
-    p.add_argument("--subset", dest="subset_indices", required=True,
-                   help="comma-separated panel indices")
-    p.add_argument("--totals", dest="subset_totals", required=True,
-                   help="comma-separated universe sizes")
-    p.set_defaults(fn=lambda a: _run_pipeline(a, "subset"))
-
-    p = sub.add_parser("energy", help="external/internal energy decomposition")
-    _add_common(p)
-    _add_pipeline_flags(p)
-    p.add_argument("--params")
-    p.set_defaults(fn=_cmd_energy)
-
-    p = sub.add_parser("compare", help="agreement between two parameter sets")
-    _add_common(p)
-    _add_pipeline_flags(p)
-    p.add_argument("--a", help="candidate parameter JSON")
-    p.add_argument("--b", help="reference parameter JSON")
-    p.add_argument("--pairs", dest="compare_pairs",
-                   help="pipeline mode: comma list like nmf:exact,tap:nmf")
-    p.set_defaults(fn=_cmd_compare)
-
+    for name, stages, help_text, one_shot in _PIPELINE_COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        _add_common(p)
+        _add_pipeline_flags(p)
+        for flag in one_shot[0] if one_shot else ():
+            p.add_argument(f"--{flag}", **_MODE_FLAGS[flag])
+        p.set_defaults(fn=partial(_pipeline_command, stages=stages, one_shot=one_shot))
     return parser
 
 

@@ -84,6 +84,7 @@ class ExponentFit:
     alpha: float          # mean fitted exponent over repeats
     alpha_se: float       # standard error of that mean (0 when exact)
     alphas: tuple[float, ...]
+    kept_repeats: tuple[int, ...]  # the repeat index of each alpha
     n_excluded: int       # repeats dropped for sign crossings / zero moments
 
 
@@ -113,21 +114,22 @@ def fit_power_law(sizes, values) -> float:
 
 
 def _fit_over_repeats(sizes, per_repeat_values) -> ExponentFit:
-    alphas = []
-    excluded = 0
-    for values in per_repeat_values:
+    alphas = {}  # repeat index: exponent, for the repeats not excluded
+    for r, values in enumerate(per_repeat_values):
         try:
-            alphas.append(fit_power_law(sizes, values))
+            alphas[r] = fit_power_law(sizes, values)
         except ValueError:
-            excluded += 1
+            pass
+    excluded = len(per_repeat_values) - len(alphas)
     if excluded:
         logger.info("scaling fit: excluded %d of %d repeats", excluded,
                     len(per_repeat_values))
     if not alphas:
-        return ExponentFit(float("nan"), float("nan"), (), excluded)
-    arr = np.asarray(alphas)
+        return ExponentFit(float("nan"), float("nan"), (), (), excluded)
+    arr = np.asarray(list(alphas.values()))
     se = float(arr.std(ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else 0.0
-    return ExponentFit(float(arr.mean()), se, tuple(alphas), excluded)
+    return ExponentFit(float(arr.mean()), se, tuple(alphas.values()), tuple(alphas),
+                       excluded)
 
 
 def check_scaling(sizes, repeats: int, n: int | None = None) -> None:

@@ -35,13 +35,12 @@ class SectorMap:
 
 @dataclass
 class MstResult:
-    """Maximum-weight spanning tree (or forest, under cutoffs) of a panel;
-    `q_mst` is the share of nodes in their sector's largest same-sector cluster."""
+    """Maximum-weight spanning tree of a panel; `q_mst` is the share of nodes
+    in their sector's largest same-sector cluster."""
 
     edges: list[tuple[int, int, float]]
     cluster_sizes: dict[str, list[int]]
     q_mst: float
-    disconnected: bool = False
 
 
 def _check_square_symmetric(w: np.ndarray, min_nodes: int = 0) -> np.ndarray:

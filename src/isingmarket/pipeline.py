@@ -449,7 +449,7 @@ def _write_scaling_outputs(cfg, out, window) -> None:
     summary = {}
     for param_name, fits in (("h", report.h), ("J", report.j)):
         for moment, fit in fits.items():
-            for r, alpha in enumerate(fit.alphas):
+            for r, alpha in zip(fit.kept_repeats, fit.alphas):
                 for size in report.sizes:
                     rows.append((size, r, f"{param_name}.{moment}", alpha))
             summary[f"{param_name}.{moment}"] = {

@@ -314,6 +314,7 @@ class TestNetworkCommands:
         assert rc == 0
         summary = json.loads((tmp_path / "mst_summary.json").read_text())
         assert 0 < summary["q_mst"] <= 1.0
+        assert set(summary) == {"q_mst", "clusters"}
         assert (tmp_path / "mst.dot").read_text().startswith("graph")
 
     def test_cutoff_one_shot(self, market, tmp_path):
@@ -553,6 +554,31 @@ class TestAnalysisCommands:
             scans[direction] = (out / "coupling_scan.csv").read_text()
         assert scans[None] == scans["discard_above"] != scans["discard_below"]
 
+    UNREAD_KEYS = {  # argv, the keys the mode reads, the keys it refuses
+        "cutoff --config": ("cutoff --params {truth} --sectors {sectors} --config {cfg}",
+                            ["cutoff_points", "out_dir", "sectors"], ["config"]),
+        "mst --method --jobs": ("mst --params {truth} --sectors {sectors} --method tap "
+                                "--jobs 4", ["out_dir", "sectors"], ["jobs", "methods"]),
+        "energy --seed": ("energy --params {truth} --prices {prices} --seed 3",
+                          ["out_dir", "prices", "window_size"], ["seed"]),
+        "compare --pairs": ("compare --a {truth} --b {truth} --pairs nmf:tap",
+                            ["out_dir"], ["compare_pairs"]),
+    }
+
+    @pytest.mark.parametrize("argv, reads, unread", UNREAD_KEYS.values(),
+                             ids=UNREAD_KEYS.keys())
+    def test_one_shot_mode_refuses_keys_it_does_not_read(self, market, tmp_path, capsys,
+                                                        argv, reads, unread):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("cutoff_points=4\n")
+        args = argv.format(truth=market / "truth.json", sectors=market / "sectors.csv",
+                           prices=market / "prices.csv", cfg=cfg).split()
+        assert main([*args, "--out-dir", str(tmp_path / "out")]) == 2
+        mode = " ".join(args[:2])
+        assert (f"config error: {mode} reads only the keys {reads}; drop {unread}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("data", [b'{"tickers": null, "h": [0.1, 0.2], "J": [[0.0, ',
                                       b'{"tickers": null, "h": [NaN], "J": [[0.0]]}',
                                       b'{"tickers": ["\xff"], "h": [0.0], "J": [[0.0]]}',
@@ -587,6 +613,27 @@ class TestAnalysisCommands:
         assert lines[0] == "size,repeat,moment,alpha"
         payload = json.loads((tmp_path / "scaling" / "scaling.json").read_text())
         assert payload["sizes"] == [4, 6, 12]
+
+    def test_scaling_csv_labels_each_alpha_by_its_repeat(self, market, tmp_path,
+                                                         monkeypatch):
+        fits = []
+
+        def zero_fields_in_repeat_0(window):  # repeat 0 fits sizes 4, 6 and 12 first
+            fits.append(window)
+            n = window.shape[0]
+            h = np.zeros(n) if len(fits) <= 3 else n**-0.75 + np.resize([1.0, -1.0], n)
+            return IsingParams(h, np.zeros((n, n)))
+
+        scaling_exponents = isingmarket.pipeline.scaling_exponents
+        monkeypatch.setattr(isingmarket.pipeline, "scaling_exponents",
+                            lambda *args, fit, seed: scaling_exponents(
+                                *args, fit=zero_fields_in_repeat_0, seed=seed))
+        assert main(["scaling", "--prices", str(market / "prices.csv"),
+                     "--out-dir", str(tmp_path), "-T", "300",
+                     "--sizes", "4,6,12", "--repeats", "3"]) == 0
+        rows = [line.split(",") for line in read_lines(tmp_path / "scaling" / "scaling.csv")]
+        assert {repeat for _, repeat, moment, _ in rows[1:]
+                if moment.startswith("h.")} == {"1", "2"}
 
     def test_subset_scan_command(self, market, tmp_path):
         rc = main(["subset-scan", "--prices", str(market / "prices.csv"),
@@ -1028,3 +1075,40 @@ class TestConfigParsing:
                     assert config[dest] == values[dest][1], (name, dest)
             covered.update(dests)
         assert covered == set(values) | {"out_dir"}
+
+    PIPELINE_COMMANDS = ("stats", "infer", "mst", "cutoff", "scaling", "subset-scan",
+                         "energy", "compare", "run")
+
+    def test_every_pipeline_subcommand_takes_the_same_flags(self):
+        fields = {f.name for f in dataclasses.fields(RunConfig)}
+        subcommands = build_parser()._subparsers._group_actions[0].choices
+        for name in self.PIPELINE_COMMANDS:
+            dests = {a.dest for a in subcommands[name]._actions if a.dest in fields}
+            assert dests == fields - {"stages", "eta_decay", "exact_max_n",
+                                      "boot_level"}, name
+
+    def test_scaling_sizes_may_come_from_the_config_file(self, market, tmp_path):
+        cfgfile = tmp_path / "scaling.cfg"
+        cfgfile.write_text("scaling_sizes=4,6,12\nscaling_repeats=2\n")
+        assert main(["scaling", "--prices", str(market / "prices.csv"), "-T", "300",
+                     "--config", str(cfgfile), "--out-dir", str(tmp_path / "out")]) == 0
+        payload = json.loads((tmp_path / "out" / "scaling" / "scaling.json").read_text())
+        assert payload["sizes"] == [4, 6, 12]
+
+    def test_run_takes_n_boot(self, market, tmp_path):
+        assert main(["run", "--prices", str(market / "prices.csv"), "-T", "300",
+                     "--stride", "100", "--n-boot", "100",
+                     "--out-dir", str(tmp_path)]) == 0
+        rows = [line.split(",") for line in read_lines(tmp_path / "stats" / "stats.csv")]
+        cis = [(lo, hi) for _, series, _, _, lo, hi in rows[1:] if series == "__offdiag__"]
+        assert cis and all(float(lo) <= float(hi) for lo, hi in cis)
+
+
+def test_readme_cli_section_names_every_flag():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    section = text[text.index("## CLI"):text.index("## Module map")]
+    parser = build_parser()
+    subcommands = parser._subparsers._group_actions[0].choices.values()
+    flags = {option for p in (parser, *subcommands) for action in p._actions
+             for option in action.option_strings if option.startswith("--")}
+    assert set(re.findall(r"--[a-z][a-z0-9-]*", section)) == flags - {"--help", "--version"}

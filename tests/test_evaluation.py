@@ -153,8 +153,10 @@ class TestScalingExponents:
         assert report.h["mean"].alpha == pytest.approx(-0.75, abs=1e-9)
         assert report.h["std"].alpha == pytest.approx(0.5, abs=1e-9)
         assert report.h["kurt"].alpha == pytest.approx(0.0, abs=1e-9)
+        assert report.h["mean"].kept_repeats == (0, 1, 2, 3)
         # skew is exactly zero at every size: excluded, not fabricated
         assert report.h["skew"].n_excluded == 4
+        assert report.h["skew"].kept_repeats == ()
         assert np.isnan(report.h["skew"].alpha)
         # couplings were identically zero: every moment excluded
         assert report.j["mean"].n_excluded == 4

@@ -386,7 +386,7 @@ class TestForestOracle:
             assert tree.edges == want  # same edges, same (-w, i, j) order
             assert tree.cluster_sizes == ref_clusters(want, labels)
             assert tree.q_mst == ref_q(want, labels)
-            assert not tree.disconnected
+            assert len(tree.edges) == len(labels) - 1
 
     @pytest.mark.parametrize("ties", [False, True])
     @pytest.mark.parametrize("n", [2, 3, 7, 24, 60])
