@@ -25,11 +25,11 @@ import numpy as np
 from . import __version__
 from .evaluation import compare_methods
 from .model import energy_split, metropolis_sample, params_from_json
-from .network import (check_cutoff_points, edges_to_csv, edges_to_dot, mst_result,
-                      window_forests)
-from .panels import binarize, check_file, load_price_csv, load_sector_csv, log_returns
-from .pipeline import (ConfigError, NonConvergenceError, RunConfig, _write_scan_csv,
-                       config_from_mapping, parse_config_file, run, write_csv, write_json)
+from .network import check_cutoff_points, edges_to_dot, mst_result, window_forests
+from .panels import (binarize, check_file, load_price_csv, load_sector_csv, log_returns,
+                     write_csv)
+from .pipeline import (ConfigError, NonConvergenceError, RunConfig, _write_edges_csv,
+                       _write_scan_csv, config_from_mapping, parse_config_file, run, write_json)
 from .synthetic import BlockSpec, generate_synthetic, synthetic_tickers
 
 
@@ -157,8 +157,7 @@ def _cmd_mst(args) -> int:
     labels = load_sector_csv(args.sectors).labels_for(params.tickers)
     tree = mst_result(params.J, labels)
     out = Path(args.out_dir or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "mst.csv").write_text(edges_to_csv(tree.edges, params.tickers, labels))
+    _write_edges_csv(out / "mst.csv", tree.edges, params.tickers, labels)
     (out / "mst.dot").write_text(edges_to_dot(tree.edges, params.tickers, labels))
     write_json(out / "mst_summary.json", {"q_mst": tree.q_mst, "clusters": tree.cluster_sizes})
     print(f"Q_mst = {tree.q_mst:.4f}")

@@ -240,17 +240,9 @@ def window_forests(js, labels, mst: bool, cutoff_points: int,
     return _trees(js, spectra, labels, mst, grids, direction)
 
 
-def edges_to_csv(edges, tickers, labels) -> str:
-    """Edge list as `i_ticker,j_ticker,weight,i_sector,j_sector` CSV text."""
-    lines = ["i_ticker,j_ticker,weight,i_sector,j_sector"]
-    for i, j, wt in edges:
-        lines.append(f"{tickers[i]},{tickers[j]},{wt!r},{labels[i]},{labels[j]}")
-    return "\n".join(lines) + "\n"
-
-
-def edges_to_dot(edges, tickers, labels, name: str = "mst") -> str:
+def edges_to_dot(edges, tickers, labels) -> str:
     """Edge list as an undirected DOT graph with sector node attributes."""
-    lines = [f"graph {name} {{"]
+    lines = ["graph mst {"]
     for t, lab in zip(tickers, labels):
         lines.append(f'  "{t}" [sector="{lab}"];')
     for i, j, wt in edges:

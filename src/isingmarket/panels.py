@@ -1,6 +1,6 @@
 """
-Price/return panels: loading, log returns, binarization, standardization,
-sliding windows and shuffled baselines.
+Price/return panels: the CSV reader and writer, log returns, binarization,
+standardization, sliding windows and shuffled baselines.
 """
 
 from __future__ import annotations
@@ -96,6 +96,9 @@ def load_price_csv(path) -> tuple[Panel, dict[str, str]]:
         if not header or header[0].strip().lower() != "date" or len(header) < 2:
             raise ValueError(f"{path}: expected header 'date,TICKER1,...'")
         tickers = [t.strip() for t in header[1:]]
+        if len(set(tickers)) < len(tickers):
+            t = next(t for k, t in enumerate(tickers) if t in tickers[:k])
+            raise ValueError(f"{path}: duplicate ticker {t!r}")
         n = len(tickers)
         dates: list[str] = []
         rows: list[np.ndarray] = []
@@ -119,7 +122,7 @@ def load_price_csv(path) -> tuple[Panel, dict[str, str]]:
     bad: dict[str, str] = {}
     for j, ticker in enumerate(tickers):
         i = first[j]
-        if ticker in bad or not invalid[j, i]:
+        if not invalid[j, i]:
             continue
         kind = "missing or non-numeric" if missing[j, i] else "non-positive"
         bad[ticker] = f"{kind} price on {dates[i]}"
@@ -130,6 +133,30 @@ def load_price_csv(path) -> tuple[Panel, dict[str, str]]:
     for t, reason in bad.items():
         logger.warning("dropping %s: %s", t, reason)
     return Panel([tickers[j] for j in keep], dates, values[keep], "price"), bad
+
+
+def _fmt(x) -> str:
+    if isinstance(x, float):  # includes numpy floats; repr via the builtin
+        return repr(float(x))
+    return "" if x is None else str(x)
+
+
+def _append_rows(fh, rows) -> None:
+    for row in rows:
+        fh.write(",".join(_fmt(x) for x in row) + "\n")
+
+
+def _open_csv(path, header: str):
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fh = open(path, "w")
+    fh.write(header + "\n")
+    return fh
+
+
+def write_csv(path, header: str, rows) -> None:
+    with _open_csv(path, header) as fh:
+        _append_rows(fh, rows)
 
 
 def load_sector_csv(path) -> SectorMap:

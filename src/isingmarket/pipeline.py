@@ -12,6 +12,7 @@ index]) regardless of worker scheduling.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -26,9 +27,10 @@ from .evaluation import (check_scaling, check_subset, compare_methods,
                          scaling_exponents, subset_coupling_scan)
 from .inference import InferenceConfig, infer
 from .model import check_seed, energy_split, params_to_json
-from .network import check_cutoff_points, edges_to_csv, edges_to_dot, window_forests
-from .panels import (RETURN_KINDS, binarize, check_file, check_stride, load_price_csv,
-                     load_sector_csv, log_returns, standardize_window, windows)
+from .network import check_cutoff_points, edges_to_dot, window_forests
+from .panels import (RETURN_KINDS, _append_rows, _open_csv, binarize, check_file,
+                     check_stride, load_price_csv, load_sector_csv, log_returns,
+                     standardize_window, windows, write_csv)
 from .stats import (ConfigError, check_bootstrap, dft_amplitudes, eigen_csv_rows,
                     off_diagonal_summary, stats_csv_rows, window_stats)
 
@@ -207,27 +209,9 @@ def config_from_mapping(mapping: dict) -> RunConfig:
 # Output helpers
 # ---------------------------------------------------------------------------
 
-def _fmt(x) -> str:
-    if isinstance(x, float):  # includes numpy floats; repr via the builtin
-        return repr(float(x))
-    return "" if x is None else str(x)
-
-
-def _append_rows(fh, rows) -> None:
-    for row in rows:
-        fh.write(",".join(_fmt(x) for x in row) + "\n")
-
-
-def _open_csv(path: Path, header: str):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fh = open(path, "w")
-    fh.write(header + "\n")
-    return fh
-
-
-def write_csv(path: Path, header: str, rows) -> None:
-    with _open_csv(path, header) as fh:
-        _append_rows(fh, rows)
+def _file_record(path) -> dict:
+    data = Path(path).read_bytes()
+    return {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
 
 
 def write_json(path: Path, obj) -> None:
@@ -301,6 +285,8 @@ def _stage(manifest: dict, name: str):
 
 def _run_stages(cfg: RunConfig, out: Path, manifest: dict) -> None:
     with _stage(manifest, "ingest"):
+        manifest["inputs"] = {key: _file_record(path) if path else None
+                              for key, path in (("prices", cfg.prices), ("sectors", cfg.sectors))}
         panel, dropped = load_price_csv(cfg.prices)
         labels = (load_sector_csv(cfg.sectors).labels_for(panel.tickers)
                   if cfg.sectors else None)
@@ -420,8 +406,7 @@ def _window_unit(cfg: RunConfig, out: Path, idx: int, date: str, block,
         for method, (tree, coupling, eigen) in zip(fits, trees):
             if tree is not None:
                 base = out / "mst" / method
-                base.mkdir(parents=True, exist_ok=True)
-                (base / f"{date}.csv").write_text(edges_to_csv(tree.edges, tickers, labels))
+                _write_edges_csv(base / f"{date}.csv", tree.edges, tickers, labels)
                 (base / f"{date}.dot").write_text(edges_to_dot(tree.edges, tickers, labels))
                 rows.setdefault("q_mst", []).append((date, method, tree.q_mst))
             if points:
@@ -434,6 +419,11 @@ def _window_unit(cfg: RunConfig, out: Path, idx: int, date: str, block,
             rows["compare"].append((date, f"{a}:{b}", "h", cmp.h.nrmse, cmp.h.pearson))
             rows["compare"].append((date, f"{a}:{b}", "J", cmp.j.nrmse, cmp.j.pearson))
     return rows
+
+
+def _write_edges_csv(path: Path, edges, tickers, labels) -> None:
+    write_csv(path, "i_ticker,j_ticker,weight,i_sector,j_sector",
+              [(tickers[i], tickers[j], w, labels[i], labels[j]) for i, j, w in edges])
 
 
 def _write_scan_csv(path: Path, points) -> None:

@@ -13,6 +13,7 @@ import numpy as np
 
 from .model import IsingParams, _check_sampling, _simulate, params_to_json
 from .network import SectorMap
+from .panels import write_csv
 from .stats import ConfigError
 
 PRICE_STEP = 0.01  # log-return magnitude; cosmetic, sign carries the signal
@@ -94,20 +95,6 @@ def prices_from_signs(signs: np.ndarray, s0: float = 100.0,
     return np.exp(log_prices)
 
 
-def prices_to_csv(tickers, dates, prices: np.ndarray) -> str:
-    lines = ["date," + ",".join(tickers)]
-    for t, d in enumerate(dates):
-        lines.append(d + "," + ",".join(repr(float(p)) for p in prices[:, t]))
-    return "\n".join(lines) + "\n"
-
-
-def sectors_to_csv(sector_map: SectorMap) -> str:
-    lines = ["ticker,name,sector"]
-    for ticker in sorted(sector_map.mapping):
-        lines.append(f"{ticker},{ticker},{sector_map.mapping[ticker]}")
-    return "\n".join(lines) + "\n"
-
-
 def generate_synthetic(out_prices, out_truth, n_days: int,
                        model: IsingParams | BlockSpec, seed=None,
                        out_sectors=None, n_burnin: int = 500) -> IsingParams:
@@ -137,11 +124,11 @@ def generate_synthetic(out_prices, out_truth, n_days: int,
     prices = prices_from_signs(signs)
     tickers = params.tickers or synthetic_tickers(params.n)
     dates = trading_dates(n_days)
-    with open(out_prices, "w") as fh:
-        fh.write(prices_to_csv(tickers, dates, prices))
+    write_csv(out_prices, "date," + ",".join(tickers),
+              ((d, *row) for d, row in zip(dates, prices.T.tolist())))
     with open(out_truth, "wb") as fh:
         fh.write(params_to_json(params))
     if out_sectors is not None:
-        with open(out_sectors, "w") as fh:
-            fh.write(sectors_to_csv(sector_map))
+        write_csv(out_sectors, "ticker,name,sector",
+                  [(t, t, sector) for t, sector in sorted(sector_map.mapping.items())])
     return params

@@ -1,5 +1,5 @@
 """Shared test helpers: exact-moment bridges, brute-force oracles, the
-params JSON reference and cutoff scans at explicit thresholds."""
+params JSON and CSV text references and cutoff scans at explicit thresholds."""
 
 from __future__ import annotations
 
@@ -58,6 +58,32 @@ def reference_json(params: IsingParams) -> str:
     """The params wire format as json.dumps writes it."""
     return json.dumps({"tickers": list(params.tickers) if params.tickers else None,
                        "h": params.h.tolist(), "J": params.J.tolist()})
+
+
+def reference_edges_csv(edges, tickers, labels) -> str:
+    """An MST edge list as CSV text, each weight its repr."""
+    lines = ["i_ticker,j_ticker,weight,i_sector,j_sector"]
+    for i, j, wt in edges:
+        lines.append(f"{tickers[i]},{tickers[j]},{wt!r},{labels[i]},{labels[j]}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_prices_csv(tickers, dates, prices: np.ndarray) -> str:
+    """An (N, L) price matrix as `date,TICKER...` CSV text, each price the
+    repr of its float."""
+    lines = ["date," + ",".join(tickers)]
+    for t, d in enumerate(dates):
+        lines.append(d + "," + ",".join(repr(float(p)) for p in prices[:, t]))
+    return "\n".join(lines) + "\n"
+
+
+def reference_sectors_csv(mapping: dict) -> str:
+    """A {ticker: sector} mapping as `ticker,name,sector` CSV text, sorted by
+    ticker, each ticker its own name."""
+    lines = ["ticker,name,sector"]
+    for ticker in sorted(mapping):
+        lines.append(f"{ticker},{ticker},{mapping[ticker]}")
+    return "\n".join(lines) + "\n"
 
 
 def weights_from_edges(n, entries, default=0.0):

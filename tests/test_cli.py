@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -90,6 +91,13 @@ class TestSynthAndIngest:
         assert rc == 3
         assert f"{short}: row 3 has 2 cells, expected 3" in capsys.readouterr().err
 
+    def test_repeated_ticker_is_numeric_failure(self, tmp_path, capsys):
+        prices = tmp_path / "p.csv"
+        prices.write_text("date,A,B,A\n2001-01-01,1,2,3\n2001-01-02,1,2,3\n")
+        rc = main(["ingest", "--prices", str(prices), "--out-dir", str(tmp_path / "out")])
+        assert rc == 3
+        assert f"{prices}: duplicate ticker 'A'" in capsys.readouterr().err
+
 
 class TestLogLevel:
     PRICES = ("date,AAA,BBB\n2001-01-01,100.0,50.0\n2001-01-02,110.0,50.0\n"
@@ -170,6 +178,7 @@ class TestStatsCommand:
         assert manifest["windows"] == 3
         assert manifest["failure"] is None
         assert set(manifest["stages"]) == {"ingest", "windows"}
+        assert manifest["inputs"]["sectors"] is None
 
     def test_standardized_kind_normalizes_each_window(self, market, tmp_path):
         rc = main(["stats", "--prices", str(market / "prices.csv"),
@@ -673,6 +682,17 @@ class TestRunPipeline:
         assert len(compare) - 1 == 2 * 2  # 2 windows x (h, J)
         energy = read_lines(out_a / "energy" / "energy.csv")
         assert len(energy) - 1 == 2 * 2  # 2 windows x 2 methods
+
+    def test_manifest_records_input_digests(self, market, tmp_path):
+        rc = main(["mst", "--prices", str(market / "prices.csv"),
+                   "--sectors", str(market / "sectors.csv"),
+                   "--out-dir", str(tmp_path), "-T", "400"])
+        assert rc == 0
+        inputs = json.loads((tmp_path / "manifest.json").read_text())["inputs"]
+        assert set(inputs) == {"prices", "sectors"}
+        for key, record in inputs.items():
+            data = (market / f"{key}.csv").read_bytes()
+            assert record == {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
 
     def test_jobs_flag_matches_serial(self, market, tmp_path):
         cfgfile = tmp_path / "pipeline.cfg"

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import brute_force_max_tree_weight, cutoff_scan, weights_from_edges
-from isingmarket.network import (SectorMap, _forest_edges, _prim, edges_to_csv,
-                                 edges_to_dot, mst_result, spectral_truncation,
-                                 window_forests)
+from conftest import (brute_force_max_tree_weight, cutoff_scan, reference_edges_csv,
+                      weights_from_edges)
+from isingmarket.network import (SectorMap, _forest_edges, _prim, edges_to_dot, mst_result,
+                                 spectral_truncation, window_forests)
+from isingmarket.pipeline import _write_edges_csv
 from isingmarket.stats import ConfigError
 
 
@@ -289,17 +290,31 @@ class TestForestAndOutputs:
             got = sum(wt for _, _, wt in edges)
             assert got == pytest.approx(expected, abs=1e-10)
 
-    def test_csv_and_dot_outputs(self):
+    def test_csv_and_dot_outputs(self, tmp_path):
         w = weights_from_edges(3, [(0, 1, 0.9), (0, 2, 0.5), (1, 2, 0.1)])
         tickers = ["AAA", "BBB", "CCC"]
         labels = ["Tech", "Tech", "Energy"]
         edges = mst_result(w, labels).edges
-        csv_text = edges_to_csv(edges, tickers, labels)
+        _write_edges_csv(tmp_path / "mst.csv", edges, tickers, labels)
+        csv_text = (tmp_path / "mst.csv").read_text()
         assert csv_text.splitlines()[0] == "i_ticker,j_ticker,weight,i_sector,j_sector"
         assert "AAA,BBB,0.9,Tech,Tech" in csv_text
         dot = edges_to_dot(edges, tickers, labels)
         assert '"AAA" -- "BBB"' in dot
         assert 'sector="Energy"' in dot
+
+    def test_edges_csv_bytes_match_the_reference(self, tmp_path):
+        weights = [-0.0, 5e-324, 1e-05, 1e+16, 0.1 + 0.2, np.float64(-2.5e-8)]
+        edges = [(k, k + 1, w) for k, w in enumerate(weights)]
+        tickers = [f"T{k}" for k in range(len(weights) + 1)]
+        labels = ["A", "B"] * 3 + ["C"]
+        _write_edges_csv(tmp_path / "deep" / "mst.csv", edges, tickers, labels)
+        # the reference's f-string repr would spell a numpy float `np.float64(...)`
+        # under numpy 2; the writer reprs it as the builtin float, as for tree edges
+        builtin = [(i, j, float(w)) for i, j, w in edges]
+        text = (tmp_path / "deep" / "mst.csv").read_bytes()
+        assert text == reference_edges_csv(builtin, tickers, labels).encode()
+        assert b"T0,T1,-0.0,A,B\n" in text and b"T5,T6,-2.5e-08,B,C\n" in text
 
     def test_sector_map_validation(self):
         smap = SectorMap({"AAA": "Tech", "BBB": "Energy"})

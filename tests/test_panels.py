@@ -268,6 +268,12 @@ class TestCsvIngest:
         with pytest.raises(ValueError, match="header"):
             load_price_csv(path)
 
+    def test_repeated_ticker_names_file_and_ticker(self, tmp_path):
+        path = tmp_path / "prices.csv"
+        path.write_text("date,A,B,A\n2001-01-01,1,2,3\n2001-01-02,1,2,3\n")
+        with pytest.raises(ValueError, match=r"prices\.csv: duplicate ticker 'A'"):
+            load_price_csv(path)
+
     def test_sector_csv(self, tmp_path):
         path = tmp_path / "sectors.csv"
         path.write_text("ticker,name,sector\nAAA,Alpha Inc.,Tech\nBBB,Beta Co.,Energy\n")

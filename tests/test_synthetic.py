@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import reference_prices_csv, reference_sectors_csv
 from isingmarket.inference import InferenceConfig, infer_nmf
 from isingmarket.model import IsingParams, params_from_json
 from isingmarket.network import mst_result
@@ -81,6 +82,18 @@ class TestGenerateSynthetic:
         assert len(text.splitlines()) == 10
         truth = json.loads((tmp_path / "t.json").read_text())
         assert len(truth["h"]) == 9
+
+    def test_csv_bytes_match_the_references(self, tmp_path):
+        spec = BlockSpec(6, 2, j_intra=0.1, h_scale=0.2)
+        params = generate_synthetic(tmp_path / "p.csv", tmp_path / "t.json", n_days=40,
+                                    model=spec, seed=9, out_sectors=tmp_path / "s.csv")
+        ss = np.random.SeedSequence(9).spawn(2)
+        _, sectors = block_model(spec, seed=ss[0])
+        prices = prices_from_signs(sample_binary_panel(params, 39, seed=ss[1]))
+        assert ((tmp_path / "p.csv").read_bytes()
+                == reference_prices_csv(params.tickers, trading_dates(40), prices).encode())
+        assert ((tmp_path / "s.csv").read_bytes()
+                == reference_sectors_csv(sectors.mapping).encode())
 
     def test_planted_blocks_recovered_end_to_end(self, tmp_path):
         # full path: planted model -> prices -> returns -> binarize ->
