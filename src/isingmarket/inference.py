@@ -57,7 +57,8 @@ class InferenceConfig:
     mc_sweeps: int = 100
     mc_chains: int = 500
     mc_burnin: int = 100     # sweeps before a fit's first sampled step only
-    seed: int | None = None
+    # None, an int, a sequence of ints or a SeedSequence; read by sampled fits only
+    seed: int | tuple[int, ...] | np.random.SeedSequence | None = None
     exact_max_n: int = 16    # use exhaustive model moments up to this N
 
     def __post_init__(self):
@@ -130,7 +131,10 @@ def _fields(m: np.ndarray, coupling: np.ndarray) -> np.ndarray:
 
 def _finish(j_single: np.ndarray, h: np.ndarray, method: str, stats: WindowStats,
             **record) -> InferenceResult:
-    j = _zero_diag((j_single + j_single.T) / 2.0) / 2.0  # calibrate to s'Js energy
+    j = j_single + j_single.T  # the one N x N array of the fit's couplings
+    j /= 2.0
+    np.fill_diagonal(j, 0.0)
+    j /= 2.0  # calibrate to s'Js energy
     return InferenceResult(IsingParams(h, j, tickers=stats.tickers), method, **record)
 
 
@@ -335,7 +339,7 @@ def infer_exact(stats: WindowStats, cfg: InferenceConfig) -> InferenceResult:
     targets = _Targets.of(stats)
     sampled = stats.means.size > cfg.exact_max_n
 
-    ss = _as_seed_sequence(cfg.seed)
+    ss = _as_seed_sequence(cfg.seed) if sampled else None  # enumeration draws nothing
     eta_h, eta_j = cfg.eta_h, cfg.eta_j
     best = np.inf
     bad_streak = 0
@@ -344,7 +348,8 @@ def infer_exact(stats: WindowStats, cfg: InferenceConfig) -> InferenceResult:
 
     for iterations in range(1, cfg.max_iters + 1):
         params = IsingParams(h, j, tickers=stats.tickers)
-        moments = _model_moments(params, cfg, seed=ss.spawn(1)[0], chains=chains)
+        moments = _model_moments(params, cfg, seed=ss.spawn(1)[0] if sampled else None,
+                                 chains=chains)
         chains = moments.final_states
         gap_m, gap_p, residual = targets.gap(moments)
         history.append(residual)

@@ -46,7 +46,8 @@ class IsingParams:
         if h.ndim != 1 or j.shape != (h.size, h.size):
             raise ValueError(f"shape mismatch: h {h.shape}, J {j.shape}")
         with np.errstate(over="ignore"):  # an overflow is caught as non-finite
-            sym = (j + j.T) / 2.0
+            sym = j + j.T
+            sym /= 2.0
         if not (np.all(np.isfinite(h)) and np.all(np.isfinite(sym))):
             raise ValueError("parameters must be finite")
         if not np.allclose(j, j.T, atol=1e-10):

@@ -102,13 +102,16 @@ def load_price_csv(path) -> tuple[Panel, dict[str, str]]:
         n = len(tickers)
         dates: list[str] = []
         rows: list[np.ndarray] = []
-        for row in reader:
+        for r, row in enumerate(reader, 2):
             if not row or not any(cell.strip() for cell in row):
                 continue
+            d = row[0].strip()
             if len(row) != len(header):
-                raise ValueError(f"{path}: row {len(dates) + 2} has {len(row)} cells, "
+                raise ValueError(f"{path}: row {r} has {len(row)} cells, "
                                  f"expected {len(header)}")
-            dates.append(row[0].strip())
+            if dates and d <= dates[-1]:
+                raise ValueError(f"{path}: row {r}: date {d!r} does not follow {dates[-1]!r}")
+            dates.append(d)
             rows.append(np.fromiter(map(_price, row[1:]), np.float64, n))
 
     if len(dates) < 2:

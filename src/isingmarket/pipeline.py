@@ -5,8 +5,10 @@ they are computed), last-window scaling/subset scans, and a reproducibility
 manifest.
 
 All outputs are plain CSV/JSON/DOT.  A run is deterministic for a given
-config and seed: per-window seeds derive from SeedSequence([seed, window
-index]) regardless of worker scheduling.
+config and seed: per-window seeds are SeedSequence entropy (seed, window
+index, stage salt), regardless of worker scheduling.  They stay plain int
+tuples until a stage draws random numbers, so a closed-form run never loads
+numpy.random.
 """
 
 from __future__ import annotations
@@ -238,8 +240,10 @@ _COLLATED = {
 # The run orchestrator
 # ---------------------------------------------------------------------------
 
-def _window_seed(root_seed: int, index: int, salt: int = 0) -> np.random.SeedSequence:
-    return np.random.SeedSequence([root_seed, index, salt])
+def _window_seed(root_seed: int, index: int, salt: int = 0) -> tuple[int, int, int]:
+    """Entropy of one window's stage seed (the manifest's `seed_rule`); a stage
+    that draws makes its SeedSequence from it."""
+    return (root_seed, index, salt)
 
 
 def run(cfg: RunConfig) -> dict:
@@ -364,9 +368,12 @@ def _window_unit(cfg: RunConfig, out: Path, idx: int, date: str, block,
         block = standardize_window(block, tickers)
     st = window_stats(block, tickers)
     if "stats" in cfg.stages:
-        boot_seed = _window_seed(cfg.seed, idx, salt=7).generate_state(1)[0]
+        boot_seed = None
+        if cfg.n_boot:  # the only stats step that imports numpy.random
+            entropy = _window_seed(cfg.seed, idx, salt=7)
+            boot_seed = int(np.random.SeedSequence(entropy).generate_state(1)[0])
         summary = off_diagonal_summary(st.covariance, n_boot=cfg.n_boot,
-                                       level=cfg.boot_level, seed=int(boot_seed))
+                                       level=cfg.boot_level, seed=boot_seed)
         rows["stats"] = stats_csv_rows(date, tickers, block, summary)
         rows["eigen"] = eigen_csv_rows(date, st.covariance, cfg.eigen_top_k)
         if cfg.emit_matrices:

@@ -98,6 +98,14 @@ class TestSynthAndIngest:
         assert rc == 3
         assert f"{prices}: duplicate ticker 'A'" in capsys.readouterr().err
 
+    def test_unordered_dates_are_numeric_failure(self, tmp_path, capsys):
+        prices = tmp_path / "p.csv"
+        prices.write_text("date,A,B\n2001-01-02,1,2\n2001-01-01,1,2\n")
+        rc = main(["ingest", "--prices", str(prices), "--out-dir", str(tmp_path / "out")])
+        assert rc == 3
+        assert (f"{prices}: row 3: date '2001-01-01' does not follow '2001-01-02'"
+                in capsys.readouterr().err)
+
 
 class TestLogLevel:
     PRICES = ("date,AAA,BBB\n2001-01-01,100.0,50.0\n2001-01-02,110.0,50.0\n"
@@ -861,6 +869,45 @@ class TestRunPipeline:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["failure"]["stage"] == stage
         assert list(manifest["stages"]) == finished
+
+
+class TestRandomModuleImport:
+    """numpy.random is imported by a stage that draws random numbers, and only then."""
+
+    SCRIPT = ("import sys; from isingmarket.cli import main; "
+              "rc = main(sys.argv[1:]); print(rc, 'numpy.random' in sys.modules)")
+
+    def loads_random(self, market, tmp_path, command, *flags, config=""):
+        """Run `command` on the market in a fresh interpreter; did it import numpy.random?"""
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(config)
+        env = dict(os.environ, PYTHONPATH=str(Path(isingmarket.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, command,
+             "--prices", str(market / "prices.csv"), "--out-dir", str(tmp_path / "out"),
+             "--config", str(cfgfile), "-T", "200", "--stride", "100", *flags],
+            capture_output=True, text=True, env=env, check=True)
+        rc, loaded = proc.stdout.splitlines()[-1].split()
+        assert rc == "0", proc.stderr
+        return loaded == "True"
+
+    @pytest.mark.parametrize("command, flags, config", [
+        ("infer", ["--method", "nmf,tap,sm,ip"], ""),
+        ("run", ["--method", "nmf"], "stages=stats,infer\nn_boot=0\n"),
+        ("infer", ["--method", "exact", "--max-iters", "3"], ""),  # enumerated: N=12
+    ], ids=["closed form", "stats and infer", "enumerated exact"])
+    def test_runs_without_draws_never_import_it(self, market, tmp_path, command, flags,
+                                                config):
+        assert not self.loads_random(market, tmp_path, command, *flags, config=config)
+
+    @pytest.mark.parametrize("command, flags, config", [
+        ("run", ["--method", "nmf", "--n-boot", "200"], ""),
+        ("scaling", ["--method", "nmf", "--sizes", "4,6,8", "--repeats", "2"], ""),
+        ("infer", ["--method", "exact", "--max-iters", "2", "--mc-sweeps", "5",
+                   "--mc-chains", "4", "--mc-burnin", "5"], "exact_max_n=4\n"),
+    ], ids=["bootstrap", "scaling", "sampled exact"])
+    def test_stages_that_draw_import_it(self, market, tmp_path, command, flags, config):
+        assert self.loads_random(market, tmp_path, command, *flags, config=config)
 
 
 class TestConfigParsing:

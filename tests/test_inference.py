@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -8,7 +9,7 @@ from isingmarket import inference
 from isingmarket.inference import (InferenceConfig, InferenceResult, infer,
                                    infer_exact, infer_ip, infer_nmf, infer_sm,
                                    infer_tap, moment_residual)
-from isingmarket.model import IsingParams, metropolis_sample
+from isingmarket.model import IsingParams, metropolis_sample, params_to_json
 from isingmarket.stats import WindowStats, window_stats
 from isingmarket.synthetic import BlockSpec, block_model, random_model, sample_binary_panel
 
@@ -398,6 +399,38 @@ class TestPersistentChains:
         st = stats_from_params(random_model(4, 0.2, 0.2, seed=6))
         res = infer_exact(st, replace(MC_CFG, exact_max_n=16))
         assert res.mc_r_hat_max is None
+
+    def test_seed_entropy_tuple_equals_its_seed_sequence(self):
+        # the pipeline hands each fit its (seed, window, salt) entropy as a tuple
+        st = stats_from_params(random_model(4, 0.2, 0.2, seed=5))
+        by_tuple = infer_exact(st, replace(MC_CFG, seed=(7, 3, 100)))
+        by_sequence = infer_exact(st, replace(MC_CFG, seed=np.random.SeedSequence([7, 3, 100])))
+        assert params_to_json(by_tuple.params) == params_to_json(by_sequence.params)
+        assert by_tuple.residual_history == by_sequence.residual_history
+
+
+class TestFinish:
+    def test_couplings_are_built_in_one_array(self, monkeypatch):
+        n = 200
+        rng = np.random.default_rng(0)
+        j_single, h = rng.normal(size=(n, n)), rng.normal(size=n)
+        st = WindowStats(np.zeros(n), np.eye(n))
+        # the assembly alone: IsingParams' own checks allocate the same on any input
+        monkeypatch.setattr(inference, "IsingParams", lambda h, j, tickers: j)
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            j = inference._finish(j_single, h, "nmf", st).params
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one N x N float64 array plus numpy's iteration buffer for the transpose,
+        # below the two arrays of an assembly that copies
+        assert peak - base < 1.5 * n * n * 8
+        expected = (j_single + j_single.T) / 2.0
+        np.fill_diagonal(expected, 0.0)
+        assert j.tobytes() == (expected / 2.0).tobytes()
+
 
 class TestDispatchAndInvariants:
     @pytest.mark.parametrize("method", ["nmf", "tap", "ip", "sm"])

@@ -274,6 +274,14 @@ class TestCsvIngest:
         with pytest.raises(ValueError, match=r"prices\.csv: duplicate ticker 'A'"):
             load_price_csv(path)
 
+    @pytest.mark.parametrize("date", ["2001-01-01", "2001-01-02"])  # earlier, repeated
+    def test_unordered_date_names_file_row_and_dates(self, tmp_path, date):
+        path = tmp_path / "prices.csv"
+        path.write_text(f"date,AAA\n2001-01-02,1.0\n\n{date},2.0\n2001-01-05,3.0\n")
+        with pytest.raises(ValueError, match=rf"prices\.csv: row 4: date '{date}' "
+                                             r"does not follow '2001-01-02'"):
+            load_price_csv(path)
+
     def test_sector_csv(self, tmp_path):
         path = tmp_path / "sectors.csv"
         path.write_text("ticker,name,sector\nAAA,Alpha Inc.,Tech\nBBB,Beta Co.,Energy\n")
