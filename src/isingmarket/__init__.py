@@ -19,10 +19,9 @@ from .model import (EnergySplit, IsingParams, SampleStats,
                     boltzmann_distribution, energy_split, enumerate_states,
                     exact_moments_small, metropolis_sample, params_from_json,
                     params_to_json, third_order_from_samples)
-from .network import (MstResult, ScanPoint, SectorMap, mst_result,
-                      spectral_truncation)
+from .network import MstResult, ScanPoint, SectorMap, mst_result
 from .panels import (Panel, binarize, load_price_csv, load_sector_csv, log_returns,
-                     shuffle_window, standardize_window, windows)
+                     standardize_window, windows)
 from .stats import (ConfigError, MomentSummary, WindowStats, bootstrap_ci, dft_amplitudes,
                     moment_summary, off_diagonal_summary, window_stats)
 from .synthetic import (BlockSpec, block_model, generate_synthetic,
@@ -43,7 +42,6 @@ __all__ = [
     "moment_residual", "moment_summary", "mst_result", "nrmse",
     "off_diagonal_summary", "params_from_json", "params_to_json",
     "random_model", "sample_binary_panel", "scaling_exponents",
-    "shuffle_window", "spectral_truncation", "standardize_window",
-    "subset_coupling_scan", "third_order_from_samples", "window_stats",
-    "windows",
+    "standardize_window", "subset_coupling_scan", "third_order_from_samples",
+    "window_stats", "windows",
 ]

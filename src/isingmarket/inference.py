@@ -394,5 +394,6 @@ def infer(stats: WindowStats, cfg: InferenceConfig) -> InferenceResult:
 def moment_residual(params: IsingParams, stats: WindowStats,
                     cfg: InferenceConfig) -> float:
     """Max-abs gap between data moments and the model moments of `params`."""
-    moments = _model_moments(params, cfg, seed=_as_seed_sequence(cfg.seed))
+    sampled = params.n > cfg.exact_max_n  # enumeration draws nothing
+    moments = _model_moments(params, cfg, seed=_as_seed_sequence(cfg.seed) if sampled else None)
     return _Targets.of(stats).gap(moments)[2]

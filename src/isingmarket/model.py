@@ -178,7 +178,7 @@ def _simulate(params: IsingParams, n_chains: int, n_sweeps: int, n_burnin: int,
             raise ValueError("init state entries must be -1 or +1")
     elif init == "exact":
         states = enumerate_states(n)
-        picks = rng.choice(2**n, size=n_chains, p=boltzmann_distribution(params))
+        picks = rng.choice(2**n, size=n_chains, p=_boltzmann(params, states))
         s = states[picks].copy()
     elif init == "random":
         s = rng.choice(np.array([-1.0, 1.0]), size=(n_chains, n))

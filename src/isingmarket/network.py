@@ -43,9 +43,9 @@ class MstResult:
     q_mst: float
 
 
-def _check_square_symmetric(w: np.ndarray, min_nodes: int = 0) -> np.ndarray:
+def _check_square_symmetric(w: np.ndarray) -> np.ndarray:
     """`w` as float64 with its lower triangle mirrored from the upper one,
-    the only triangle read."""
+    the only triangle read; a tree needs at least two nodes."""
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError("weight matrix must be square")
@@ -53,7 +53,7 @@ def _check_square_symmetric(w: np.ndarray, min_nodes: int = 0) -> np.ndarray:
         raise ValueError("weight matrix must be finite")
     if not np.allclose(w, w.T, atol=1e-10):
         raise ValueError("weight matrix must be symmetric")
-    if w.shape[0] < min_nodes:
+    if w.shape[0] < 2:
         raise ValueError("need at least two nodes")
     return np.where(np.tri(w.shape[0], k=-1, dtype=bool), w.T, w)
 
@@ -161,7 +161,7 @@ def _trees(js, spectra, labels, mst: bool, grids, direction: str) -> list[tuple]
 def mst_result(w: np.ndarray, labels) -> MstResult:
     """Build the maximum spanning tree of `w` and score its sector clustering;
     edges are (i, j, weight), i < j, by descending weight, then by (i, j)."""
-    w = _check_square_symmetric(w, min_nodes=2)
+    w = _check_square_symmetric(w)
     return _trees([w], [None], labels, True, [([], [])], "discard_above")[0][0]
 
 
@@ -192,18 +192,6 @@ def _rebuild(lam: np.ndarray, vec: np.ndarray, threshold: float,
     return rebuilt
 
 
-def spectral_truncation(j: np.ndarray, threshold: float, direction: str) -> np.ndarray:
-    """Rebuild a symmetric matrix from the eigenmodes surviving a cutoff.
-
-    direction='discard_above' keeps eigenvalues <= threshold,
-    'discard_below' keeps eigenvalues >= threshold.  The reconstruction's
-    diagonal is zeroed so the result is usable as a coupling matrix.
-    """
-    j = _check_square_symmetric(j)
-    _check_direction(direction)
-    return _rebuild(*np.linalg.eigh(j), threshold, direction)
-
-
 def _interior_grid(values: np.ndarray, n_points: int) -> list[float]:
     # the extremes would discard everything (or nothing) and sit one
     # rounding error away from emptiness
@@ -231,7 +219,7 @@ def window_forests(js, labels, mst: bool, cutoff_points: int,
     eigenmodes with its diagonal zeroed.  Each matrix is diagonalized once,
     for both its grid and its rebuilds.
     """
-    js = [_check_square_symmetric(j, min_nodes=2) for j in js]
+    js = [_check_square_symmetric(j) for j in js]
     _check_direction(direction)
     spectra = [np.linalg.eigh(j) if cutoff_points else None for j in js]
     grids = [(_interior_grid(_upper_triangle(j), cutoff_points),

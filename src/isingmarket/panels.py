@@ -1,6 +1,6 @@
 """
 Price/return panels: the CSV reader and writer, log returns, binarization,
-standardization, sliding windows and shuffled baselines.
+standardization and sliding windows.
 """
 
 from __future__ import annotations
@@ -252,15 +252,3 @@ def windows(r: Panel, window_size: int, stride: int = 1):
     return ((r.dates[end], r.values[:, end - window_size + 1 : end + 1])
             for end in range(window_size - 1, r.n_days, stride))
 
-
-def shuffle_window(window: np.ndarray, seed: int) -> np.ndarray:
-    """Permute each series of a window independently and uniformly.
-
-    Every row keeps its multiset of values bit-exactly, so per-series
-    moments are untouched while cross-series correlations are destroyed.
-    """
-    w = np.asarray(window)
-    rng = np.random.default_rng(seed)
-    # argsort of iid uniforms is a uniform random permutation per row
-    order = np.argsort(rng.random(w.shape), axis=1)
-    return np.take_along_axis(w, order, axis=1)

@@ -130,17 +130,15 @@ def _finite_values(values) -> np.ndarray:
 class MomentSummary:
     """First four moments of a value collection, with optional bootstrap CIs.
 
-    skew/kurt are NaN (flagged by `degenerate`) when the collection has zero
-    spread.  `ci` maps statistic name -> (lower, upper) at `ci_level`.
+    skew/kurt are NaN when the collection has zero spread.  `ci` maps
+    statistic name -> (lower, upper) at the level asked for.
     """
 
     mean: float
     std: float
     skew: float
     kurt: float
-    degenerate: bool = False
     ci: dict[str, tuple[float, float]] | None = None
-    ci_level: float | None = None
 
 
 def check_bootstrap(n_boot: int, level: float) -> None:
@@ -157,15 +155,13 @@ def moment_summary(values, n_boot: int = 0, level: float = 0.95,
     check_bootstrap(n_boot, level)
     v = _finite_values(values)
     point = {name: float(_moments(v[None, :], name)[0]) for name in MOMENT_NAMES}
-    degenerate = point["std"] == 0.0
     ci = None
     if n_boot:
-        stats = MOMENT_NAMES[:2] if degenerate else MOMENT_NAMES
+        stats = MOMENT_NAMES[:2] if point["std"] == 0.0 else MOMENT_NAMES
         rng_seed = np.random.SeedSequence(seed).spawn(len(stats))
         ci = {name: bootstrap_ci(v, name, n_boot, level, seed=s)
               for name, s in zip(stats, rng_seed)}
-    return MomentSummary(**point, degenerate=degenerate, ci=ci,
-                         ci_level=level if n_boot else None)
+    return MomentSummary(**point, ci=ci)
 
 
 def _upper_triangle(m: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Shared test helpers: exact-moment bridges, brute-force oracles, the
-params JSON and CSV text references and cutoff scans at explicit thresholds."""
+params JSON and CSV text references, cutoff scans at explicit thresholds and
+the paper's two baselines (shuffled windows, spectral truncation)."""
 
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ def cutoff_scan(j, labels, thresholds, direction: str, eigen: bool = False):
     """ScanPoints of `j` at explicit thresholds: its coupling scan, or with
     `eigen` its eigenmode scan, through window_forests' checks, batched Prim
     pass and scoring."""
-    j = network._check_square_symmetric(j, min_nodes=2)
+    j = network._check_square_symmetric(j)
     network._check_direction(direction)
     thresholds = list(thresholds)
     grid = ([], thresholds) if eigen else (thresholds, [])
@@ -38,6 +39,31 @@ def cutoff_scan(j, labels, thresholds, direction: str, eigen: bool = False):
     _, coupling, eigen_points = network._trees([j], [spectrum], labels, False, [grid],
                                                direction)[0]
     return eigen_points if eigen else coupling
+
+
+def spectral_truncation(j, threshold: float, direction: str) -> np.ndarray:
+    """Rebuild a symmetric matrix from the eigenmodes surviving a cutoff.
+
+    direction='discard_above' keeps eigenvalues <= threshold,
+    'discard_below' keeps eigenvalues >= threshold.  The reconstruction's
+    diagonal is zeroed so the result is usable as a coupling matrix.
+    """
+    j = network._check_square_symmetric(j)
+    network._check_direction(direction)
+    return network._rebuild(*np.linalg.eigh(j), threshold, direction)
+
+
+def shuffle_window(window: np.ndarray, seed: int) -> np.ndarray:
+    """Permute each series of a window independently and uniformly.
+
+    Every row keeps its multiset of values bit-exactly, so per-series
+    moments are untouched while cross-series correlations are destroyed.
+    """
+    w = np.asarray(window)
+    rng = np.random.default_rng(seed)
+    # argsort of iid uniforms is a uniform random permutation per row
+    order = np.argsort(rng.random(w.shape), axis=1)
+    return np.take_along_axis(w, order, axis=1)
 
 
 def stats_from_params(params: IsingParams) -> WindowStats:

@@ -13,15 +13,16 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import (brute_force_max_tree_weight, cutoff_scan,
-                      stats_from_moments, stats_from_params, weights_from_edges)
+from conftest import (brute_force_max_tree_weight, cutoff_scan, shuffle_window,
+                      spectral_truncation, stats_from_moments, stats_from_params,
+                      weights_from_edges)
 from isingmarket.evaluation import scaling_exponents, subset_coupling_scan
 from isingmarket.inference import (InferenceConfig, infer_exact, infer_ip,
                                    infer_nmf, infer_sm, infer_tap)
 from isingmarket.model import (IsingParams, boltzmann_distribution, energy_split,
                                exact_moments_small, metropolis_sample)
-from isingmarket.network import mst_result, spectral_truncation
-from isingmarket.panels import Panel, binarize, log_returns, shuffle_window, windows
+from isingmarket.network import mst_result
+from isingmarket.panels import Panel, binarize, log_returns, windows
 from isingmarket.stats import window_stats
 from isingmarket.synthetic import (random_model, sample_binary_panel,
                                    synthetic_tickers)

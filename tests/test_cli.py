@@ -909,6 +909,19 @@ class TestRandomModuleImport:
     def test_stages_that_draw_import_it(self, market, tmp_path, command, flags, config):
         assert self.loads_random(market, tmp_path, command, *flags, config=config)
 
+    def test_enumerated_residual_never_imports_it(self):
+        script = ("import sys, numpy as np; from isingmarket import "
+                  "InferenceConfig, infer_nmf, moment_residual, window_stats; "
+                  "w = np.array([[1, -1, 1, 1, -1, 1, 1, -1], [1, 1, -1, 1, -1, -1, 1, 1], "
+                  "[-1, 1, 1, 1, -1, 1, -1, -1]], dtype=float); "
+                  "st = window_stats(w); cfg = InferenceConfig(method='nmf'); "
+                  "moment_residual(infer_nmf(st, cfg).params, st, cfg); "
+                  "print('numpy.random' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=str(Path(isingmarket.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, check=True)
+        assert proc.stdout.split() == ["False"]
+
 
 class TestConfigParsing:
     def test_parse_config_file(self, tmp_path):

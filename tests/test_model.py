@@ -232,6 +232,9 @@ class TestExactMoments:
         # the same sums as over a distribution enumerated on its own
         assert got.means.tobytes() == (probs @ states).tobytes()
         assert got.sample_count == 64
+        calls.clear()
+        metropolis_sample(params, n_sweeps=1, n_burnin=0, n_chains=4, seed=0, init="exact")
+        assert calls == [6]
 
     def test_enumeration_guard(self):
         params = random_model(17, 0.1, 0.1, seed=6)

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import (brute_force_max_tree_weight, cutoff_scan, reference_edges_csv,
-                      weights_from_edges)
+                      spectral_truncation, weights_from_edges)
 from isingmarket.network import (SectorMap, _forest_edges, _prim, edges_to_dot, mst_result,
-                                 spectral_truncation, window_forests)
+                                 window_forests)
 from isingmarket.pipeline import _write_edges_csv
 from isingmarket.stats import ConfigError
 

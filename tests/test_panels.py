@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from conftest import shuffle_window
 from isingmarket.panels import (Panel, binarize, load_price_csv, load_sector_csv,
-                                log_returns, shuffle_window, standardize_window, windows)
+                                log_returns, standardize_window, windows)
 from isingmarket.stats import ConfigError
 
 

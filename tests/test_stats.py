@@ -157,7 +157,7 @@ class TestOffDiagonalSummary:
         s = off_diagonal_summary(np.array([[1.0, 0.3], [0.3, 1.0]]))
         assert s.mean == 0.3
         assert s.std == 0.0
-        assert s.degenerate
+        assert np.isnan(s.skew)
 
     def test_zero_matrix_flags_undefined(self):
         s = off_diagonal_summary(np.zeros((3, 3)))
@@ -392,8 +392,11 @@ class TestEigenTop:
 class TestMomentSummaryCI:
     def test_summary_with_bootstrap(self):
         rng = np.random.default_rng(14)
-        s = moment_summary(rng.normal(size=400), n_boot=200, level=0.9, seed=1)
+        values = rng.normal(size=400)
+        s = moment_summary(values, n_boot=200, level=0.9, seed=1)
         assert s.ci is not None and set(s.ci) == {"mean", "std", "skew", "kurt"}
         lo, hi = s.ci["mean"]
         assert lo <= s.mean <= hi
-        assert s.ci_level == 0.9
+        # each moment draws from its own spawned seed, at the level passed
+        seeds = np.random.SeedSequence(1).spawn(4)
+        assert s.ci["mean"] == bootstrap_ci(values, "mean", 200, 0.9, seed=seeds[0])
