@@ -113,15 +113,22 @@ def _check_means(stats: WindowStats) -> np.ndarray:
     return stats.means
 
 
-def _zero_diag(m: np.ndarray) -> np.ndarray:
-    out = m.copy()
-    np.fill_diagonal(out, 0.0)
-    return out
-
-
 def _nmf_matrix(m: np.ndarray, cinv: np.ndarray) -> np.ndarray:
-    """Mean-field coupling matrix diag(1/(1-m^2)) - Cinv, diagonal kept."""
-    return np.diag(1.0 / (1.0 - m**2)) - cinv
+    """Mean-field coupling matrix diag(1/(1-m^2)) - Cinv, diagonal kept.
+    Off the diagonal it is 0.0 - Cinv, as diag(d) - Cinv gives it: -Cinv
+    would turn a +0.0 into -0.0."""
+    j = np.subtract(0.0, cinv)
+    np.fill_diagonal(j, 1.0 / (1.0 - m**2) - np.diagonal(cinv))
+    return j
+
+
+def _check_pairs(bad: np.ndarray, stats: WindowStats, problem: str) -> None:
+    """Raise naming the first off-diagonal pair, row by row, that the square
+    mask `bad` marks; the mask's diagonal is cleared in place."""
+    np.fill_diagonal(bad, False)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise ValueError(f"pair ({stats.label(i)}, {stats.label(j)}): {problem}")
 
 
 def _fields(m: np.ndarray, coupling: np.ndarray) -> np.ndarray:
@@ -147,10 +154,12 @@ def infer_nmf(stats: WindowStats, cfg: InferenceConfig) -> InferenceResult:
     """
     m = _check_means(stats)
     cinv, cond = stats.inverse(cfg.ridge)
-    j_full = _nmf_matrix(m, cinv)
-    j_for_fields = j_full if cfg.diagonal_trick else _zero_diag(j_full)
-    h = _fields(m, j_for_fields)
-    return _finish(_zero_diag(j_full), h, "nmf", stats, cond_cov=cond)
+    j = _nmf_matrix(m, cinv)
+    if not cfg.diagonal_trick:
+        np.fill_diagonal(j, 0.0)
+    h = _fields(m, j)
+    np.fill_diagonal(j, 0.0)
+    return _finish(j, h, "nmf", stats, cond_cov=cond)
 
 
 def infer_tap(stats: WindowStats, cfg: InferenceConfig) -> InferenceResult:
@@ -168,46 +177,67 @@ def infer_tap(stats: WindowStats, cfg: InferenceConfig) -> InferenceResult:
     m = _check_means(stats)
     cinv, cond = stats.inverse(cfg.ridge)
     mm = np.outer(m, m)
-    disc = 1.0 - 8.0 * mm * cinv
     nmf_limit = np.abs(mm) < _TAP_MEAN_PRODUCT_FLOOR
-    negative = (disc < 0.0) & ~nmf_limit
+    root = 8.0 * mm  # becomes the discriminant, then the root, in place
+    root *= cinv
+    np.subtract(1.0, root, out=root)
+    negative = root < 0.0
+    negative &= ~nmf_limit
+    np.maximum(root, 0.0, out=root)
+    np.sqrt(root, out=root)
+    root += -1.0
+    mm *= 4.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        root = (-1.0 + np.sqrt(np.maximum(disc, 0.0))) / (4.0 * mm)
-    j_tap = np.where(nmf_limit | negative, -cinv, root)
-    j_tap = _zero_diag((j_tap + j_tap.T) / 2.0)
+        root /= mm
+    del mm
     n_fallback = int(np.count_nonzero(np.triu(negative, k=1)))
+    negative |= nmf_limit
+    np.negative(cinv, out=root, where=negative)
+    j_tap = root + root.T
+    del root
+    j_tap /= 2.0
+    np.fill_diagonal(j_tap, 0.0)
     if n_fallback:
         logger.info("TAP: %d pairs fell back to the mean-field coupling", n_fallback)
 
+    j_nmf = _nmf_matrix(m, cinv)
     if cfg.diagonal_trick:
-        h = _fields(m, _nmf_matrix(m, cinv))
+        h = _fields(m, j_nmf)
     else:
-        h_nmf = _fields(m, _zero_diag(_nmf_matrix(m, cinv)))
-        h = h_nmf - m * (1.0 - m**2) * (j_tap**2).sum(axis=1)
+        np.fill_diagonal(j_nmf, 0.0)
+        h_nmf = _fields(m, j_nmf)
+        h = h_nmf - m * (1.0 - m**2) * np.square(j_tap, out=j_nmf).sum(axis=1)
     return _finish(j_tap, h, "tap", stats, cond_cov=cond, tap_fallbacks=n_fallback)
 
 
 def _pair_couplings(stats: WindowStats) -> np.ndarray:
     """Closed-form coupling of each pair in isolation, from its joint +-1 table."""
     m = stats.means
-    cstar = stats.covariance + np.outer(m, m)  # raw second moments <s_i s_j>
+    cstar = np.outer(m, m)
+    np.add(stats.covariance, cstar, out=cstar)  # raw second moments <s_i s_j>
     mi = m[:, None]
     mj = m[None, :]
-    num1 = 1.0 + mi + mj + cstar
-    num2 = 1.0 - mi - mj + cstar
-    den1 = 1.0 - mi + mj - cstar
-    den2 = 1.0 + mi - mj - cstar
-    off = ~np.eye(m.size, dtype=bool)
+    num1 = 1.0 + mi + mj
+    num1 += cstar
+    num2 = 1.0 - mi - mj
+    num2 += cstar
+    den1 = 1.0 - mi + mj
+    den1 -= cstar
+    den2 = 1.0 + mi - mj
+    den2 -= cstar
+    del cstar
     for name, arg in (("1+mi+mj+C*", num1), ("1-mi-mj+C*", num2),
                       ("1-mi+mj-C*", den1), ("1+mi-mj-C*", den2)):
-        bad = np.argwhere((arg <= 0.0) & off)
-        if bad.size:
-            i, j = bad[0]
-            raise ValueError(f"pair ({stats.label(i)}, {stats.label(j)}): term {name} is "
-                             "non-positive; joint table inconsistent with +-1 marginals")
+        _check_pairs(arg <= 0.0, stats, f"term {name} is non-positive; joint table "
+                     "inconsistent with +-1 marginals")
     with np.errstate(divide="ignore", invalid="ignore"):
-        j_pair = 0.25 * np.log((num1 * num2) / (den1 * den2))
-    return _zero_diag(j_pair)
+        num1 *= num2
+        den1 *= den2
+        num1 /= den1
+        np.log(num1, out=num1)
+    num1 *= 0.25
+    np.fill_diagonal(num1, 0.0)
+    return num1
 
 
 def infer_ip(stats: WindowStats, cfg: InferenceConfig) -> InferenceResult:
@@ -224,19 +254,21 @@ def infer_sm(stats: WindowStats, cfg: InferenceConfig) -> InferenceResult:
     independent-pair fields."""
     m = _check_means(stats)
     cinv, cond = stats.inverse(cfg.ridge)
-    j_nmf = _zero_diag(_nmf_matrix(m, cinv))
     j_pair = _pair_couplings(stats)
     cov = stats.covariance
-    denom = np.outer(1.0 - m**2, 1.0 - m**2) - cov**2
-    off = ~np.eye(m.size, dtype=bool)
-    bad = np.argwhere((np.abs(denom) < 1e-300) & off)
-    if bad.size:
-        i, j = bad[0]
-        raise ValueError(f"pair ({stats.label(i)}, {stats.label(j)}): vanishing "
-                         "denominator in the double-count correction")
+    correction = np.square(cov)
+    denom = np.outer(1.0 - m**2, 1.0 - m**2)
+    denom -= correction
+    _check_pairs(np.abs(denom, out=correction) < 1e-300, stats,
+                 "vanishing denominator in the double-count correction")
     with np.errstate(divide="ignore", invalid="ignore"):
-        correction = cov / denom
-    j_sm = j_nmf + j_pair - _zero_diag(correction)
+        np.divide(cov, denom, out=correction)
+    del denom
+    np.fill_diagonal(correction, 0.0)
+    j_sm = _nmf_matrix(m, cinv)
+    np.fill_diagonal(j_sm, 0.0)
+    j_sm += j_pair
+    j_sm -= correction
     h = _fields(m, j_pair)
     return _finish(j_sm, h, "sm", stats, cond_cov=cond)
 

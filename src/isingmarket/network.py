@@ -1,7 +1,8 @@
 """
 Spanning-tree structure of coupling/covariance matrices and industry-sector
 clustering quality.  Every tree and forest comes from one vectorized Prim
-pass over a stack of weight matrices.
+pass over a stack of each matrix and its eigen rebuilds; coupling forests
+read thresholded rows of the matrices, so no thresholded copy is stored.
 """
 
 from __future__ import annotations
@@ -58,18 +59,22 @@ def _check_square_symmetric(w: np.ndarray) -> np.ndarray:
     return np.where(np.tri(w.shape[0], k=-1, dtype=bool), w.T, w)
 
 
-def _prim(w: np.ndarray) -> np.ndarray:
-    """Parent arrays (K, n) of the maximum spanning forests of a (K, n, n)
-    stack of symmetric weights, all grown at once; a root's parent is -1.
+def _prim(w: np.ndarray, source: np.ndarray, threshold: np.ndarray,
+          direction: str) -> np.ndarray:
+    """Parent arrays (K, n) of the maximum spanning forests of K layers of
+    symmetric weights, all grown at once; a root's parent is -1.  Layer k is
+    matrix w[source[k]] of a (M, n, n) stack, read with the entries that do
+    not survive threshold[k] (`threshold` is a (K, 1) column) as missing,
+    so no thresholded layer is stored.
 
     -inf marks a missing edge; the diagonal is never read.  Edges rank in
-    (-w, i, j) order: each step adds, per matrix, the free node whose best
+    (-w, i, j) order: each step adds, per layer, the free node whose best
     edge into the tree has the highest weight, then the smallest code
     min(i,j)*n + max(i,j).  The order is strict, so each forest is the one
     Kruskal's algorithm builds.  When no edge crosses, the next tree starts
     at the smallest free node.
     """
-    k, n = w.shape[:2]
+    k, n = source.size, w.shape[1]
     rows, node = np.arange(k), np.arange(n)
     codes = np.minimum.outer(node, node) * n + np.maximum.outer(node, node)
     parent = np.full((k, n), -1)
@@ -86,7 +91,8 @@ def _prim(w: np.ndarray) -> np.ndarray:
         parent[rows, v] = np.where(crosses, c // n + c % n - v, -1)  # the other end
         free[rows, v] = False
         key[rows, v] = -np.inf
-        wv, cv = w[rows, v], codes[v]
+        wv, cv = w[source, v], codes[v]
+        wv = np.where(_survivors(wv, threshold, direction), wv, -np.inf)
         better = free & ((wv > key) | ((wv == key) & (cv < code)))
         np.copyto(key, wv, where=better)
         np.copyto(code, cv, where=better)
@@ -128,25 +134,30 @@ def _cluster_dict(sizes: np.ndarray, labels) -> dict[str, list[int]]:
 
 def _trees(js, spectra, labels, mst: bool, grids, direction: str) -> list[tuple]:
     """window_forests' (mst, coupling, eigen) per checked matrix, from one
-    batched Prim pass over a (K, n, n) stack: the MST with `mst`, then one
-    forest per threshold of the matrix's (coupling, eigen) grid.  `spectra`
-    holds each matrix's eigh when its eigen grid is not empty."""
-    starts = np.cumsum([0] + [int(mst) + len(c) + len(e) for c, e in grids])
-    stack = np.empty((starts[-1], len(labels), len(labels)))
-    for j, spectrum, (coupling, eigen), at in zip(js, spectra, grids, starts):
-        stack[at:at + mst] = j
-        at += mst
-        layers = stack[at:at + len(coupling)]
-        layers.fill(-np.inf)  # in place: no second copy of the layers
-        th = np.asarray(coupling, dtype=np.float64)[:, None, None]
-        np.copyto(layers, j, where=_survivors(j, th, direction))
-        for t, th in enumerate(eigen, at + len(coupling)):
+    batched Prim pass: the MST with `mst`, then one forest per threshold of
+    the matrix's (coupling, eigen) grid.  `spectra` holds each matrix's eigh
+    when its eigen grid is not empty.  The stack holds each matrix and its
+    eigen rebuilds; the MST and the coupling forests read the matrix through
+    their threshold, the MST's one that keeps every entry."""
+    keep_all = np.inf if direction == "discard_above" else -np.inf
+    n = len(labels)
+    stack = np.empty((sum(1 + len(eigen) for _, eigen in grids), n, n))
+    source, threshold, starts = [], [], [0]  # per layer; each matrix's first layer
+    slot = 0
+    for j, spectrum, (coupling, eigen) in zip(js, spectra, grids):
+        stack[slot] = j
+        for t, th in enumerate(eigen, slot + 1):
             stack[t] = _rebuild(*spectrum, th, direction)
-    parent = _prim(stack)
+        source += [slot] * (int(mst) + len(coupling)) + list(range(slot + 1, slot + 1 + len(eigen)))
+        threshold += [keep_all] * int(mst) + list(coupling) + [keep_all] * len(eigen)
+        starts.append(len(source))
+        slot += 1 + len(eigen)
+    parent = _prim(stack, np.array(source, dtype=np.intp),
+                   np.array(threshold, dtype=np.float64)[:, None], direction)
     sizes, q, n_comp = _scores(parent, labels)
     out = []
     for j, (coupling, eigen), at in zip(js, grids, starts):
-        if (n_comp[at + mst:at + mst + len(coupling)] == len(labels)).any():
+        if (n_comp[at + mst:at + mst + len(coupling)] == n).any():
             raise ValueError("no edges survive the cutoff")
         tree = None
         if mst:

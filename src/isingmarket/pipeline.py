@@ -4,11 +4,11 @@ End-to-end pipeline: ingest, transform, one unit of work per window
 they are computed), last-window scaling/subset scans, and a reproducibility
 manifest.
 
-All outputs are plain CSV/JSON/DOT.  A run is deterministic for a given
-config and seed: per-window seeds are SeedSequence entropy (seed, window
-index, stage salt), regardless of worker scheduling.  They stay plain int
-tuples until a stage draws random numbers, so a closed-form run never loads
-numpy.random.
+All outputs are plain CSV/JSON/DOT.  Their bytes are fixed by the config,
+seed, BLAS library, BLAS thread count and CPU, whatever the worker
+scheduling: per-window seeds are SeedSequence entropy (seed, window index,
+stage salt).  They stay plain int tuples until a stage draws random
+numbers, so a closed-form run never loads numpy.random.
 """
 
 from __future__ import annotations
@@ -292,11 +292,12 @@ def _run_stages(cfg: RunConfig, out: Path, manifest: dict) -> None:
         manifest["inputs"] = {key: _file_record(path) if path else None
                               for key, path in (("prices", cfg.prices), ("sectors", cfg.sectors))}
         panel, dropped = load_price_csv(cfg.prices)
-        labels = (load_sector_csv(cfg.sectors).labels_for(panel.tickers)
+        tickers = panel.tickers
+        labels = (load_sector_csv(cfg.sectors).labels_for(tickers)
                   if cfg.sectors else None)
         returns = log_returns(panel)
         write_json(out / "ingest_report.json",
-                   {"n_rows": panel.n_days, "kept": list(panel.tickers),
+                   {"n_rows": panel.n_days, "kept": list(tickers),
                     "dropped": dropped, "n_return_steps": returns.n_days})
         binary = binarize(returns)
         items = list(enumerate(windows(binary if cfg.kind == "binary" else returns,
@@ -306,14 +307,20 @@ def _run_stages(cfg: RunConfig, out: Path, manifest: dict) -> None:
         if "subset" in cfg.stages:
             check_subset(cfg.subset_indices, cfg.subset_totals, panel.n_series)
         manifest["windows"] = len(items)
+        # spectrum of the cross-sectional mean return, raw vs binary
+        dft_rows = [(kind, k, a) for kind, values in (("raw", returns.values),
+                                                      ("binary", binary.values))
+                    for k, a in enumerate(dft_amplitudes(values.mean(axis=0)))
+                    ] if "stats" in cfg.stages else None
+        # scaling and subset fit the last window
+        last = (binary.values[:, -cfg.window_size:]
+                if {"scaling", "subset"} & set(cfg.stages) else None)
+        # the windows are views and keep alive only the panel they read
+        del panel, returns, binary
 
     with _stage(manifest, "windows"):
-        if "stats" in cfg.stages:
-            # spectrum of the cross-sectional mean return, raw vs binary
-            write_csv(out / "stats" / "dft_mean_return.csv", "kind,bin,amplitude",
-                      [(kind, k, a) for kind, values in (("raw", returns.values),
-                                                         ("binary", binary.values))
-                       for k, a in enumerate(dft_amplitudes(values.mean(axis=0)))])
+        if dft_rows is not None:
+            write_csv(out / "stats" / "dft_mean_return.csv", "kind,bin,amplitude", dft_rows)
         convergence: list[dict] = []
         if _WINDOW_FIT_STAGES & set(cfg.stages):
             manifest["convergence"] = convergence
@@ -322,7 +329,7 @@ def _run_stages(cfg: RunConfig, out: Path, manifest: dict) -> None:
         def unit(item):
             idx, (date, block) = item
             try:
-                return _window_unit(cfg, out, idx, date, block, panel.tickers, labels)
+                return _window_unit(cfg, out, idx, date, block, tickers, labels)
             except ValueError as err:
                 raise ValueError(f"window ending {date}: {err}") from err
 
@@ -346,13 +353,12 @@ def _run_stages(cfg: RunConfig, out: Path, manifest: dict) -> None:
         if cfg.strict and failed:
             raise NonConvergenceError(f"{failed} window/method fits did not converge")
 
-    window = binary.values[:, -cfg.window_size:]
     if "scaling" in cfg.stages:
         with _stage(manifest, "scaling"):
-            _write_scaling_outputs(cfg, out, window)
+            _write_scaling_outputs(cfg, out, last)
     if "subset" in cfg.stages:
         with _stage(manifest, "subset"):
-            _write_subset_outputs(cfg, out, window)
+            _write_subset_outputs(cfg, out, last)
 
 
 def _window_unit(cfg: RunConfig, out: Path, idx: int, date: str, block,
@@ -386,11 +392,14 @@ def _window_unit(cfg: RunConfig, out: Path, idx: int, date: str, block,
                            {"tickers": list(tickers), "matrix": m.tolist()})
     if not _WINDOW_FIT_STAGES & set(cfg.stages):  # RunConfig ensures kind == "binary" past here
         return rows
-    fits = {}
+    fits = {}  # each method's params, kept only for the stages that read them
+    keep_fits = bool({"mst", "cutoff", "compare"} & set(cfg.stages))
     for m_i, method in enumerate(cfg.methods):
         seed = _window_seed(cfg.seed, idx, salt=100 + m_i)
         res = infer(st, cfg.inference_config(method, seed))
-        fits[method] = params = res.params
+        params = res.params
+        if keep_fits:
+            fits[method] = params
         path = out / "params" / method / f"{date}.json"
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "wb") as fh:  # appending the newline would copy the document

@@ -46,7 +46,10 @@ class WindowStats:
         shared by every fit.  Raises when the matrix is singular to working
         precision: cond >= 1/(N*eps), numpy's matrix_rank tolerance."""
         if ridge not in self._inverses:
-            c = self.covariance + ridge * np.eye(self.means.size)
+            # + 0.0 copies and makes an off-diagonal -0.0 +0.0, as adding
+            # ridge * I would, without building I
+            c = self.covariance + 0.0
+            np.fill_diagonal(c, c.diagonal() + ridge)
             cond = float(np.linalg.cond(c))
             if not cond * self.means.size * np.finfo(np.float64).eps < 1.0:
                 raise ValueError(f"covariance matrix is singular (cond={cond:.3g}); "

@@ -1,6 +1,7 @@
 """Shared test helpers: exact-moment bridges, brute-force oracles, the
-params JSON and CSV text references, cutoff scans at explicit thresholds and
-the paper's two baselines (shuffled windows, spectral truncation)."""
+params JSON and CSV text references, cutoff scans at explicit thresholds,
+the paper's two baselines (shuffled windows, spectral truncation) and the
+closed-form fits written as plain formulas."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from itertools import product
 
 import numpy as np
 
-from isingmarket import network
+from isingmarket import inference, network
 from isingmarket.model import IsingParams, exact_moments_small
 from isingmarket.stats import WindowStats
 
@@ -78,6 +79,87 @@ def stats_from_params(params: IsingParams) -> WindowStats:
 
 def stats_from_moments(m: np.ndarray, cov: np.ndarray) -> WindowStats:
     return WindowStats(m, cov)
+
+
+def _zero_diag(m: np.ndarray) -> np.ndarray:
+    out = m.copy()
+    np.fill_diagonal(out, 0.0)
+    return out
+
+
+def _reference_nmf_matrix(m, cinv):
+    return np.diag(1.0 / (1.0 - m**2)) - cinv
+
+
+def _reference_pair_couplings(stats):
+    m = stats.means
+    cstar = stats.covariance + np.outer(m, m)
+    mi = m[:, None]
+    mj = m[None, :]
+    num1 = 1.0 + mi + mj + cstar
+    num2 = 1.0 - mi - mj + cstar
+    den1 = 1.0 - mi + mj - cstar
+    den2 = 1.0 + mi - mj - cstar
+    off = ~np.eye(m.size, dtype=bool)
+    for name, arg in (("1+mi+mj+C*", num1), ("1-mi-mj+C*", num2),
+                      ("1-mi+mj-C*", den1), ("1+mi-mj-C*", den2)):
+        bad = np.argwhere((arg <= 0.0) & off)
+        if bad.size:
+            i, j = bad[0]
+            raise ValueError(f"pair ({stats.label(i)}, {stats.label(j)}): term {name} is "
+                             "non-positive; joint table inconsistent with +-1 marginals")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        j_pair = 0.25 * np.log((num1 * num2) / (den1 * den2))
+    return _zero_diag(j_pair)
+
+
+def reference_closed_form(stats: WindowStats, cfg) -> tuple[np.ndarray, np.ndarray]:
+    """(h, J) of cfg.method's closed-form fit (nmf, tap, ip or sm), each step
+    a formula on whole N x N arrays: the reference the in-place kernels of
+    `inference` must match bit for bit."""
+    m = inference._check_means(stats)
+    fields = inference._fields
+    if cfg.method == "ip":
+        j_pair = _reference_pair_couplings(stats)
+        j, h = j_pair, fields(m, j_pair)
+    elif cfg.method == "nmf":
+        cinv, _ = stats.inverse(cfg.ridge)
+        j_full = _reference_nmf_matrix(m, cinv)
+        h = fields(m, j_full if cfg.diagonal_trick else _zero_diag(j_full))
+        j = _zero_diag(j_full)
+    elif cfg.method == "tap":
+        cinv, _ = stats.inverse(cfg.ridge)
+        mm = np.outer(m, m)
+        disc = 1.0 - 8.0 * mm * cinv
+        nmf_limit = np.abs(mm) < inference._TAP_MEAN_PRODUCT_FLOOR
+        negative = (disc < 0.0) & ~nmf_limit
+        with np.errstate(divide="ignore", invalid="ignore"):
+            root = (-1.0 + np.sqrt(np.maximum(disc, 0.0))) / (4.0 * mm)
+        j = np.where(nmf_limit | negative, -cinv, root)
+        j = _zero_diag((j + j.T) / 2.0)
+        if cfg.diagonal_trick:
+            h = fields(m, _reference_nmf_matrix(m, cinv))
+        else:
+            h_nmf = fields(m, _zero_diag(_reference_nmf_matrix(m, cinv)))
+            h = h_nmf - m * (1.0 - m**2) * (j**2).sum(axis=1)
+    else:
+        cinv, _ = stats.inverse(cfg.ridge)
+        j_nmf = _zero_diag(_reference_nmf_matrix(m, cinv))
+        j_pair = _reference_pair_couplings(stats)
+        cov = stats.covariance
+        denom = np.outer(1.0 - m**2, 1.0 - m**2) - cov**2
+        off = ~np.eye(m.size, dtype=bool)
+        bad = np.argwhere((np.abs(denom) < 1e-300) & off)
+        if bad.size:
+            i, k = bad[0]
+            raise ValueError(f"pair ({stats.label(i)}, {stats.label(k)}): vanishing "
+                             "denominator in the double-count correction")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            correction = cov / denom
+        j = j_nmf + j_pair - _zero_diag(correction)
+        h = fields(m, j_pair)
+    params = inference._finish(j, h, cfg.method, stats).params
+    return params.h, params.J
 
 
 def reference_json(params: IsingParams) -> str:

@@ -4,7 +4,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from conftest import stats_from_moments, stats_from_params
+from conftest import reference_closed_form, stats_from_moments, stats_from_params
 from isingmarket import inference
 from isingmarket.inference import (InferenceConfig, InferenceResult, infer,
                                    infer_exact, infer_ip, infer_nmf, infer_sm,
@@ -430,6 +430,72 @@ class TestFinish:
         expected = (j_single + j_single.T) / 2.0
         np.fill_diagonal(expected, 0.0)
         assert j.tobytes() == (expected / 2.0).tobytes()
+
+
+def pm_window(n, t, seed):
+    """A seeded (n, t) window of fair +-1 coins."""
+    return np.where(np.random.default_rng(seed).random((n, t)) < 0.5, -1.0, 1.0)
+
+
+def tap_edge_window():
+    """A 7-series +-1 window with a pair whose TAP discriminant is negative
+    (two magnetized series that are -1 together on one day only, so they
+    anti-correlate) and a series of mean exactly 0, so its products m_i m_j
+    sit below the nMF-limit floor."""
+    w = pm_window(7, 400, seed=21)
+    rng = np.random.default_rng(22)
+    w[0] = 1.0
+    w[1] = 1.0
+    down = rng.permutation(400)[:79]
+    w[0, down[:40]] = -1.0
+    w[1, down[39:]] = -1.0
+    w[2] = rng.permutation(np.repeat([-1.0, 1.0], 200))
+    return w
+
+
+class TestInPlaceKernels:
+    """The closed-form fits build their couplings in place; every bit of h and
+    J equals the plain formulas kept in conftest."""
+
+    @pytest.mark.parametrize("method", ("nmf", "tap", "ip", "sm"))
+    @pytest.mark.parametrize("trick", (True, False))
+    @pytest.mark.parametrize("n", (2, 7, 60, 200))
+    def test_bit_equal_to_the_formulas(self, method, trick, n):
+        cfg = InferenceConfig(method=method, diagonal_trick=trick)
+        st = window_stats(pm_window(n, max(50, 3 * n), seed=n))
+        h, j = reference_closed_form(st, cfg)
+        got = infer(st, cfg).params
+        assert got.h.tobytes() == h.tobytes()
+        assert got.J.tobytes() == j.tobytes()
+
+    @pytest.mark.parametrize("method", ("nmf", "tap", "ip", "sm"))
+    @pytest.mark.parametrize("trick", (True, False))
+    def test_bit_equal_with_fallbacks_and_zero_means(self, method, trick):
+        st = window_stats(tap_edge_window())
+        assert np.abs(np.outer(st.means, st.means)).min() < inference._TAP_MEAN_PRODUCT_FLOOR
+        cfg = InferenceConfig(method=method, diagonal_trick=trick)
+        res = infer(st, cfg)
+        if method == "tap":
+            assert res.tap_fallbacks > 0
+        h, j = reference_closed_form(st, cfg)
+        assert res.params.h.tobytes() == h.tobytes()
+        assert res.params.J.tobytes() == j.tobytes()
+
+    @pytest.mark.parametrize("method", ("ip", "sm"))
+    def test_non_positive_pair_term_names_the_same_pair(self, method):
+        # series 5 is never +1 with series 2, nor series 6 with series 4:
+        # two empty cells of the pair tables, the first named
+        w = pm_window(7, 400, seed=23)
+        w[5, w[2] > 0] = -1.0
+        w[6, w[4] > 0] = -1.0
+        st = window_stats(w, tickers=tuple("ABCDEFG"))
+        cfg = InferenceConfig(method=method)
+        with pytest.raises(ValueError) as want:
+            reference_closed_form(st, cfg)
+        assert "pair (C, F)" in str(want.value)
+        with pytest.raises(ValueError) as got:
+            infer(st, cfg)
+        assert str(got.value) == str(want.value)
 
 
 class TestDispatchAndInvariants:

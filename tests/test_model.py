@@ -39,6 +39,23 @@ class TestIsingParams:
         with pytest.raises(ValueError, match="parameters must be finite"):
             IsingParams(np.zeros(2), [[0.0, big], [big, 0.0]])
 
+    def test_symmetric_coupling_checked_without_float_temporaries(self):
+        n = 200
+        a = np.random.default_rng(0).normal(size=(n, n))
+        j = (a + a.T) / 2.0
+        np.fill_diagonal(j, 0.0)
+        h = np.zeros(n)
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            params = IsingParams(h, j)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the stored (J + J^T) / 2 and boolean masks, no float temporary
+        assert peak - base < 1.5 * n * n * 8
+        assert params.J.tobytes() == j.tobytes()
+
     def test_json_round_trip(self):
         params = random_model(5, 0.5, 0.3, seed=1)
         again = params_from_json(params_to_json(params))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,8 @@ def masked_forest(w, allowed):
     """The Prim core's forest over the edges `allowed` marks on its upper
     triangle (the rest set to -inf): (edges, n_components)."""
     keep = np.triu(np.asarray(allowed, dtype=bool), k=1)
-    parent = _prim(np.where(keep | keep.T, w, -np.inf)[None])[0]
+    parent = _prim(np.where(keep | keep.T, w, -np.inf)[None], np.zeros(1, dtype=np.intp),
+                   np.full((1, 1), np.inf), "discard_above")[0]
     return _forest_edges(w, parent), int(np.count_nonzero(parent < 0))
 
 
@@ -444,6 +447,22 @@ class TestForestOracle:
                     edges, n_comp = ref_forest(rebuilt)
                     assert (p.q_mst, p.disconnected) == (ref_q(edges, labels), False)
                     assert n_comp == 1
+
+    def test_window_memory_holds_no_thresholded_layer(self):
+        # 3 matrices, 15 points: the 3 x (1 + 15) matrices and eigen rebuilds
+        # take 1.38 MB; a thresholded copy per coupling point would add 1.30 MB
+        rng = np.random.default_rng(7)
+        n = 60
+        labels = [f"S{k}" for k in rng.integers(0, 3, size=n)]
+        js = [random_weights(rng, n, ties=False) for _ in range(3)]
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            window_forests(js, labels, mst=True, cutoff_points=15)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 2.3e6
 
     @pytest.mark.parametrize("ties", [False, True])
     def test_coupling_scan_matches_kruskal(self, ties):

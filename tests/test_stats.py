@@ -54,6 +54,19 @@ class TestWindowStats:
         assert moments["skew"][0] == 0.0
         assert moments["kurt"][0] == -2.0
 
+    @pytest.mark.parametrize("ridge", [0.0, 1e-3])
+    def test_inverse_bits_equal_adding_ridge_times_identity(self, ridge):
+        rng = np.random.default_rng(9)
+        a = rng.normal(size=(6, 40))
+        cov = a @ a.T / 40
+        cov[1, 4] = cov[4, 1] = -0.0  # adding ridge * I turns it into +0.0
+        st = WindowStats(np.zeros(6), cov)
+        cinv, cond = st.inverse(ridge)
+        c = cov + ridge * np.eye(6)
+        assert np.signbit(c[1, 4]) == False  # noqa: E712
+        assert cond == float(np.linalg.cond(c))
+        assert cinv.tobytes() == np.linalg.inv(c).tobytes()
+
     def test_window_knows_its_length(self):
         st = window_stats(np.array([[1.0, -1.0, 1.0], [1.0, 1.0, -1.0]]))
         assert st.n_obs == 3
