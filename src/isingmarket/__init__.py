@@ -18,7 +18,7 @@ from .inference import (InferenceConfig, InferenceResult, infer, infer_exact,
 from .model import (EnergySplit, IsingParams, SampleStats,
                     boltzmann_distribution, energy_split, enumerate_states,
                     exact_moments_small, metropolis_sample, params_from_json,
-                    params_to_json, third_order_from_samples)
+                    params_to_json, third_order_from_samples, write_params)
 from .network import MstResult, ScanPoint, SectorMap, mst_result
 from .panels import (Panel, binarize, load_price_csv, load_sector_csv, log_returns,
                      standardize_window, windows)
@@ -43,5 +43,5 @@ __all__ = [
     "off_diagonal_summary", "params_from_json", "params_to_json",
     "random_model", "sample_binary_panel", "scaling_exponents",
     "standardize_window", "subset_coupling_scan", "third_order_from_samples",
-    "window_stats", "windows",
+    "window_stats", "windows", "write_params",
 ]

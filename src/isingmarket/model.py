@@ -17,6 +17,7 @@ reproduces the moments they were fit to.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -28,6 +29,7 @@ from .stats import ConfigError
 
 ENUMERATION_HARD_CAP = 20  # 2^N states; above this exact sums are refused
 STATE_TRACKING_MAX_N = 16  # sampled state counts keep 2^N bins
+PARAMS_BLOCK_VALUES = 4096  # J values per block that write_params formats at once
 THIRD_ORDER_MAX_N = 128  # O(N^3 T) cost guard
 _BLOCK_VALUES = 1 << 16  # recorded spins cast to float64 at a time (0.5 MB)
 
@@ -411,18 +413,24 @@ def energy_split(params: IsingParams, means) -> EnergySplit:
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _floats_json(a: np.ndarray) -> bytes:
+def _odd_tokens(a: np.ndarray) -> np.ndarray:
+    """Where orjson and repr write a finite float in different notations,
+    0 < |x| < 1e-4 or |x| >= 1e16: comparisons only, no float temporary."""
+    return (a >= 1e16) | (a <= -1e16) | ((a < 1e-4) & (a > -1e-4) & (a != 0.0))
+
+
+def _floats_json(a: np.ndarray, odd: np.ndarray | None = None) -> bytes:
     """`json.dumps(a.tolist()).encode()` for a finite float64 vector or matrix.
 
     orjson writes the same shortest round-trip digits as float.__repr__,
     but without an exponent for 1e-5 <= |x| < 1e-4 and with a bare one
     (1e-7, 1e16) where repr writes 1e-07 and 1e+16; only the tokens of
     values with 0 < |x| < 1e-4 or |x| >= 1e16 are re-formatted, by repr.
+    `odd` is `_odd_tokens(a)`, for a caller that has it already.
     """
     out = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY).replace(b",", b", ")
     rows = np.atleast_2d(a)  # a vector is one row
-    mag = np.abs(rows)
-    odd = (mag >= 1e16) | ((mag < 1e-4) & (mag > 0.0))
+    odd = np.atleast_2d(_odd_tokens(a) if odd is None else odd)
     if not odd.any():
         return out
     ends = np.flatnonzero(np.frombuffer(out, np.uint8) == ord("]"))  # row i ends at ends[i]
@@ -437,11 +445,32 @@ def _floats_json(a: np.ndarray) -> bytes:
     return b"".join([*parts, view[done:]])
 
 
+def write_params(fh, params: IsingParams) -> None:
+    """Write `params_to_json`'s document to the binary file object `fh`.
+
+    J goes out in blocks of whole rows, PARAMS_BLOCK_VALUES values or fewer
+    each (one block at N <= 64, one row a block past N = 4096), so the
+    whole document is never held.  The odd-notation mask is made for the
+    whole of J at once: numpy releases the GIL in each call on a large
+    array, and per-block masks would make ten times the calls at N=200.
+    """
+    tickers = json.dumps(list(params.tickers) if params.tickers else None).encode()
+    fh.write(b'{"tickers": %b, "h": %b, "J": [' % (tickers, _floats_json(params.h)))
+    odd = _odd_tokens(params.J)
+    rows = max(1, PARAMS_BLOCK_VALUES // max(1, params.n))
+    for start in range(0, params.n, rows):
+        block = slice(start, start + rows)
+        if start:
+            fh.write(b", ")
+        fh.write(memoryview(_floats_json(params.J[block], odd[block]))[1:-1])
+    fh.write(b"]}")
+
+
 def params_to_json(params: IsingParams) -> bytes:
     """Byte-equal to json.dumps of {"tickers", "h", "J": J.tolist()}, encoded."""
-    tickers = json.dumps(list(params.tickers) if params.tickers else None).encode()
-    return b'{"tickers": %b, "h": %b, "J": %b}' % (
-        tickers, _floats_json(params.h), _floats_json(params.J))
+    buf = io.BytesIO()
+    write_params(buf, params)
+    return buf.getvalue()
 
 
 def params_from_json(text: str | bytes) -> IsingParams:

@@ -52,7 +52,8 @@ def _check_square_symmetric(w: np.ndarray) -> np.ndarray:
         raise ValueError("weight matrix must be square")
     if not np.isfinite(w).all():
         raise ValueError("weight matrix must be finite")
-    if not np.allclose(w, w.T, atol=1e-10):
+    # an exactly symmetric matrix, every fit's J, skips allclose's N x N temporaries
+    if not (np.array_equal(w, w.T) or np.allclose(w, w.T, atol=1e-10)):
         raise ValueError("weight matrix must be symmetric")
     if w.shape[0] < 2:
         raise ValueError("need at least two nodes")

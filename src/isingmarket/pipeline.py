@@ -16,9 +16,10 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from . import __version__
 from .evaluation import (check_scaling, check_subset, compare_methods,
                          scaling_exponents, subset_coupling_scan)
 from .inference import InferenceConfig, infer
-from .model import check_seed, energy_split, params_to_json
+from .model import check_seed, energy_split, write_params
 from .network import check_cutoff_points, edges_to_dot, window_forests
 from .panels import (RETURN_KINDS, _append_rows, _open_csv, binarize, check_file,
                      check_stride, load_price_csv, load_sector_csv, log_returns,
@@ -334,13 +335,9 @@ def _run_stages(cfg: RunConfig, out: Path, manifest: dict) -> None:
                 raise ValueError(f"window ending {date}: {err}") from err
 
         with ExitStack() as stack:
-            if cfg.jobs > 1:
-                pool = stack.enter_context(ThreadPoolExecutor(max_workers=cfg.jobs))
-                results = pool.map(unit, items)
-            else:
-                results = map(unit, items)
             files: dict = {}
-            for window_rows in results:
+
+            def collate(window_rows):  # on the calling thread, in window order
                 for key, rows in window_rows.items():
                     if key not in files:
                         rel, header = _COLLATED[key]
@@ -349,6 +346,8 @@ def _run_stages(cfg: RunConfig, out: Path, manifest: dict) -> None:
                         convergence.extend(rows)
                         rows = [[record[c] for c in diag_columns] for record in rows]
                     _append_rows(files[key], rows)
+
+            _map_in_order(unit, items, cfg.jobs, collate)
         failed = sum(not record["converged"] for record in convergence)
         if cfg.strict and failed:
             raise NonConvergenceError(f"{failed} window/method fits did not converge")
@@ -359,6 +358,66 @@ def _run_stages(cfg: RunConfig, out: Path, manifest: dict) -> None:
     if "subset" in cfg.stages:
         with _stage(manifest, "subset"):
             _write_subset_outputs(cfg, out, last)
+
+
+def _map_in_order(fn, items: list, jobs: int, consume) -> None:
+    """Call `consume(fn(item))` for every item, in item order, on the calling
+    thread.  min(jobs, len(items)) threads work in total: the calling one and
+    a pool of the rest.  Each thread claims the next item when it finishes
+    one; the calling thread consumes the results ready in order between its
+    own items, and waits on the pool once nothing is left to claim.
+
+    After any failure, an interrupt included, no thread claims another item.
+    The earliest failed item's exception is raised once the results of every
+    earlier item are consumed; items already running finish first.
+    """
+    lock = threading.Lock()
+    done: dict[int, tuple] = {}  # item index -> (result, exception)
+    claimed, stop = 0, False
+
+    def work_one() -> bool:  # run the next unclaimed item; False if there is none
+        nonlocal claimed, stop
+        with lock:
+            if stop or claimed == len(items):
+                return False
+            idx, claimed = claimed, claimed + 1
+        try:
+            outcome = (fn(items[idx]), None)
+        except BaseException as err:
+            outcome = (None, err)
+        with lock:
+            done[idx] = outcome
+            stop = stop or outcome[1] is not None
+        return True
+
+    def work() -> None:
+        while work_one():
+            pass
+
+    ready = 0
+
+    def consume_ready() -> None:
+        nonlocal ready
+        while ready in done:
+            result, err = done.pop(ready)
+            if err is not None:
+                raise err
+            consume(result)
+            ready += 1
+
+    threads = min(jobs, len(items))
+    pool = ThreadPoolExecutor(max_workers=threads - 1) if threads > 1 else nullcontext()
+    with pool:  # a single thread makes no pool at all
+        futures = [pool.submit(work) for _ in range(threads - 1)]
+        try:
+            while work_one():
+                consume_ready()
+            for future in futures:
+                future.result()
+            consume_ready()
+        finally:
+            with lock:
+                stop = True
 
 
 def _window_unit(cfg: RunConfig, out: Path, idx: int, date: str, block,
@@ -402,8 +461,8 @@ def _window_unit(cfg: RunConfig, out: Path, idx: int, date: str, block,
             fits[method] = params
         path = out / "params" / method / f"{date}.json"
         path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "wb") as fh:  # appending the newline would copy the document
-            fh.write(params_to_json(params))
+        with open(path, "wb") as fh:
+            write_params(fh, params)
             fh.write(b"\n")
         rows.setdefault("diag", []).append(  # the manifest's `convergence` entry
             {"date": date, "method": method, "converged": res.converged,

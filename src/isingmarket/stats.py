@@ -169,7 +169,7 @@ def moment_summary(values, n_boot: int = 0, level: float = 0.95,
 
 def _upper_triangle(m: np.ndarray) -> np.ndarray:
     """Entries above the diagonal of a square matrix, row by row."""
-    return m[np.triu_indices(m.shape[0], k=1)]
+    return m[np.triu(np.ones(m.shape, dtype=bool), k=1)]
 
 
 def off_diagonal_values(m: np.ndarray) -> np.ndarray:
@@ -177,7 +177,8 @@ def off_diagonal_values(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2:
         raise ValueError("need a square matrix with N >= 2")
-    if not np.allclose(m, m.T, atol=1e-12):
+    # an exactly symmetric matrix, every window covariance, skips allclose's temporaries
+    if not (np.array_equal(m, m.T) or np.allclose(m, m.T, atol=1e-12)):
         raise ValueError("matrix must be symmetric")
     return _upper_triangle(m)
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import IsingParams, _check_sampling, _simulate, params_to_json
+from .model import IsingParams, _check_sampling, _simulate, write_params
 from .network import SectorMap
 from .panels import write_csv
 from .stats import ConfigError
@@ -127,7 +127,7 @@ def generate_synthetic(out_prices, out_truth, n_days: int,
     write_csv(out_prices, "date," + ",".join(tickers),
               ((d, *row) for d, row in zip(dates, prices.T.tolist())))
     with open(out_truth, "wb") as fh:
-        fh.write(params_to_json(params))
+        write_params(fh, params)
     if out_sectors is not None:
         write_csv(out_sectors, "ticker,name,sector",
                   [(t, t, sector) for t, sector in sorted(sector_map.mapping.items())])

@@ -5,6 +5,8 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -723,6 +725,105 @@ class TestRunPipeline:
         # collated rows stay in window order under threads
         dates = [line.split(",")[0] for line in read_lines(par / "mst" / "q_mst.csv")[1:]]
         assert dates == sorted(dates) and len(dates) == 5 * 2
+
+    # 9 windows of T=200 at stride 25 over the market's 400 return days
+    JOBS_ARGS = ["-T", "200", "--stride", "25", "--method", "nmf,sm", "--seed", "29"]
+
+    def jobs_run(self, market, cfgfile):
+        return ["run", "--prices", str(market / "prices.csv"),
+                "--sectors", str(market / "sectors.csv"), "--config", str(cfgfile),
+                *self.JOBS_ARGS]
+
+    def test_jobs_stress_matches_serial(self, market, tmp_path):
+        # more threads than cores, switching threads every 10 microseconds
+        cfgfile = tmp_path / "pipeline.cfg"
+        cfgfile.write_text("stages=stats,infer,mst,energy\n")
+        base = self.jobs_run(market, cfgfile)
+        serial, par = tmp_path / "serial", tmp_path / "par"
+        assert main(base + ["--out-dir", str(serial)]) == 0
+        script = ("import sys\n"
+                  "from isingmarket.cli import main\n"
+                  "interval = sys.getswitchinterval()\n"
+                  "sys.setswitchinterval(1e-5)\n"
+                  "try:\n"
+                  "    code = main(sys.argv[1:])\n"
+                  "finally:\n"
+                  "    sys.setswitchinterval(interval)\n"
+                  "sys.exit(code)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(isingmarket.__file__).parents[1]))
+        subprocess.run([sys.executable, "-c", script, *base, "--out-dir", str(par),
+                        "--jobs", "6"], env=env, check=True, timeout=300)
+        files = sorted(p.relative_to(serial) for p in serial.rglob("*")
+                       if p.is_file() and p.name != "manifest.json")
+        assert files == sorted(p.relative_to(par) for p in par.rglob("*")
+                               if p.is_file() and p.name != "manifest.json")
+        assert len(read_lines(serial / "mst" / "q_mst.csv")) - 1 == 9 * 2
+        for rel in files:
+            assert (serial / rel).read_bytes() == (par / rel).read_bytes(), rel
+
+    def test_jobs_failed_window_keeps_serial_semantics(self, market, tmp_path,
+                                                       monkeypatch, capsys):
+        cfgfile = tmp_path / "pipeline.cfg"
+        cfgfile.write_text("stages=stats,infer,mst\n")
+        base = self.jobs_run(market, cfgfile)
+        assert main(base + ["--out-dir", str(tmp_path / "full")]) == 0
+        collated = ["stats/stats.csv", "stats/eigen.csv", "infer_diagnostics.csv",
+                    "mst/q_mst.csv"]
+        full = {rel: read_lines(tmp_path / "full" / rel) for rel in collated}
+        dates = sorted({line.split(",")[0] for line in full["mst/q_mst.csv"][1:]})
+        k = 3
+        real, started = isingmarket.pipeline._window_unit, []
+
+        def failing(cfg, out, idx, date, *args):
+            started.append(idx)
+            if idx == k:
+                raise ValueError("planted failure")
+            time.sleep(0.02)  # every other window outlasts the failure
+            return real(cfg, out, idx, date, *args)
+
+        monkeypatch.setattr(isingmarket.pipeline, "_window_unit", failing)
+        outcomes = {}
+        for jobs in ("1", "3"):
+            started.clear()
+            out = tmp_path / jobs
+            code = main(base + ["--out-dir", str(out), "--jobs", jobs])
+            outcomes[jobs] = code, capsys.readouterr().err
+            assert (out / ".partial").exists()
+            # exactly the rows of the windows before k
+            for rel in collated:
+                assert read_lines(out / rel) == [
+                    line for n, line in enumerate(full[rel])
+                    if n == 0 or line.split(",")[0] in dates[:k]], rel
+            assert max(started) <= (k if jobs == "1" else k + 2)
+        assert outcomes["1"] == outcomes["3"]
+        assert outcomes["1"][0] == 3
+        assert f"window ending {dates[k]}: planted failure" in outcomes["1"][1]
+
+    def test_jobs_starts_no_more_threads_than_windows(self, market, tmp_path,
+                                                      monkeypatch):
+        pools, idents = [], set()
+
+        class RecordingPool(isingmarket.pipeline.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        real = isingmarket.pipeline._window_unit
+
+        def unit(*args):
+            idents.add(threading.get_ident())
+            return real(*args)
+
+        monkeypatch.setattr(isingmarket.pipeline, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(isingmarket.pipeline, "_window_unit", unit)
+        rc = main(["infer", "--prices", str(market / "prices.csv"),
+                   "--out-dir", str(tmp_path), "-T", "200", "--stride", "50",
+                   "--jobs", "64"])
+        assert rc == 0
+        assert len(read_lines(tmp_path / "infer_diagnostics.csv")) - 1 == 5
+        # 5 windows: the calling thread and at most 4 pool threads
+        assert pools == [4]
+        assert len(idents) <= 5
 
     def test_one_inverse_per_window(self, market, tmp_path, monkeypatch):
         calls = {"inv": 0, "cond": 0}

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import math
 import tracemalloc
@@ -8,12 +9,14 @@ import pytest
 
 from conftest import hamiltonian, reference_json, third_order_tensor
 from isingmarket import model
-from isingmarket.model import (IsingParams, _floats_json, _gelman_rubin, _simulate,
+from isingmarket.inference import InferenceConfig, infer
+from isingmarket.model import (PARAMS_BLOCK_VALUES, IsingParams, _floats_json, _gelman_rubin, _simulate,
                                boltzmann_distribution,
                                encode_states, energy_split, enumerate_states,
                                exact_moments_small, metropolis_sample,
                                params_from_json, params_to_json,
-                               third_order_from_samples)
+                               third_order_from_samples, write_params)
+from isingmarket.stats import window_stats
 from isingmarket.synthetic import random_model
 
 
@@ -150,6 +153,46 @@ class TestParamsJson:
     def test_wrong_j_shape_rejected(self, h, j):
         with pytest.raises(ValueError, match="shape mismatch"):
             params_from_json(f'{{"tickers": null, "h": {h}, "J": {j}}}')
+
+    @pytest.mark.parametrize("n", [0, 1, 64, 65, 129, 200])
+    def test_streamed_blocks_match_json_dumps(self, n):
+        # odd-notation tokens in the first and last row of every J block:
+        # one block up to N = 64, then PARAMS_BLOCK_VALUES // N rows a block
+        rng = np.random.default_rng(n)
+        a = rng.normal(scale=0.1, size=(n, n))
+        j = a + a.T
+        rows = max(1, PARAMS_BLOCK_VALUES // max(1, n))
+        odd = (1e-07, 9.99e-05, 1e+16)
+        for start in range(0, n, rows):
+            for r in (start, min(start + rows, n) - 1):
+                for c, value in zip((0, n // 2, n - 1), odd):
+                    j[r, c] = j[c, r] = value
+        np.fill_diagonal(j, 0.0)
+        h = rng.normal(size=n)
+        if n:
+            h[0], h[-1] = -1e-07, 1e+16
+        params = IsingParams(h, j, tickers=tuple(f"S{i:03d}" for i in range(n)) or None)
+        expected = reference_json(params).encode()
+        buf = io.BytesIO()
+        write_params(buf, params)
+        assert buf.getvalue() == expected
+        assert params_to_json(params) == expected
+
+    def test_writing_a_document_holds_no_whole_copy(self, tmp_path):
+        rng = np.random.default_rng(200)
+        block = rng.choice([-1.0, 1.0], size=(200, 250))
+        params = infer(window_stats(block), InferenceConfig(method="nmf")).params
+        with open(tmp_path / "params.json", "wb") as fh:
+            tracemalloc.start()
+            try:
+                base, _ = tracemalloc.get_traced_memory()
+                write_params(fh, params)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        # one 20-row block formatted at a time; the document is 0.84 MB
+        assert peak - base < 0.5e6
+        assert (tmp_path / "params.json").read_bytes() == reference_json(params).encode()
 
     def test_round_trip_bit_exact_at_n200(self):
         rng = np.random.default_rng(200)

@@ -1,6 +1,7 @@
 import json
 import logging
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -194,6 +195,23 @@ class TestOffDiagonalSummary:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
             off_diagonal_values(np.array([[0.0, 1.0], [2.0, 0.0]]))
+
+    def test_symmetric_input_copies_no_square_temporary(self):
+        n = 200
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(n, n))
+        m = a @ a.T
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            values = off_diagonal_values(m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the boolean mask and the gathered values, below one N x N float64
+        assert peak - base < n * n * 8
+        assert values.tobytes() == np.array(
+            [m[i, j] for i in range(n) for j in range(i + 1, n)]).tobytes()
 
 
 def per_resample_bootstrap(values, statistic, n_resamples, level, seed):
