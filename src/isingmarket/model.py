@@ -29,7 +29,6 @@ from .stats import ConfigError
 
 ENUMERATION_HARD_CAP = 20  # 2^N states; above this exact sums are refused
 STATE_TRACKING_MAX_N = 16  # sampled state counts keep 2^N bins
-PARAMS_BLOCK_VALUES = 4096  # J values per block that write_params formats at once
 THIRD_ORDER_MAX_N = 128  # O(N^3 T) cost guard
 _BLOCK_VALUES = 1 << 16  # recorded spins cast to float64 at a time (0.5 MB)
 
@@ -419,50 +418,42 @@ def _odd_tokens(a: np.ndarray) -> np.ndarray:
     return (a >= 1e16) | (a <= -1e16) | ((a < 1e-4) & (a > -1e-4) & (a != 0.0))
 
 
-def _floats_json(a: np.ndarray, odd: np.ndarray | None = None) -> bytes:
-    """`json.dumps(a.tolist()).encode()` for a finite float64 vector or matrix.
+def _floats_json(v: np.ndarray, odd) -> bytes:
+    """`json.dumps(v.tolist()).encode()` for a finite float64 vector whose
+    odd-notation positions are `odd`.
 
     orjson writes the same shortest round-trip digits as float.__repr__,
     but without an exponent for 1e-5 <= |x| < 1e-4 and with a bare one
-    (1e-7, 1e16) where repr writes 1e-07 and 1e+16; only the tokens of
-    values with 0 < |x| < 1e-4 or |x| >= 1e16 are re-formatted, by repr.
-    `odd` is `_odd_tokens(a)`, for a caller that has it already.
+    (1e-7, 1e16) where repr writes 1e-07 and 1e+16; only the tokens at the
+    positions in `odd`, those of `_odd_tokens(v)`, are re-formatted, by repr.
     """
-    out = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY).replace(b",", b", ")
-    rows = np.atleast_2d(a)  # a vector is one row
-    odd = np.atleast_2d(_odd_tokens(a) if odd is None else odd)
-    if not odd.any():
+    out = orjson.dumps(v, option=orjson.OPT_SERIALIZE_NUMPY).replace(b",", b", ")
+    if not len(odd):
         return out
-    ends = np.flatnonzero(np.frombuffer(out, np.uint8) == ord("]"))  # row i ends at ends[i]
-    view, parts, done = memoryview(out), [], 0
-    for i in np.flatnonzero(odd.any(axis=1)):
-        first = ends[i - 1] + 4 if i else a.ndim  # just after "], [", "[[" or "["
-        tokens = out[first:ends[i]].split(b", ")
-        for k in np.flatnonzero(odd[i]):
-            tokens[k] = repr(float(rows[i, k])).encode()
-        parts += [view[done:first], b", ".join(tokens)]
-        done = ends[i]
-    return b"".join([*parts, view[done:]])
+    tokens = out[1:-1].split(b", ")
+    for k in odd:
+        tokens[k] = repr(float(v[k])).encode()
+    return b"[%b]" % b", ".join(tokens)
 
 
 def write_params(fh, params: IsingParams) -> None:
     """Write `params_to_json`'s document to the binary file object `fh`.
 
-    J goes out in blocks of whole rows, PARAMS_BLOCK_VALUES values or fewer
-    each (one block at N <= 64, one row a block past N = 4096), so the
-    whole document is never held.  The odd-notation mask is made for the
-    whole of J at once: numpy releases the GIL in each call on a large
-    array, and per-block masks would make ten times the calls at N=200.
+    J goes out one row at a time, so the whole document is never held.
+    The odd-notation mask is made once for the whole of J, and the rows
+    that hold an odd value are found once: numpy releases the GIL in each
+    call on a large array, and a call per row would make `--jobs` threads
+    hand it over N times a document.
     """
     tickers = json.dumps(list(params.tickers) if params.tickers else None).encode()
-    fh.write(b'{"tickers": %b, "h": %b, "J": [' % (tickers, _floats_json(params.h)))
+    h = _floats_json(params.h, np.flatnonzero(_odd_tokens(params.h)))
+    fh.write(b'{"tickers": %b, "h": %b, "J": [' % (tickers, h))
     odd = _odd_tokens(params.J)
-    rows = max(1, PARAMS_BLOCK_VALUES // max(1, params.n))
-    for start in range(0, params.n, rows):
-        block = slice(start, start + rows)
-        if start:
+    odd_rows = {int(i): np.flatnonzero(odd[i]) for i in np.flatnonzero(odd.any(axis=1))}
+    for i, row in enumerate(params.J):
+        if i:
             fh.write(b", ")
-        fh.write(memoryview(_floats_json(params.J[block], odd[block]))[1:-1])
+        fh.write(_floats_json(row, odd_rows.get(i, ())))
     fh.write(b"]}")
 
 

@@ -177,9 +177,9 @@ def load_sector_csv(path) -> SectorMap:
                 raise ValueError(f"{path}: row {lineno} has {len(row)} cells, expected 3")
             ticker, _, sector = (row[0].strip(), row[1].strip(), row[2].strip())
             if not ticker or not sector:
-                raise ValueError(f"{path}: blank ticker or sector in row {row}")
+                raise ValueError(f"{path}: row {lineno} has a blank ticker or sector")
             if ticker in mapping:
-                raise ValueError(f"{path}: duplicate ticker {ticker}")
+                raise ValueError(f"{path}: row {lineno}: duplicate ticker {ticker!r}")
             mapping[ticker] = sector
     return SectorMap(mapping)
 

@@ -461,7 +461,8 @@ def _window_unit(cfg: RunConfig, out: Path, idx: int, date: str, block,
             fits[method] = params
         path = out / "params" / method / f"{date}.json"
         path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "wb") as fh:
+        # write_params writes J a row at a time; the rows reach the OS in 64 KiB pieces
+        with open(path, "wb", buffering=1 << 16) as fh:
             write_params(fh, params)
             fh.write(b"\n")
         rows.setdefault("diag", []).append(  # the manifest's `convergence` entry

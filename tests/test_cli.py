@@ -15,10 +15,11 @@ import pytest
 import isingmarket
 from conftest import reference_json
 from isingmarket.cli import build_parser, main
-from isingmarket.model import IsingParams, params_from_json, params_to_json
+from isingmarket.model import IsingParams, metropolis_sample, params_from_json, params_to_json
+from isingmarket.panels import binarize, load_price_csv, log_returns
 from isingmarket.pipeline import (ConfigError, RunConfig, config_from_mapping,
                                   parse_config_file, run)
-from isingmarket.synthetic import random_model
+from isingmarket.synthetic import random_model, sample_binary_panel
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +53,25 @@ class TestSynthAndIngest:
         truth = json.loads((market / "truth.json").read_text())
         assert len(truth["h"]) == 12
         assert (market / "sectors.csv").exists()
+
+    def test_synth_from_given_truth(self, tmp_path):
+        # truth.json holds the given parameters bit for bit, no sectors file is
+        # written, and the prices binarize to the panel sampled at the seed
+        given = random_model(5, 0.3, 0.2, seed=3, tickers=("V", "W", "X", "Y", "Z"))
+        (tmp_path / "given.json").write_bytes(params_to_json(given))
+        out = tmp_path / "out"
+        rc = main(["synth", "--truth", str(tmp_path / "given.json"), "--out-dir", str(out),
+                   "--n-days", "41", "--seed", "9"])
+        assert rc == 0
+        truth = params_from_json((out / "truth.json").read_bytes())
+        assert truth.h.tobytes() == given.h.tobytes()
+        assert truth.J.tobytes() == given.J.tobytes()
+        assert truth.tickers == given.tickers
+        assert not (out / "sectors.csv").exists()
+        panel, dropped = load_price_csv(out / "prices.csv")
+        assert dropped == {} and panel.tickers == given.tickers
+        signs = binarize(log_returns(panel)).values
+        assert signs.tobytes() == sample_binary_panel(given, 40, seed=9).tobytes()
 
     def test_ingest_reports(self, market, tmp_path, capsys):
         rc = main(["ingest", "--prices", str(market / "prices.csv"),
@@ -392,6 +412,18 @@ class TestAnalysisCommands:
         assert pairs[1].split(",")[1] == "1.0"  # unit diagonal
         counts = read_lines(tmp_path / "sample_state_counts.csv")
         assert len(counts) - 1 == 2**12
+
+    def test_sample_third_order(self, market, tmp_path):
+        rc = main(["sample", "--params", str(market / "truth.json"),
+                   "--out-dir", str(tmp_path), "--sweeps", "50", "--burnin", "20",
+                   "--chains", "4", "--seed", "5", "--third-order"])
+        assert rc == 0
+        payload = json.loads((tmp_path / "sample_third_order.json").read_text())
+        assert payload["tickers"] == read_lines(market / "prices.csv")[0].split(",")[1:]
+        expected = metropolis_sample(params_from_json((market / "truth.json").read_bytes()),
+                                     n_sweeps=50, n_burnin=20, n_chains=4, seed=5,
+                                     with_third_order=True).third_order
+        assert np.array(payload["tensor"]).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("flags,n", [
         (["--sweeps", "0"], None), (["--burnin", "-1"], None), (["--chains", "0"], None),
@@ -1075,6 +1107,26 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="sectors"):
             RunConfig(prices=str(market / "prices.csv"), out_dir="o",
                       stages=("mst",), kind="binary")
+
+    # checks no other test reaches: (settings beside prices and out_dir, message);
+    # text values are parsed, typed ones pass through and None drops the key
+    CONFIG_CHECKS = {
+        "kind": ({"kind": "log"}, "unknown transform kind 'log'"),
+        "no methods": ({"stages": ("infer",), "methods": ()}, "no inference methods selected"),
+        "compare pair": ({"stages": ("infer", "compare"), "methods": ("nmf",),
+                          "compare_pairs": (("nmf", "tap"),)},
+                         "compare pair nmf:tap not covered by methods"),
+        "boolean text": ({"strict": "maybe"}, "strict: expected a boolean, got 'maybe'"),
+        "no out_dir": ({"out_dir": None}, "missing required config keys: ['out_dir']"),
+    }
+
+    @pytest.mark.parametrize("case", CONFIG_CHECKS)
+    def test_config_checks_name_what_they_reject(self, market, case):
+        settings, message = self.CONFIG_CHECKS[case]
+        with pytest.raises(ConfigError) as err:
+            config_from_mapping({"prices": str(market / "prices.csv"), "out_dir": "o",
+                                 **settings})
+        assert err.type is ConfigError and str(err.value) == message
 
     BAD_VALUES = [
         ("infer", ["--eta-h", "-1"], ""),

@@ -61,6 +61,11 @@ class TestPearson:
     def test_equal_constants_define_unit_correlation(self):
         assert pearson(np.ones(5), np.ones(5)) == 1.0
 
+    @pytest.mark.parametrize("x, y", [([2.0, 2.0, 2.0], [1.0, 2.0, 4.0]),
+                                      ([1.0, 2.0, 4.0], [2.0, 2.0, 2.0])])
+    def test_one_constant_vector_is_nan(self, x, y):
+        assert np.isnan(pearson(np.array(x), np.array(y)))
+
 
 class TestCompareMethods:
     def test_identical_params(self):
@@ -231,3 +236,25 @@ class TestSubsetCouplingScan:
         assert len(tops[0] & tops[-1]) >= 8
         # couplings shrink as more of the system is modeled explicitly
         assert scan.entries[-1].mean < scan.entries[0].mean
+
+
+PAIR = random_model(2, 0.5, 0.3, seed=3)
+
+
+# checks no other test reaches: (call, message), each a ValueError
+INPUT_CHECKS = {
+    "nrmse lengths differ": (lambda: nrmse([1.0, 2.0], [1.0, 2.0, 3.0]),
+                             "inputs must share a length of at least 2"),
+    "nrmse one value": (lambda: nrmse([1.0], [2.0]), "inputs must share a length of at least 2"),
+    "tickers differ": (lambda: compare_methods(IsingParams(PAIR.h, PAIR.J, ("A", "B")),
+                                               IsingParams(PAIR.h, PAIR.J, ("A", "C"))),
+                       "parameter sets cover different tickers"),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_CHECKS)
+def test_input_checks_name_what_they_reject(case):
+    call, message = INPUT_CHECKS[case]
+    with pytest.raises(ValueError) as err:
+        call()
+    assert err.type is ValueError and str(err.value) == message

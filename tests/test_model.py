@@ -6,12 +6,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import hamiltonian, reference_json, third_order_tensor
 from isingmarket import model
 from isingmarket.inference import InferenceConfig, infer
-from isingmarket.model import (PARAMS_BLOCK_VALUES, IsingParams, _floats_json, _gelman_rubin, _simulate,
-                               boltzmann_distribution,
+from isingmarket.model import (IsingParams, SampleStats, _floats_json, _gelman_rubin,
+                               _odd_tokens, _simulate, boltzmann_distribution,
                                encode_states, energy_split, enumerate_states,
                                exact_moments_small, metropolis_sample,
                                params_from_json, params_to_json,
@@ -128,9 +131,11 @@ class TestParamsJson:
                   [1e-07, -2e-05, 1e16, -5e-324, 8e-05, 1e300]):
             params = IsingParams(np.array(h), j)
             assert params_to_json(params) == reference_json(params).encode()
-        # J's diagonal is never odd; any matrix may have odd corners
+        # J's diagonal is never odd; any row may have odd ends
         m = np.array([[1e-07, 0.5, 2e16], [-0.0, 3.5, 1.5], [4e-05, 0.25, -1e300]])
-        assert _floats_json(m) == json.dumps(m.tolist()).encode()
+        for row in m:
+            odd = np.flatnonzero(_odd_tokens(row))
+            assert _floats_json(row, odd) == json.dumps(row.tolist()).encode()
 
     @pytest.mark.parametrize("h", [0.3, 1e-07, -2e16, 0.0])
     def test_single_spin(self, h):
@@ -156,17 +161,15 @@ class TestParamsJson:
 
     @pytest.mark.parametrize("n", [0, 1, 64, 65, 129, 200])
     def test_streamed_blocks_match_json_dumps(self, n):
-        # odd-notation tokens in the first and last row of every J block:
-        # one block up to N = 64, then PARAMS_BLOCK_VALUES // N rows a block
+        # odd-notation tokens in the first and last row and column of J,
+        # each row of which is formatted and written on its own
         rng = np.random.default_rng(n)
         a = rng.normal(scale=0.1, size=(n, n))
         j = a + a.T
-        rows = max(1, PARAMS_BLOCK_VALUES // max(1, n))
         odd = (1e-07, 9.99e-05, 1e+16)
-        for start in range(0, n, rows):
-            for r in (start, min(start + rows, n) - 1):
-                for c, value in zip((0, n // 2, n - 1), odd):
-                    j[r, c] = j[c, r] = value
+        for r in {0, n - 1} if n else ():
+            for c, value in zip((0, n // 2, n - 1), odd):
+                j[r, c] = j[c, r] = value
         np.fill_diagonal(j, 0.0)
         h = rng.normal(size=n)
         if n:
@@ -190,7 +193,7 @@ class TestParamsJson:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-        # one 20-row block formatted at a time; the document is 0.84 MB
+        # one row formatted at a time; the document is 0.84 MB
         assert peak - base < 0.5e6
         assert (tmp_path / "params.json").read_bytes() == reference_json(params).encode()
 
@@ -205,6 +208,23 @@ class TestParamsJson:
         assert again.h.tobytes() == params.h.tobytes()
         assert again.J.tobytes() == params.J.tobytes()
         assert again.tickers == params.tickers
+
+    # finite float64 values, subnormals and -0.0 included, with the values
+    # on either side of repr's exponent switch points drawn often
+    FINITE = st.floats(allow_nan=False, allow_infinity=False, width=64) | st.sampled_from(
+        [-0.0, 5e-324, 1e-07, -9.99e-05, 1e-05, 1e-4, 9999999999999998.0, 1e16, -1.5e17])
+
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(arrays(np.float64, st.integers(0, 40), elements=FINITE))
+    def test_any_finite_vector_matches_json_dumps(self, v):
+        expected = json.dumps(v.tolist()).encode()
+        assert _floats_json(v, np.flatnonzero(_odd_tokens(v))) == expected
+        # as h, and as J's first row and column where J's (J + J^T) / 2 stays finite
+        j = np.zeros((v.size, v.size))
+        if v.size:
+            j[0, 1:] = j[1:, 0] = np.where(np.abs(v[1:]) < 1e300, v[1:], 0.0)
+        params = IsingParams(v, j)
+        assert params_to_json(params) == reference_json(params).encode()
 
 
 class TestHamiltonian:
@@ -714,7 +734,40 @@ class TestEnergySplit:
         assert split.bias_ratio < 0
         assert split.bias_ratio_sign == -1.0
 
+    def test_zero_over_zero_ratios_are_zero(self):
+        # no field and no coupling: both energies and both mean biases are 0
+        split = energy_split(IsingParams(np.zeros(2), np.zeros((2, 2))), np.array([0.5, -0.5]))
+        assert (split.energy_ratio, split.bias_ratio, split.bias_ratio_sign) == (0.0, 0.0, 0.0)
+
     def test_means_validated(self):
         params = random_model(2, 0.1, 0.1, seed=18)
         with pytest.raises(ValueError):
             energy_split(params, np.array([1.5, 0.0]))
+
+
+ZERO2 = IsingParams(np.zeros(2), np.zeros((2, 2)))
+
+# checks no other test reaches: (call, message), each a ValueError
+INPUT_CHECKS = {
+    "tickers length": (lambda: IsingParams(np.zeros(2), np.zeros((2, 2)), tickers=("A",)),
+                       "tickers do not match parameter dimension"),
+    "sample means": (lambda: SampleStats(np.array([1.5]), np.ones((1, 1)), 1),
+                     "spin means must lie in [-1, 1]"),
+    "sample pairs": (lambda: SampleStats(np.zeros(2), np.array([[1.0, 0.5], [0.2, 1.0]]), 1),
+                     "pair moments must be symmetric with unit diagonal"),
+    "enumeration cap": (lambda: enumerate_states(21), "refusing to enumerate 2^21 states (cap 20)"),
+    "sampler init": (lambda: metropolis_sample(ZERO2, 1, n_burnin=0, n_chains=1, init="cold"),
+                     "unknown init 'cold'"),
+    "samples not 2-d": (lambda: third_order_from_samples(np.ones(3)),
+                        "samples must be (n_samples, N)"),
+    "energy means": (lambda: energy_split(ZERO2, np.zeros(3)),
+                     "means must match parameter dimension"),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_CHECKS)
+def test_input_checks_name_what_they_reject(case):
+    call, message = INPUT_CHECKS[case]
+    with pytest.raises(ValueError) as err:
+        call()
+    assert err.type is ValueError and str(err.value) == message

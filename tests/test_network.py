@@ -521,3 +521,11 @@ def test_non_finite_weights_rejected(entry, bad):
     j = weights_from_edges(3, [(0, 1, 0.5), (0, 2, bad), (1, 2, 0.2)])
     with pytest.raises(ValueError, match="weight matrix must be finite"):
         ENTRY_POINTS[entry](j)
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("shape", [(3,), (2, 3)])
+def test_non_square_weights_rejected(entry, shape):
+    with pytest.raises(ValueError) as err:
+        ENTRY_POINTS[entry](np.zeros(shape))
+    assert err.type is ValueError and str(err.value) == "weight matrix must be square"

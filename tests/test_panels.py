@@ -297,3 +297,53 @@ class TestCsvIngest:
         path.write_text("ticker,name,sector\nAAA,Alpha Inc.,Tech\n\nB,b\n")
         with pytest.raises(ValueError, match=r"sectors\.csv: row 4 has 2 cells, expected 3"):
             load_sector_csv(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("ticker,name,sector\nAAA,Alpha Inc.,Tech\n,x,Tech\n",
+         "row 3 has a blank ticker or sector"),
+        ("ticker,name,sector\nAAA,Alpha Inc.,Tech\n\nBBB,Beta Co., \n",
+         "row 4 has a blank ticker or sector"),
+        ("ticker,name,sector\nA,Alpha Inc.,Tech\nB,Beta Co.,Energy\nA,Again,Tech\n",
+         "row 4: duplicate ticker 'A'"),
+    ], ids=["blank ticker", "blank sector", "duplicate ticker"])
+    def test_bad_sector_row_names_its_row_and_ticker(self, tmp_path, text, message):
+        path = tmp_path / "sectors.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            load_sector_csv(path)
+        assert str(err.value) == f"{path}: {message}"
+
+
+
+def csv_call(name, text, load):
+    """A call that writes `text` to `name` in the given directory and loads it."""
+    def call(directory):
+        path = directory / name
+        path.write_text(text)
+        return load(path)
+    return call
+
+
+# checks no other test reaches: (call on a scratch directory, message)
+INPUT_CHECKS = {
+    "panel shape": (lambda _: Panel(("A",), ("d1", "d2"), np.ones((2, 2)), "price"),
+                    "price matrix shape (2, 2) does not match 1 tickers x 2 dates"),
+    "duplicate tickers": (lambda _: Panel(("A", "A"), ("d1", "d2"), np.ones((2, 2)), "raw"),
+                          "duplicate tickers"),
+    "price row cells": (csv_call("prices.csv", "date,AAA,BBB\n2001-01-01,1,2\n2001-01-02,1\n",
+                                 load_price_csv),
+                        "{dir}/prices.csv: row 3 has 2 cells, expected 3"),
+    "one price row": (csv_call("prices.csv", "date,AAA\n2001-01-01,1\n\n", load_price_csv),
+                      "{dir}/prices.csv: need at least two price rows"),
+    "sector header": (csv_call("sectors.csv", "ticker,sector,name\nAAA,Tech,Alpha\n",
+                               load_sector_csv),
+                      "{dir}/sectors.csv: expected header 'ticker,name,sector'"),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_CHECKS)
+def test_input_checks_name_what_they_reject(tmp_path, case):
+    call, message = INPUT_CHECKS[case]
+    with pytest.raises(ValueError) as err:
+        call(tmp_path)
+    assert err.type is ValueError and str(err.value) == message.format(dir=tmp_path)

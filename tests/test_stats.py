@@ -10,7 +10,7 @@ from isingmarket import stats as stats_module
 from isingmarket.panels import standardize_window
 from isingmarket.pipeline import RunConfig, run
 from isingmarket.model import third_order_from_samples
-from isingmarket.stats import (WindowStats, bootstrap_ci, dft_amplitudes,
+from isingmarket.stats import (ConfigError, WindowStats, bootstrap_ci, dft_amplitudes,
                                eigen_csv_rows, moment_summary, off_diagonal_summary,
                                off_diagonal_values, stats_csv_rows, window_stats)
 
@@ -431,3 +431,26 @@ class TestMomentSummaryCI:
         # each moment draws from its own spawned seed, at the level passed
         seeds = np.random.SeedSequence(1).spawn(4)
         assert s.ci["mean"] == bootstrap_ci(values, "mean", 200, 0.9, seed=seeds[0])
+
+
+# checks no other test reaches: (call, exception type, message)
+INPUT_CHECKS = {
+    "window not 2-d": (lambda: window_stats(np.ones(3)), ValueError,
+                       "window must be a 2-d (N, T) array"),
+    "one observation": (lambda: window_stats(np.ones((2, 1))), ValueError,
+                        "window needs at least two observations"),
+    "1x1 matrix": (lambda: off_diagonal_values(np.ones((1, 1))), ValueError,
+                   "need a square matrix with N >= 2"),
+    "no resamples": (lambda: bootstrap_ci([1.0, 2.0, 3.0], "mean", 0), ConfigError,
+                     "bootstrap_ci needs n_resamples > 0"),
+    "one sample": (lambda: dft_amplitudes([1.0]), ValueError,
+                   "series needs at least two samples"),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_CHECKS)
+def test_input_checks_name_what_they_reject(case):
+    call, exc, message = INPUT_CHECKS[case]
+    with pytest.raises(exc) as err:
+        call()
+    assert err.type is exc and str(err.value) == message
