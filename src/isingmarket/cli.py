@@ -39,7 +39,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--jobs", type=int,
                    help="threads that work the windows, the calling one included; they "
                         "share the GIL: on 2 cores, `infer` at N=200 (151 windows, 3 methods) "
-                        "took a median (of 4 runs) 3.7 s at --jobs 1, 3.4 s at --jobs 2")
+                        "took a median (of 7 runs) 3.8 s at --jobs 1, 3.3 s at --jobs 2")
     p.add_argument("--out-dir", help="output directory")
     p.add_argument("--log-level", choices=["debug", "info", "warning", "error"],
                    default="warning", help="library log messages on stderr")

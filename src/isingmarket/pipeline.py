@@ -16,10 +16,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack, contextmanager, nullcontext
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -362,62 +361,24 @@ def _run_stages(cfg: RunConfig, out: Path, manifest: dict) -> None:
 
 def _map_in_order(fn, items: list, jobs: int, consume) -> None:
     """Call `consume(fn(item))` for every item, in item order, on the calling
-    thread.  min(jobs, len(items)) threads work in total: the calling one and
-    a pool of the rest.  Each thread claims the next item when it finishes
-    one; the calling thread consumes the results ready in order between its
-    own items, and waits on the pool once nothing is left to claim.
+    thread.  min(jobs, len(items)) threads work in total, in rounds of that
+    many items: a pool runs all but the first item of a round, the calling
+    thread runs the first, then consumes the round's results in order.  The
+    next round starts only then, so each pool item finds an idle thread.
 
-    After any failure, an interrupt included, no thread claims another item.
-    The earliest failed item's exception is raised once the results of every
-    earlier item are consumed; items already running finish first.
+    A failure, an interrupt included, raises at the earliest failed item once
+    the results of every earlier item are consumed; the round's running items
+    finish first, and no later round starts.
     """
-    lock = threading.Lock()
-    done: dict[int, tuple] = {}  # item index -> (result, exception)
-    claimed, stop = 0, False
-
-    def work_one() -> bool:  # run the next unclaimed item; False if there is none
-        nonlocal claimed, stop
-        with lock:
-            if stop or claimed == len(items):
-                return False
-            idx, claimed = claimed, claimed + 1
-        try:
-            outcome = (fn(items[idx]), None)
-        except BaseException as err:
-            outcome = (None, err)
-        with lock:
-            done[idx] = outcome
-            stop = stop or outcome[1] is not None
-        return True
-
-    def work() -> None:
-        while work_one():
-            pass
-
-    ready = 0
-
-    def consume_ready() -> None:
-        nonlocal ready
-        while ready in done:
-            result, err = done.pop(ready)
-            if err is not None:
-                raise err
-            consume(result)
-            ready += 1
-
-    threads = min(jobs, len(items))
-    pool = ThreadPoolExecutor(max_workers=threads - 1) if threads > 1 else nullcontext()
-    with pool:  # a single thread makes no pool at all
-        futures = [pool.submit(work) for _ in range(threads - 1)]
-        try:
-            while work_one():
-                consume_ready()
+    threads = max(1, min(jobs, len(items)))
+    # a pool starts no thread until something is submitted, so jobs=1 starts none
+    with ThreadPoolExecutor(max_workers=max(1, threads - 1)) as pool:
+        for start in range(0, len(items), threads):
+            first, *rest = items[start:start + threads]
+            futures = [pool.submit(fn, item) for item in rest]
+            consume(fn(first))
             for future in futures:
-                future.result()
-            consume_ready()
-        finally:
-            with lock:
-                stop = True
+                consume(future.result())
 
 
 def _window_unit(cfg: RunConfig, out: Path, idx: int, date: str, block,

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import isingmarket
 from conftest import reference_json
@@ -857,6 +859,77 @@ class TestRunPipeline:
         assert pools == [4]
         assert len(idents) <= 5
 
+    # the scheduler's contract, called directly with toy work
+    @staticmethod
+    def map_in_order(fn, items, jobs, results):
+        """_map_in_order appending each result to `results`, on the calling thread."""
+        caller = threading.get_ident()
+
+        def consume(result):
+            assert threading.get_ident() == caller
+            results.append(result)
+
+        isingmarket.pipeline._map_in_order(fn, items, jobs, consume)
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_jobs_scheduler_empty_list_consumes_nothing(self, jobs):
+        results = []
+        self.map_in_order(lambda item: pytest.fail("fn called"), [], jobs, results)
+        assert results == []
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3, 4, 5])
+    def test_jobs_scheduler_consumes_in_item_order(self, jobs):
+        sleeps = np.random.default_rng(jobs).uniform(0.0, 0.01, size=7)
+
+        def fn(item):
+            time.sleep(sleeps[item])
+            return item * 10
+
+        results = []
+        self.map_in_order(fn, list(range(7)), jobs, results)
+        assert results == [0, 10, 20, 30, 40, 50, 60]
+
+    def test_jobs_scheduler_raises_a_pool_failure_after_earlier_results(self):
+        # at jobs=3 the rounds are (0, 1, 2), (3, 4, 5), (6,): the calling
+        # thread runs 3, which succeeds, and the pool runs 4, which fails
+        planted, started, results = ValueError("item 4"), [], []
+
+        def fn(item):
+            started.append(item)
+            if item == 4:
+                raise planted
+            time.sleep(0.01)
+            return item
+
+        with pytest.raises(ValueError) as err:
+            self.map_in_order(fn, list(range(7)), 3, results)
+        assert err.value is planted
+        assert results == [0, 1, 2, 3]
+        assert sorted(started) == [0, 1, 2, 3, 4, 5]  # no later round starts
+
+    def test_jobs_scheduler_propagates_an_interrupt_of_the_calling_thread(self):
+        def fn(item):
+            if item == 2:  # the first item of the second round at jobs=2
+                raise KeyboardInterrupt
+            time.sleep(0.01)
+            return item
+
+        results = []
+        with pytest.raises(KeyboardInterrupt):
+            self.map_in_order(fn, list(range(6)), 2, results)
+        assert results == [0, 1]
+
+    def test_jobs_scheduler_one_job_runs_on_the_calling_thread(self):
+        idents, results = [], []
+
+        def fn(item):
+            idents.append(threading.get_ident())
+            return item
+
+        self.map_in_order(fn, list(range(5)), 1, results)
+        assert results == [0, 1, 2, 3, 4]
+        assert idents == [threading.get_ident()] * 5
+
     def test_one_inverse_per_window(self, market, tmp_path, monkeypatch):
         calls = {"inv": 0, "cond": 0}
         for name in calls:
@@ -1056,6 +1129,26 @@ class TestRandomModuleImport:
         assert proc.stdout.split() == ["False"]
 
 
+# config-file text by field type, each pool mixing cells that parse with ones that do not
+CONFIG_NUMBERS = ["", "x", "0", "1", "-1", "2", "3", "12", "250", "0.5", "-0.5", "1e-3", "1e309",
+                  "nan", "-inf", "1_0", "0x10", "9" * 30, "\u0661\u0662"]
+CONFIG_WORDS = ["", "x y", "nmf", "tap", "sm", "ip", "exact", "nmf:sm", "exact:nmf", "nmf:", ":",
+                "stats", "infer", "mst", "cutoff", "scaling", "subset", "energy", "compare",
+                "binary", "raw", "standardized"]
+
+
+def config_text(annotation):
+    """Strategy for the text of a RunConfig field with this type annotation."""
+    if annotation in ("int", "float"):
+        return st.sampled_from(CONFIG_NUMBERS)
+    if annotation == "bool":
+        return st.sampled_from(["true", "off", "maybe", "1", ""])
+    words = st.sampled_from(CONFIG_WORDS) | st.text(max_size=6)
+    if annotation.startswith("tuple"):
+        return st.lists(words | st.sampled_from(CONFIG_NUMBERS), max_size=4).map(",".join)
+    return words
+
+
 class TestConfigParsing:
     def test_parse_config_file(self, tmp_path):
         cfg = tmp_path / "c.cfg"
@@ -1127,6 +1220,21 @@ class TestConfigParsing:
             config_from_mapping({"prices": str(market / "prices.csv"), "out_dir": "o",
                                  **settings})
         assert err.type is ConfigError and str(err.value) == message
+
+    @settings(derandomize=True, database=None, max_examples=1000, deadline=None)
+    @given(st.lists(st.sampled_from([(f.name, f.type) for f in dataclasses.fields(RunConfig)]
+                                    + [("bogus", "str")])
+                    .flatmap(lambda field: st.tuples(
+                        st.just(field[0]), config_text(field[1]))),
+                    max_size=6).map(dict))
+    def test_any_text_mapping_builds_a_config_or_is_config_error(self, market, mapping):
+        base = {"prices": str(market / "prices.csv"), "sectors": str(market / "sectors.csv"),
+                "out_dir": "o"}
+        try:
+            cfg = config_from_mapping({**base, **mapping})
+        except ConfigError:
+            return
+        assert isinstance(cfg, RunConfig)
 
     BAD_VALUES = [
         ("infer", ["--eta-h", "-1"], ""),

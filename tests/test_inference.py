@@ -3,6 +3,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import reference_closed_form, stats_from_moments, stats_from_params
 from isingmarket import inference
@@ -209,6 +211,18 @@ class TestSm:
         st = stats_from_params(params)
         np.testing.assert_array_equal(infer_sm(st, CFG).params.h,
                                       infer_ip(st, CFG).params.h)
+
+
+class TestHalvingCalibration:
+    # any planted pair, through exhaustive moments, comes back from both pair
+    # formulas: the closed forms' halving (module docstring) holds everywhere
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), st.floats(-1.0, 1.0))
+    def test_planted_pair_round_trips_through_ip_and_sm(self, h, j):
+        planted = IsingParams(np.asarray(h), pair_matrix(2, 0, 1, j))
+        stats = stats_from_params(planted)
+        for fit in (infer_ip, infer_sm):
+            assert abs(fit(stats, CFG).params.J[0, 1] - j) <= 1e-10, fit.__name__
 
 
 class TestExactLearning:
