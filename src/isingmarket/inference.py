@@ -64,14 +64,13 @@ class InferenceConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}; choose from {METHODS}")
-        if not (self.eta_h > 0 and self.eta_j > 0):
-            raise ConfigError("learning rates must be positive")
+        for name, sign in (("eta_h", self.eta_h > 0), ("eta_j", self.eta_j > 0),
+                           ("tol", self.tol > 0), ("ridge", self.ridge >= 0)):
+            if not (sign and np.isfinite(getattr(self, name))):
+                raise ConfigError(f"{name} must be finite and "
+                                  + ("nonnegative" if name == "ridge" else "positive"))
         if not 0 < self.eta_decay <= 1:
             raise ConfigError("eta_decay must be in (0, 1]")
-        if not self.tol > 0:
-            raise ConfigError("tolerance must be positive")
-        if not self.ridge >= 0:
-            raise ConfigError("ridge must be nonnegative")
         for name, low in (("max_iters", 1), ("mc_sweeps", 1), ("mc_chains", 1),
                           ("mc_burnin", 0), ("exact_max_n", 0)):
             if getattr(self, name) < low:
@@ -89,7 +88,7 @@ class InferenceResult:
     stop_reason: str | None = None     # exact: tol, data_floor, max_iters or diverged
     iterations: int = 0
     residual: float | None = None      # closed form: `moment_residual` measures it
-    cond_cov: float | None = None      # cond of the inverted covariance (+ ridge)
+    cond_cov: float | None = None      # 1-norm condition number of covariance + ridge
     tap_fallbacks: int | None = None   # tap: pairs that fell back to the nMF coupling
     residual_history: tuple[float, ...] = ()  # exact: each iteration's residual
     mc_r_hat_max: float | None = None  # sampled exact: last step's largest R-hat

@@ -43,18 +43,22 @@ class WindowStats:
 
     def inverse(self, ridge: float) -> tuple[np.ndarray, float]:
         """(inverse, cond) of covariance + ridge*I, computed once per ridge and
-        shared by every fit.  Raises when the matrix is singular to working
-        precision: cond >= 1/(N*eps), numpy's matrix_rank tolerance."""
+        shared by every fit; cond is the 1-norm condition number, read off the
+        inverse.  Raises when the matrix is singular to working precision:
+        cond >= 1/(N*eps), numpy's matrix_rank tolerance."""
         if ridge not in self._inverses:
             # + 0.0 copies and makes an off-diagonal -0.0 +0.0, as adding
             # ridge * I would, without building I
             c = self.covariance + 0.0
             np.fill_diagonal(c, c.diagonal() + ridge)
-            cond = float(np.linalg.cond(c))
+            try:
+                cinv = np.linalg.inv(c)
+                cond = float(np.linalg.norm(c, 1) * np.linalg.norm(cinv, 1))
+            except np.linalg.LinAlgError:  # an exact zero pivot
+                cond = np.inf
             if not cond * self.means.size * np.finfo(np.float64).eps < 1.0:
                 raise ValueError(f"covariance matrix is singular (cond={cond:.3g}); "
                                  "retry with a positive ridge")
-            cinv = np.linalg.inv(c)
             cinv.flags.writeable = False
             self._inverses[ridge] = (cinv, cond)
         return self._inverses[ridge]

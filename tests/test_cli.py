@@ -931,7 +931,7 @@ class TestRunPipeline:
         assert idents == [threading.get_ident()] * 5
 
     def test_one_inverse_per_window(self, market, tmp_path, monkeypatch):
-        calls = {"inv": 0, "cond": 0}
+        calls = {"inv": 0, "cond": 0, "svd": 0}
         for name in calls:
             def counted(*args, _fn=getattr(np.linalg, name), _name=name):
                 calls[_name] += 1
@@ -942,7 +942,8 @@ class TestRunPipeline:
                    "--method", "exact,ip,nmf,tap,sm", "--max-iters", "5",
                    "--seed", "5"])
         assert rc == 0
-        assert calls == {"inv": 3, "cond": 3}  # 3 windows, 4 inverting methods
+        # 3 windows, 4 inverting methods; cond is read off the inverse, no SVD
+        assert calls == {"inv": 3, "cond": 0, "svd": 0}
 
     def test_singular_covariance_fails_until_ridged(self, tmp_path, capsys):
         # T=40 < N=60: the covariance is singular to working precision
@@ -955,12 +956,12 @@ class TestRunPipeline:
         assert main(base + ["--out-dir", str(tmp_path / "bare")]) == 3
         err = capsys.readouterr().err
         assert ("window ending 1990-02-11: covariance matrix is singular "
-                "(cond=1.71e+17); retry with a positive ridge") in err
+                "(cond=1.48e+18); retry with a positive ridge") in err
         assert main(base + ["--out-dir", str(tmp_path / "ridged"), "--ridge", "1e-3"]) == 0
         rows = [line.split(",") for line in
                 read_lines(tmp_path / "ridged" / "infer_diagnostics.csv")[1:]]
         assert len(rows) == 20 * 2
-        assert float(rows[0][5]) == pytest.approx(4304, abs=0.5)
+        assert float(rows[0][5]) == pytest.approx(37561, abs=0.5)
         assert max(float(row[5]) for row in rows) < 1e5
 
     def test_failure_leaves_partial_marker(self, market, tmp_path):
@@ -1294,6 +1295,20 @@ class TestConfigParsing:
         assert not (out / "ingest_report.json").exists()
         assert not (out / ".partial").exists()
         assert not (out / "prices.csv").exists()
+
+    # each value parses to inf and passes a sign check; unchecked, it would fail
+    # a window (eta_h), blame the covariance (ridge) or end every fit in one step (tol)
+    @pytest.mark.parametrize("flag, value, name", [("--eta-h", "1e309", "eta_h"),
+                                                   ("--ridge", "inf", "ridge"),
+                                                   ("--tol", "inf", "tol")])
+    def test_infinite_setting_is_config_error(self, market, tmp_path, capsys, flag, value,
+                                              name):
+        out = tmp_path / "out"
+        assert main(["infer", "--prices", str(market / "prices.csv"), "--out-dir", str(out),
+                     "-T", "100", "--stride", "100", "--method", "exact,nmf",
+                     flag, value]) == 2
+        assert f"config error: {name} must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command,flags", [
         ("scaling", ["--sizes", "4,6,13"]),

@@ -90,7 +90,7 @@ class TestNmf:
         res = infer_nmf(st, InferenceConfig(ridge=1e-6))
         assert np.all(np.isfinite(res.params.J))
         # the ridge reached the inverse
-        assert res.cond_cov == np.linalg.cond(st.covariance + 1e-6 * np.eye(2))
+        assert res.cond_cov == np.linalg.cond(st.covariance + 1e-6 * np.eye(2), 1)
 
 
 class TestTap:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from conftest import shuffle_window
 from isingmarket.panels import (Panel, binarize, load_price_csv, load_sector_csv,
@@ -282,6 +284,38 @@ class TestCsvIngest:
         with pytest.raises(ValueError, match=rf"prices\.csv: row 4: date '{date}' "
                                              r"does not follow '2001-01-02'"):
             load_price_csv(path)
+
+    # price CSV text from the cells real files bring: good prices (most
+    # often), blank, nan, inf, overflow, zero, negative and malformed cells,
+    # bad dates and tickers, rows one cell short or long, blank lines and
+    # either line ending.  A row's date None is its own increasing date; a
+    # False date makes the row a blank line.
+    CELLS = hs.sampled_from(["1", "2.5", " 30 ", "1e308", "5e-324", "7"] * 5
+                            + ["", "nan", "inf", "-inf", "1e309", "0", "-0", "-1.5",
+                               "abc", "1.0.0", '"4"', '"5', "1,"])
+    DATES = hs.sampled_from([None] * 16 + [False, "", "2001-01-01", "01/02/2001", "x"])
+    TICKERS = hs.sampled_from(["AAA", "BBB", "CCC", "DDD", " AAA", "", '"D,E"'])
+    ROW = hs.tuples(DATES, hs.lists(CELLS, min_size=5, max_size=5),
+                    hs.sampled_from([0] * 16 + [-1, 1]))
+
+    @settings(derandomize=True, database=None, max_examples=1000, deadline=None)
+    @given(hs.sampled_from(["date"] * 16 + [" Date", "day", ""]),
+           hs.lists(TICKERS, min_size=1, max_size=4, unique=True),
+           hs.lists(ROW, min_size=2, max_size=8), hs.sampled_from(["\n", "\r\n"]))
+    def test_price_text_loads_finite_returns_or_names_its_file(self, tmp_path_factory,
+                                                              first, tickers, rows, eol):
+        lines = [",".join([first, *tickers])]
+        for k, (date, cells, extra) in enumerate(rows):
+            date = f"2001-02-{k + 10}" if date is None else date
+            lines.append("" if date is False else ",".join([date, *cells[:len(tickers) + extra]]))
+        path = tmp_path_factory.getbasetemp() / "prices.csv"
+        path.write_bytes(eol.join(lines).encode() + eol.encode())
+        try:
+            panel, _ = load_price_csv(path)
+        except ValueError as err:
+            assert str(err).startswith(f"{path}: ")
+            return
+        assert np.all(np.isfinite(log_returns(panel).values))
 
     def test_sector_csv(self, tmp_path):
         path = tmp_path / "sectors.csv"

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from isingmarket import stats as stats_module
 from isingmarket.panels import standardize_window
@@ -65,7 +67,31 @@ class TestWindowStats:
         cinv, cond = st.inverse(ridge)
         c = cov + ridge * np.eye(6)
         assert np.signbit(c[1, 4]) == False  # noqa: E712
-        assert cond == float(np.linalg.cond(c))
+        assert cond == float(np.linalg.cond(c, 1))
+        assert cinv.tobytes() == np.linalg.inv(c).tobytes()
+
+    # symmetric PSD matrices, eigenvalues 10^-x for x in [0, 18] in a random
+    # orthogonal basis, plus a ridge: the 1-norm rule read off the inverse
+    # must reject every matrix the 2-norm rule (an SVD) rejected.  For a
+    # symmetric matrix cond_1 >= cond_2 exactly; their computed values can
+    # still cross within a few percent of the threshold, which these draws miss
+    @settings(derandomize=True, database=None, max_examples=1000, deadline=None)
+    @given(hs.lists(hs.floats(0.0, 18.0), min_size=2, max_size=12),
+           hs.integers(0, 2**32 - 1), hs.one_of(hs.just(0.0), hs.floats(1e-18, 1e-3)))
+    def test_inverse_rejects_what_the_2_norm_rule_rejected(self, exponents, seed, ridge):
+        n = len(exponents)
+        basis, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))
+        cov = (basis * 10.0 ** -np.array(exponents)) @ basis.T
+        cov = (cov + cov.T) / 2.0
+        c = cov + ridge * np.eye(n)
+        cond_1 = np.linalg.cond(c, 1)
+        try:
+            cinv, cond = WindowStats(np.zeros(n), cov).inverse(ridge)
+        except ValueError as err:
+            assert f"(cond={cond_1:.3g})" in str(err)
+            return
+        assert not np.linalg.cond(c) * n * np.finfo(np.float64).eps >= 1.0
+        assert cond == cond_1
         assert cinv.tobytes() == np.linalg.inv(c).tobytes()
 
     def test_window_knows_its_length(self):
