@@ -39,7 +39,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--jobs", type=int,
                    help="threads that work the windows, the calling one included; they "
                         "share the GIL: on 2 cores, `infer` at N=200 (151 windows, 3 methods) "
-                        "took a median (of 20 runs) 3.2 s at --jobs 1, 2.9 s at --jobs 2")
+                        "took a median (of 10 runs) 4.0 s at --jobs 1, 3.5 s at --jobs 2")
     p.add_argument("--out-dir", help="output directory")
     p.add_argument("--log-level", choices=["debug", "info", "warning", "error"],
                    default="warning", help="library log messages on stderr")
@@ -226,31 +226,36 @@ _MODE_FLAGS = {
     "b": {"help": "one-shot mode: reference parameter JSON"},
 }
 # name, stages (None: the config's), help, and the one-shot mode or None:
-# (mode flags, handler, the RunConfig keys the handler reads)
+# ({mode flag: the companion flag it needs}, handler, the RunConfig keys it reads)
 _PIPELINE_COMMANDS = (
     ("stats", "stats", "per-window moments, spectra and summaries", None),
     ("infer", "infer", "per-window parameter inference", None),
     ("mst", "mst", "maximum spanning tree and sector clustering",
-     (("params",), _cmd_mst, {"sectors", "out_dir"})),
+     ({"params": "sectors"}, _cmd_mst, {"sectors", "out_dir"})),
     ("cutoff", "cutoff", "coupling/eigenvalue threshold scans",
-     (("params", "direction"), _cmd_cutoff, {"sectors", "out_dir", "cutoff_points"})),
+     ({"params": "sectors", "direction": "params"}, _cmd_cutoff,
+      {"sectors", "out_dir", "cutoff_points"})),
     ("scaling", "scaling", "moment scaling exponents with subset size", None),
     ("subset-scan", "subset", "fixed-subset couplings vs universe size", None),
     ("energy", "energy", "external/internal energy decomposition",
-     (("params",), _cmd_energy, {"prices", "out_dir", "window_size"})),
+     ({"params": "prices"}, _cmd_energy, {"prices", "out_dir", "window_size"})),
     ("compare", "compare", "agreement between two parameter sets",
-     (("a", "b"), _cmd_compare, {"out_dir"})),
+     ({"a": "b", "b": "a"}, _cmd_compare, {"out_dir"})),
     ("run", None, "full configured pipeline", None),
 )
 
 
 def _pipeline_command(args, stages: str | None, one_shot) -> int:
-    """The one-shot handler when a mode flag is set, refusing --config and every
-    key it does not read.  Otherwise the pipeline, on the config file's entries
-    overridden by every flag whose dest names a RunConfig field, overridden by
-    the subcommand's stages."""
-    modes, handler, reads = one_shot or ((), None, set())
+    """The one-shot handler when a mode flag is set, refusing a mode flag without
+    its companion, then --config and every key the handler does not read.
+    Otherwise the pipeline, on the config file's entries overridden by every
+    flag whose dest names a RunConfig field, overridden by the subcommand's
+    stages."""
+    modes, handler, reads = one_shot or ({}, None, set())
     flags = {k: v for k, v in vars(args).items() if k in _FIELDS and v is not None}
+    for flag, companion in modes.items():
+        if getattr(args, flag) and not getattr(args, companion):
+            raise ConfigError(f"{args.command} --{flag} needs --{companion}")
     if mode := next((flag for flag in modes if getattr(args, flag)), None):
         unread = ["config"] * bool(args.config) + sorted(set(flags) - reads)
         if unread:
@@ -314,10 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 # flags that name a file some command reads; checked before any command runs
 _INPUT_FILES = ("config", "prices", "sectors", "params", "truth", "a", "b")
-# (command, flag, companion): the one-shot mode that `flag` selects needs `companion`
-_ONE_SHOT_NEEDS = (("mst", "params", "sectors"), ("cutoff", "params", "sectors"),
-                   ("cutoff", "direction", "params"), ("energy", "params", "prices"),
-                   ("compare", "a", "b"), ("compare", "b", "a"))
 
 
 def main(argv=None) -> int:
@@ -326,10 +327,6 @@ def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=args.log_level.upper(),
                         format="%(levelname)s %(name)s: %(message)s")
     try:
-        for command, flag, companion in _ONE_SHOT_NEEDS:
-            if (args.command == command and getattr(args, flag)
-                    and not getattr(args, companion)):
-                raise ConfigError(f"{command} --{flag} needs --{companion}")
         for dest in _INPUT_FILES:
             if (path := getattr(args, dest, None)) is not None:
                 check_file(f"--{dest}", path)

@@ -18,7 +18,6 @@ reproduces the moments they were fit to.
 from __future__ import annotations
 
 import io
-import json
 import math
 from dataclasses import dataclass
 
@@ -412,53 +411,22 @@ def energy_split(params: IsingParams, means) -> EnergySplit:
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _odd_tokens(a: np.ndarray) -> np.ndarray:
-    """Where orjson and repr write a finite float in different notations,
-    0 < |x| < 1e-4 or |x| >= 1e16: comparisons only, no float temporary."""
-    return (a >= 1e16) | (a <= -1e16) | ((a < 1e-4) & (a > -1e-4) & (a != 0.0))
-
-
-def _floats_json(v: np.ndarray, odd) -> bytes:
-    """`json.dumps(v.tolist()).encode()` for a finite float64 vector whose
-    odd-notation positions are `odd`.
-
-    orjson writes the same shortest round-trip digits as float.__repr__,
-    but without an exponent for 1e-5 <= |x| < 1e-4 and with a bare one
-    (1e-7, 1e16) where repr writes 1e-07 and 1e+16; only the tokens at the
-    positions in `odd`, those of `_odd_tokens(v)`, are re-formatted, by repr.
-    """
-    out = orjson.dumps(v, option=orjson.OPT_SERIALIZE_NUMPY).replace(b",", b", ")
-    if not len(odd):
-        return out
-    tokens = out[1:-1].split(b", ")
-    for k in odd:
-        tokens[k] = repr(float(v[k])).encode()
-    return b"[%b]" % b", ".join(tokens)
-
-
 def write_params(fh, params: IsingParams) -> None:
-    """Write `params_to_json`'s document to the binary file object `fh`.
-
-    J goes out one row at a time, so the whole document is never held.
-    The odd-notation mask is made once for the whole of J, and the rows
-    that hold an odd value are found once: numpy releases the GIL in each
-    call on a large array, and a call per row would make `--jobs` threads
-    hand it over N times a document.
-    """
-    tickers = json.dumps(list(params.tickers) if params.tickers else None).encode()
-    h = _floats_json(params.h, np.flatnonzero(_odd_tokens(params.h)))
-    fh.write(b'{"tickers": %b, "h": %b, "J": [' % (tickers, h))
-    odd = _odd_tokens(params.J)
-    odd_rows = {int(i): np.flatnonzero(odd[i]) for i in np.flatnonzero(odd.any(axis=1))}
+    """Write `params_to_json`'s document to the binary file object `fh`, J one
+    row at a time (one `orjson.dumps` a row), so the whole document is never held."""
+    tickers = orjson.dumps(list(params.tickers) if params.tickers else None)
+    h = orjson.dumps(params.h, option=orjson.OPT_SERIALIZE_NUMPY)
+    fh.write(b'{"tickers":%b,"h":%b,"J":[' % (tickers, h))
     for i, row in enumerate(params.J):
         if i:
-            fh.write(b", ")
-        fh.write(_floats_json(row, odd_rows.get(i, ())))
+            fh.write(b",")
+        fh.write(orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY))
     fh.write(b"]}")
 
 
 def params_to_json(params: IsingParams) -> bytes:
-    """Byte-equal to json.dumps of {"tickers", "h", "J": J.tolist()}, encoded."""
+    """`orjson.dumps({"tickers", "h", "J"}, option=OPT_SERIALIZE_NUMPY)`:
+    compact JSON, each float in orjson's shortest round-trip spelling."""
     buf = io.BytesIO()
     write_params(buf, params)
     return buf.getvalue()

@@ -96,6 +96,8 @@ def load_price_csv(path) -> tuple[Panel, dict[str, str]]:
         if not header or header[0].strip().lower() != "date" or len(header) < 2:
             raise ValueError(f"{path}: expected header 'date,TICKER1,...'")
         tickers = [t.strip() for t in header[1:]]
+        if "" in tickers:
+            raise ValueError(f"{path}: column {tickers.index('') + 2} has a blank ticker")
         if len(set(tickers)) < len(tickers):
             t = next(t for k, t in enumerate(tickers) if t in tickers[:k])
             raise ValueError(f"{path}: duplicate ticker {t!r}")

@@ -9,9 +9,10 @@ import json
 from itertools import product
 
 import numpy as np
+import orjson
 
 from isingmarket import inference, network
-from isingmarket.model import IsingParams, exact_moments_small
+from isingmarket.model import IsingParams, exact_moments_small, params_from_json
 from isingmarket.stats import WindowStats
 
 
@@ -162,10 +163,24 @@ def reference_closed_form(stats: WindowStats, cfg) -> tuple[np.ndarray, np.ndarr
     return params.h, params.J
 
 
-def reference_json(params: IsingParams) -> str:
-    """The params wire format as json.dumps writes it."""
-    return json.dumps({"tickers": list(params.tickers) if params.tickers else None,
-                       "h": params.h.tolist(), "J": params.J.tolist()})
+def reference_json(params: IsingParams) -> bytes:
+    """The params wire format: orjson's own document of the whole model."""
+    return orjson.dumps({"tickers": list(params.tickers) if params.tickers else None,
+                         "h": params.h, "J": params.J}, option=orjson.OPT_SERIALIZE_NUMPY)
+
+
+def assert_parsers_agree(data: bytes, params: IsingParams) -> None:
+    """Both `params_from_json` and the standard library's `json.loads` read the
+    params document `data` back to the h, J and tickers of `params`, bit for bit."""
+    obj = json.loads(data)
+    again = params_from_json(data)
+    loaded = (np.array(obj["h"], dtype=np.float64),
+              np.array(obj["J"], dtype=np.float64).reshape(params.J.shape))
+    for h, j in ((again.h, again.J), loaded):
+        assert h.tobytes() == params.h.tobytes()
+        assert j.tobytes() == params.J.tobytes()
+    tickers = list(params.tickers) if params.tickers else None
+    assert obj["tickers"] == tickers and again.tickers == (params.tickers or None)
 
 
 def reference_edges_csv(edges, tickers, labels) -> str:

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import isingmarket
-from conftest import reference_json
+from conftest import assert_parsers_agree, reference_json
 from isingmarket.cli import build_parser, main
 from isingmarket.model import IsingParams, metropolis_sample, params_from_json, params_to_json
 from isingmarket.panels import binarize, load_price_csv, log_returns
@@ -262,21 +262,24 @@ class TestInferCommand:
         assert diag[0].startswith("date,method,converged")
         assert len(diag) - 1 == 2 * 3
 
-    def test_params_files_are_json_dumps_bytes(self, market, tmp_path):
-        # short windows give fits with values that orjson writes in another
-        # notation than json.dumps (1e-05, 1e+16), so the fix-up path runs
+    def test_params_files_parse_alike_with_json_loads(self, market, tmp_path):
+        # short windows give fits with values that orjson spells otherwise
+        # than repr (0.00007 for 7e-05, 1e-7 for 1e-07), whose bits both
+        # parsers must read back
         rc = main(["infer", "--prices", str(market / "prices.csv"),
                    "--out-dir", str(tmp_path), "-T", "60", "--stride", "20",
                    "--method", "nmf,tap,sm", "--seed", "5"])
         assert rc == 0
         files = sorted((tmp_path / "params").glob("*/*.json"))
         assert len(files) == 18 * 3
-        odd_tokens = 0
+        not_repr = 0
         for path in files:
             data = path.read_bytes()
-            odd_tokens += len(re.findall(rb"\de[-+]\d", data))
-            assert data == reference_json(params_from_json(data)).encode() + b"\n"
-        assert odd_tokens > 0
+            not_repr += len(re.findall(rb"[\[,-]0\.0000|\de-?\d", data))
+            params = params_from_json(data)
+            assert data == reference_json(params) + b"\n"
+            assert_parsers_agree(data, params)
+        assert not_repr > 0
 
     def test_emit_matrices(self, market, tmp_path):
         rc = main(["stats", "--prices", str(market / "prices.csv"),

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import reference_closed_form, stats_from_moments, stats_from_params
 from isingmarket import inference
-from isingmarket.inference import (InferenceConfig, InferenceResult, infer,
+from isingmarket.inference import (METHODS, InferenceConfig, InferenceResult, infer,
                                    infer_exact, infer_ip, infer_nmf, infer_sm,
                                    infer_tap, moment_residual)
 from isingmarket.model import IsingParams, metropolis_sample, params_to_json
@@ -542,6 +543,38 @@ class TestDispatchAndInvariants:
                               mc_burnin=100, seed=5)
         # the true parameters should nearly reproduce their own moments
         assert moment_residual(truth, st, cfg) < 0.05
+
+    @settings(derandomize=True, database=None, max_examples=500, deadline=None)
+    @given(st.integers(2, 8), st.integers(2, 40), st.data())
+    def test_random_windows_raise_value_error_or_fit_finite(self, n, t, data):
+        # short +-1 windows as real data brings them, some rows copies or
+        # negations of an earlier one: constant series, saturated pairs,
+        # singular covariances and T < N.  Every method, exact enumerating
+        # for a few steps, raises ValueError or returns finite parameters,
+        # with every warning an error.
+        rows = []
+        for i in range(n):
+            kind = data.draw(st.sampled_from(["draw"] * 8 + ["copy", "negate"]) if i
+                             else st.just("draw"))
+            if kind == "draw":
+                rows.append(data.draw(st.lists(st.sampled_from([-1.0, 1.0]),
+                                               min_size=t, max_size=t)))
+            else:
+                source = rows[data.draw(st.integers(0, i - 1))]
+                rows.append([v if kind == "copy" else -v for v in source])
+        window = np.array(rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                stats = window_stats(window)
+            except ValueError:
+                return
+            for method in METHODS:
+                try:
+                    params = infer(stats, InferenceConfig(method=method, max_iters=5)).params
+                except ValueError:
+                    continue
+                assert np.all(np.isfinite(params.h)) and np.all(np.isfinite(params.J))
 
     def test_full_universe_scale_smoke(self):
         # 71 series over a 250-day window, the working point of the whole

@@ -1,6 +1,5 @@
 import hashlib
 import io
-import json
 import math
 import tracemalloc
 
@@ -10,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import hamiltonian, reference_json, third_order_tensor
+from conftest import assert_parsers_agree, hamiltonian, reference_json, third_order_tensor
 from isingmarket import model
 from isingmarket.inference import InferenceConfig, infer
-from isingmarket.model import (IsingParams, SampleStats, _floats_json, _gelman_rubin,
-                               _odd_tokens, _simulate, boltzmann_distribution,
+from isingmarket.model import (IsingParams, SampleStats, _gelman_rubin,
+                               _simulate, boltzmann_distribution,
                                encode_states, energy_split, enumerate_states,
                                exact_moments_small, metropolis_sample,
                                params_from_json, params_to_json,
@@ -70,6 +69,14 @@ class TestIsingParams:
         assert again.tickers == params.tickers
 
 
+def assert_document(params):
+    """`params_to_json` writes orjson's own document of `params`, which both
+    JSON parsers read back bit for bit."""
+    data = params_to_json(params)
+    assert data == reference_json(params)
+    assert_parsers_agree(data, params)
+
+
 class TestParamsJson:
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 200])
     def test_matches_json_dumps(self, n):
@@ -79,15 +86,15 @@ class TestParamsJson:
         np.fill_diagonal(j, 0.0)
         tickers = tuple(f"S{i:03d}" for i in range(n)) or None
         params = IsingParams(rng.normal(size=n), j, tickers=tickers)
+        assert_document(params)
         data = params_to_json(params)
-        assert data == reference_json(params).encode()
         assert params_to_json(params_from_json(data)) == data  # N = 0 too
 
     def test_edge_values_and_tickers(self):
-        # -0.0, the smallest subnormal and normal, the largest float, both
-        # repr exponent switch points and the values on either side of
-        # them; rows 6 and 7 hold only values that orjson prints as repr
-        # does, 1e-4 and 9999999999999998.0 among them
+        # -0.0, the smallest subnormal and normal, the largest float, the
+        # points where repr and orjson switch to an exponent and the values on
+        # either side of them; rows 6 and 7 hold only values both write
+        # without one, 1e-4 and 9999999999999998.0 among them
         j = coupling_matrix(8, [(0, 1, -0.0), (0, 2, 5e-324), (1, 3, 1e-05),
                                 (2, 3, 1e+16), (0, 3, -1e-05), (0, 4, 9.99e-05),
                                 (1, 2, -1.234e-05), (1, 4, 1e-4), (2, 4, -1e-07),
@@ -97,8 +104,7 @@ class TestParamsJson:
         h = np.array([-0.0, 5e-324, 1e16, -2.5, 1.7976931348623157e308,
                       2.2250738585072014e-308, 1e22, -1e-07])
         for tickers in (None, ('A"B', "C\\D", "Ünï", "日本", "e", "f", "g", "h")):
-            params = IsingParams(h, j, tickers=tickers)
-            assert params_to_json(params) == reference_json(params).encode()
+            assert_document(IsingParams(h, j, tickers=tickers))
 
     def test_log_uniform_sweep_matches_json_dumps(self):
         # magnitudes from underflow to 1e300, about a tenth of them -0.0
@@ -114,12 +120,11 @@ class TestParamsJson:
             j = np.zeros((n, n))
             j[upper] = draw(upper[0].size)
             j.T[upper] = j[upper]
-            params = IsingParams(draw(n), j)
-            assert params_to_json(params) == reference_json(params).encode()
+            assert_document(IsingParams(draw(n), j))
 
     def test_odd_tokens_at_row_edges(self):
-        # values orjson writes in another notation (0 < |x| < 1e-4 or
-        # |x| >= 1e16): several in one row, in its first and last column;
+        # values orjson writes in another notation than repr (0 < |x| < 1e-4
+        # or |x| >= 1e16): several in one row, in its first and last column;
         # a row whose every off-diagonal value is odd; h with odd values
         # at index 0 and N-1, and an h made only of odd values
         n = 6
@@ -129,18 +134,14 @@ class TestParamsJson:
         j[4, 5] = j[5, 4] = 5e-324
         for h in ([1e-05, 0.5, -0.25, 2.0, 0.75, -3e20],
                   [1e-07, -2e-05, 1e16, -5e-324, 8e-05, 1e300]):
-            params = IsingParams(np.array(h), j)
-            assert params_to_json(params) == reference_json(params).encode()
-        # J's diagonal is never odd; any row may have odd ends
-        m = np.array([[1e-07, 0.5, 2e16], [-0.0, 3.5, 1.5], [4e-05, 0.25, -1e300]])
-        for row in m:
-            odd = np.flatnonzero(_odd_tokens(row))
-            assert _floats_json(row, odd) == json.dumps(row.tolist()).encode()
+            assert_document(IsingParams(np.array(h), j))
+        # J's diagonal is never odd; h may have odd ends
+        for h in ([1e-07, 0.5, 2e16], [-0.0, 3.5, 1.5], [4e-05, 0.25, -1e300]):
+            assert_document(IsingParams(np.array(h), np.zeros((3, 3))))
 
     @pytest.mark.parametrize("h", [0.3, 1e-07, -2e16, 0.0])
     def test_single_spin(self, h):
-        params = IsingParams(np.array([h]), np.zeros((1, 1)), tickers=("A",))
-        assert params_to_json(params) == reference_json(params).encode()
+        assert_document(IsingParams(np.array([h]), np.zeros((1, 1)), tickers=("A",)))
 
     def test_reads_bytes_and_str_alike(self):
         rng = np.random.default_rng(9)
@@ -175,11 +176,10 @@ class TestParamsJson:
         if n:
             h[0], h[-1] = -1e-07, 1e+16
         params = IsingParams(h, j, tickers=tuple(f"S{i:03d}" for i in range(n)) or None)
-        expected = reference_json(params).encode()
         buf = io.BytesIO()
         write_params(buf, params)
-        assert buf.getvalue() == expected
-        assert params_to_json(params) == expected
+        assert buf.getvalue() == reference_json(params)
+        assert_document(params)
 
     def test_writing_a_document_holds_no_whole_copy(self, tmp_path):
         rng = np.random.default_rng(200)
@@ -195,7 +195,7 @@ class TestParamsJson:
                 tracemalloc.stop()
         # one row formatted at a time; the document is 0.84 MB
         assert peak - base < 0.5e6
-        assert (tmp_path / "params.json").read_bytes() == reference_json(params).encode()
+        assert (tmp_path / "params.json").read_bytes() == reference_json(params)
 
     def test_round_trip_bit_exact_at_n200(self):
         rng = np.random.default_rng(200)
@@ -217,14 +217,11 @@ class TestParamsJson:
     @settings(derandomize=True, database=None, max_examples=400, deadline=None)
     @given(arrays(np.float64, st.integers(0, 40), elements=FINITE))
     def test_any_finite_vector_matches_json_dumps(self, v):
-        expected = json.dumps(v.tolist()).encode()
-        assert _floats_json(v, np.flatnonzero(_odd_tokens(v))) == expected
         # as h, and as J's first row and column where J's (J + J^T) / 2 stays finite
         j = np.zeros((v.size, v.size))
         if v.size:
             j[0, 1:] = j[1:, 0] = np.where(np.abs(v[1:]) < 1e300, v[1:], 0.0)
-        params = IsingParams(v, j)
-        assert params_to_json(params) == reference_json(params).encode()
+        assert_document(IsingParams(v, j))
 
 
 class TestHamiltonian:

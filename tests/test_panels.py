@@ -277,6 +277,15 @@ class TestCsvIngest:
         with pytest.raises(ValueError, match=r"prices\.csv: duplicate ticker 'A'"):
             load_price_csv(path)
 
+    @pytest.mark.parametrize("header, column", [("date,,AAA", 2), ("date, ,AAA", 2),
+                                                ("date,AAA,\t", 3)])
+    def test_blank_ticker_names_file_and_column(self, tmp_path, header, column):
+        path = tmp_path / "prices.csv"
+        path.write_text(f"{header}\n2001-01-01,1,2\n2001-01-02,1,2\n")
+        with pytest.raises(ValueError) as err:
+            load_price_csv(path)
+        assert str(err.value) == f"{path}: column {column} has a blank ticker"
+
     @pytest.mark.parametrize("date", ["2001-01-01", "2001-01-02"])  # earlier, repeated
     def test_unordered_date_names_file_row_and_dates(self, tmp_path, date):
         path = tmp_path / "prices.csv"
@@ -287,14 +296,14 @@ class TestCsvIngest:
 
     # price CSV text from the cells real files bring: good prices (most
     # often), blank, nan, inf, overflow, zero, negative and malformed cells,
-    # bad dates and tickers, rows one cell short or long, blank lines and
-    # either line ending.  A row's date None is its own increasing date; a
-    # False date makes the row a blank line.
+    # bad dates and tickers (blank ones among them), rows one cell short or
+    # long, blank lines and either line ending.  A row's date None is its
+    # own increasing date; a False date makes the row a blank line.
     CELLS = hs.sampled_from(["1", "2.5", " 30 ", "1e308", "5e-324", "7"] * 5
                             + ["", "nan", "inf", "-inf", "1e309", "0", "-0", "-1.5",
                                "abc", "1.0.0", '"4"', '"5', "1,"])
     DATES = hs.sampled_from([None] * 16 + [False, "", "2001-01-01", "01/02/2001", "x"])
-    TICKERS = hs.sampled_from(["AAA", "BBB", "CCC", "DDD", " AAA", "", '"D,E"'])
+    TICKERS = hs.sampled_from(["AAA", "BBB", "CCC", "DDD"] * 3 + [" AAA", "", " ", '"D,E"'])
     ROW = hs.tuples(DATES, hs.lists(CELLS, min_size=5, max_size=5),
                     hs.sampled_from([0] * 16 + [-1, 1]))
 
